@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -177,7 +178,6 @@ def _cmd_montecarlo(args: argparse.Namespace, argv: list[str]) -> int:
         base=calib,
         seed=args.seed,
         shortfall_threshold=args.threshold,
-        jobs=_jobs(args.jobs),
     )
     out = _out_dir(args.out)
     outputs = [out / "mc_summary.txt", out / "mc_histogram.csv"]
@@ -256,6 +256,20 @@ def _parse_formula(formula: str) -> tuple[str, list[str]]:
     return response, terms
 
 
+def _csv_number(path: str, line: int, column: str, raw: str | None) -> float:
+    """One finite number from a data CSV cell; errors name the file, line and column."""
+    where = f"{path}: line {line}, column '{column}'"
+    if raw is None:
+        raise ConfigError(f"{where}: the row is too short")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite: {raw!r}")
+    return value
+
+
 def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
     calib, scenarios = _load(args.config)
@@ -272,8 +286,9 @@ def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
         y_vals: list[float] = []
         x_rows: list[list[float]] = []
         for row in reader:
-            y_vals.append(float(row[response]))
-            x_rows.append([1.0] + [float(row[t]) for t in terms])
+            line = reader.line_num
+            y_vals.append(_csv_number(args.data, line, response, row[response]))
+            x_rows.append([1.0] + [_csv_number(args.data, line, t, row[t]) for t in terms])
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
     out = _out_dir(args.out)
     rows = ["term,coefficient,hc1_se"]
@@ -390,7 +405,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     # Monte Carlo summary.
     summary = monte_carlo(
         n=args.n, ranges=default_ranges(), base=calib, seed=args.seed,
-        shortfall_threshold=0.30, jobs=_jobs(args.jobs),
+        shortfall_threshold=0.30,
     )
     path = out / "mc_summary.txt"
     path.write_text(summary.to_text(), encoding="utf-8")
@@ -435,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--threshold", type=float, default=0.30, help="tail shortfall threshold")
-    p.add_argument("--jobs", type=int, help="parallel workers (default: all cores; results identical)")
+    p.add_argument("--jobs", type=int,
+                   help="accepted and ignored: Monte Carlo runs in one process, and its "
+                        "results never depend on --jobs")
 
     p = sub.add_parser("credit", help="borrower default-probability sensitivity table")
     common(p)
@@ -466,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2000, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, help="parallel workers (default: all cores; results identical)")
+    p.add_argument("--jobs", type=int,
+                   help="policy-sweep workers (default: all cores; results identical); "
+                        "Monte Carlo runs in one process either way")
 
     return parser
 

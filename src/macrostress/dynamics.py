@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 from .policy import transfer_at
@@ -144,6 +147,27 @@ def _effective_calibration(s: Scenario, c: Calibration) -> Calibration:
     return dataclasses.replace(c, g_A=s.g_A_override)
 
 
+def _drift_constants(c: Calibration) -> tuple[float, ...]:
+    """Per-calibration constants of the RK4 drift, in the order the integrators unpack them.
+
+    ``A(t)**alpha_rho`` is written as ``A0**alpha_rho * exp(alpha_rho*g_A*t)``,
+    so the exponentials are the only per-stage cost.
+    """
+    norm = c.mpc_labor * c.s_L0 + (1.0 - c.mpc_labor) * (1.0 - c.s_L0)
+    return (
+        c.d_bar,
+        -c.kappa,
+        c.t0_diffusion,
+        c.f_slope * c.g_A,                  # displacement scale
+        c.rho0,
+        c.eta * c.A0 ** c.alpha_rho,        # reinstatement scale
+        c.alpha_rho * c.g_A,                # reinstatement exponent rate
+        c.beta_feedback,
+        c.s_L0,
+        (2.0 * c.mpc_labor - 1.0) / norm,   # margin pressure per unit of decline
+    )
+
+
 def integrate_labor_share(
     c: Calibration,
     p: PolicySpec,
@@ -161,22 +185,14 @@ def integrate_labor_share(
     speed; it must stay numerically equivalent to
     :func:`labor_share_derivative` (the integrator tests pin the agreement).
     """
-    # Hoisted constants; the exponential terms are the only per-stage cost.
-    d_bar, kappa, t0 = c.d_bar, c.kappa, c.t0_diffusion
-    disp_scale = c.f_slope * c.g_A
-    rho0, eta = c.rho0, c.eta
-    rho_exp = c.alpha_rho * c.g_A          # A(t)**alpha = A0**alpha * exp(alpha*g_A*t)
-    a0_alpha = c.A0 ** c.alpha_rho
-    beta = c.beta_feedback
-    s0 = c.s_L0
-    two_c_minus_1 = 2.0 * c.mpc_labor - 1.0
-    norm = c.mpc_labor * s0 + (1.0 - c.mpc_labor) * (1.0 - s0)
-    k_pi = two_c_minus_1 / norm
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = (
+        _drift_constants(c)
+    )
     tau, activation = p.tau, p.start_time + p.lag
     exp = math.exp
 
     def deriv(t: float, s: float) -> float:
-        e = -kappa * (t - t0)
+        e = neg_kappa * (t - t0)
         if e > 40.0:
             d = 0.0
         elif e < -40.0:
@@ -188,7 +204,7 @@ def integrate_labor_share(
             raise IntegrationError(
                 f"reinstatement term overflows at t={t:g} (alpha_rho*g_A*t={x:g})"
             )
-        rho = rho0 + eta * a0_alpha * exp(x)
+        rho = rho0 + rho_scale * exp(x)
         gap = s0 - s
         pi = k_pi * gap if gap > 0.0 else 0.0
         stab = tau if (s < s0 and t >= activation) else 0.0
@@ -229,6 +245,80 @@ def integrate_labor_share(
         if record is not None:
             record.append((t, s))
     return s, collapse
+
+
+_LANE_BLOCK = 4096  # lanes integrated together; bounds the kernel's working set
+
+
+def integrate_lanes(
+    calibrations: Sequence[Calibration], policy: PolicySpec, horizon: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4-integrate independent lanes, one calibration each, under one policy.
+
+    Returns (final labor share, failed) arrays, one entry per lane. A lane
+    fails when its reinstatement exponent passes the overflow cap at any
+    stage or its state turns non-finite; the other lanes are unaffected and
+    a failed lane's final share is NaN. Every lane repeats the arithmetic
+    of :func:`integrate_labor_share` operation for operation, with numpy's
+    ``exp`` in place of ``math.exp``, so a lane matches the scalar result
+    to within an ulp-level difference of the two exponentials. Lanes are
+    integrated in fixed blocks of per-step vectors; no lane x step matrix
+    is built.
+    """
+    consts = np.array([_drift_constants(c) for c in calibrations], dtype=np.float64)
+    # One contiguous row per constant; the explicit 10 keeps the shape for zero lanes.
+    consts = np.ascontiguousarray(consts.reshape(-1, 10).T)
+    n = consts.shape[1]
+    s_final = np.empty(n)
+    failed = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _LANE_BLOCK):
+            hi = min(lo + _LANE_BLOCK, n)
+            s_final[lo:hi], failed[lo:hi] = _rk4_block(consts[:, lo:hi], policy, horizon, dt)
+    s_final[failed] = np.nan
+    return s_final, failed
+
+
+def _rk4_block(
+    consts: np.ndarray, p: PolicySpec, horizon: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lane kernel over one block; ``consts`` holds one row per drift constant."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = consts
+    tau, activation = p.tau, p.start_time + p.lag
+    failed = np.zeros(s0.shape, dtype=bool)
+
+    def drive(t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The state-free terms at stage time t: (-d * disp_scale, rho)."""
+        e = neg_kappa * (t - t0)
+        d = np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d_bar / (1.0 + np.exp(e))))
+        x = rho_exp * t
+        failed[x > _EXP_CAP] = True
+        return -d * disp_scale, rho0 + rho_scale * np.exp(x)
+
+    def deriv(t: float, s: np.ndarray, push: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        gap = s0 - s
+        pi = np.where(gap > 0.0, k_pi * gap, 0.0)
+        stab = np.where(s < s0, tau, 0.0) if t >= activation else 0.0
+        raw = push - beta * pi + rho + stab
+        absorbed = ((s <= 0.0) & (raw < 0.0)) | ((s >= 1.0) & (raw > 0.0))
+        return np.where(absorbed, 0.0, raw)
+
+    s = s0.copy()
+    half = dt / 2.0
+    sixth = dt / 6.0
+    for i in range(round(horizon / dt)):
+        t = i * dt
+        push, rho = drive(t)
+        k1 = deriv(t, s, push, rho)
+        push, rho = drive(t + half)
+        k2 = deriv(t + half, s + half * k1, push, rho)
+        k3 = deriv(t + half, s + half * k2, push, rho)
+        push, rho = drive(t + dt)
+        k4 = deriv(t + dt, s + dt * k3, push, rho)
+        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        failed |= ~np.isfinite(s)
+        s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+    return s, failed
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:

@@ -12,6 +12,7 @@ a block mirror :class:`Scenario` / :class:`PolicySpec` field names.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,8 +168,15 @@ def validate(c: Calibration) -> list[str]:
     return v
 
 
+MAX_STEPS = 1_000_000  # step-count cap: an integration never runs longer than this
+_GRID_RTOL = 1e-9       # dt must divide the horizon within this relative tolerance
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     v: list[str] = []
+    for name, value in (("horizon", s.horizon), ("dt", s.dt)):
+        if not math.isfinite(value):
+            v.append(f"scenario {s.name}: {name} must be finite")
     if s.horizon <= 0.0:
         v.append(f"scenario {s.name}: horizon must be positive")
     if s.dt <= 0.0:
@@ -177,6 +185,18 @@ def validate_scenario(s: Scenario) -> list[str]:
         v.append(f"scenario {s.name}: dt must not exceed horizon")
     if s.dt > 0.05:
         v.append(f"scenario {s.name}: dt must not exceed 0.05 (integration stability guard)")
+    if not v:  # the step grid, once horizon and dt are usable
+        steps = s.horizon / s.dt
+        if steps > MAX_STEPS:
+            v.append(
+                f"scenario {s.name}: horizon / dt needs {steps:.6g} steps; "
+                f"the cap is {MAX_STEPS}"
+            )
+        elif abs(round(steps) * s.dt - s.horizon) > _GRID_RTOL * s.horizon:
+            v.append(
+                f"scenario {s.name}: dt = {s.dt!r} does not divide horizon = {s.horizon!r}; "
+                f"the last step would end at t = {round(steps) * s.dt:.9g}"
+            )
     if s.g_A_override is not None and s.g_A_override < 0.0:
         v.append(f"scenario {s.name}: g_A_override must be >= 0")
     if s.policy.tau < 0.0:
@@ -194,9 +214,12 @@ _SCENARIO_KEYS = {"g_A_override", "horizon", "dt", "tau", "lag", "start_time", "
 
 def _parse_float(raw: str, key: str, lineno: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: value for '{key}' is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: value for '{key}' must be finite: {raw!r}")
+    return value
 
 
 def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:

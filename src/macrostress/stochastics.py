@@ -7,19 +7,20 @@ reproduce the stream from the constants below; the first four outputs for
 seed 42 are recorded in the README and pinned by a test.
 
 Per-draw substreams are derived as ``mix(seed + (index + 1) * GAMMA)``, so
-draws are independent of execution order and worker count: results are
-bit-identical for any ``jobs`` setting.
+draws are independent of execution order. That is what lets the Monte Carlo
+integrate every draw at once, as lanes of one numpy kernel in one process;
+its results never depend on ``jobs`` / ``--jobs``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import monetary
+from .dynamics import integrate_lanes
 from .params import Calibration, PolicySpec, validate, with_updates
 
 _MASK64 = (1 << 64) - 1
@@ -131,18 +132,30 @@ def default_ranges() -> ParamRanges:
     )
 
 
-# Validation bounds checked per sampled parameter (open intervals noted in params).
+# Per sampled parameter, the interval a draw must fall in: (lo, hi, lo_closed,
+# hi_closed). Each is the interval validate() accepts, except g_A, which
+# validate() leaves unchecked and the sampler keeps positive.
 _FIELD_BOUNDS = {
-    "g_A": (0.0, math.inf),
-    "kappa": (0.0, math.inf),
-    "rho0": (-1e-300, math.inf),
-    "eta": (-1e-300, math.inf),
-    "beta_feedback": (0.0, math.inf),
-    "chi_top": (-1e-300, 1.0),
-    "mpc_labor": (0.5, 1.0),
-    "d_bar": (0.0, 1.0),
-    "f_slope": (0.0, math.inf),
+    "g_A": (0.0, math.inf, False, True),
+    "kappa": (0.0, math.inf, False, True),
+    "rho0": (0.0, math.inf, True, True),
+    "eta": (0.0, math.inf, True, True),
+    "beta_feedback": (0.0, math.inf, False, True),
+    "chi_top": (0.0, 1.0, True, True),
+    "mpc_labor": (0.5, 1.0, False, False),
+    "d_bar": (0.0, 1.0, False, True),
+    "f_slope": (0.0, math.inf, False, True),
 }
+
+
+def _within_bounds(name: str, value: float) -> bool:
+    """The sampler's rejection test: is ``value`` inside the bounds of parameter ``name``?"""
+    lo, hi, lo_closed, hi_closed = _FIELD_BOUNDS[name]
+    above = lo <= value if lo_closed else lo < value
+    below = value <= hi if hi_closed else value < hi
+    return above and below
+
+
 _MAX_REJECTIONS = 100
 
 
@@ -153,10 +166,9 @@ def sample_calibration(rng: SplitMix64, ranges: ParamRanges, base: Calibration) 
     overrides: dict[str, float] = {}
     for f in fields(ParamRanges):
         spec: SampleSpec = getattr(ranges, f.name)
-        lo, hi = _FIELD_BOUNDS[f.name]
         value = spec.draw(rng)
         attempts = 0
-        while not (lo < value <= hi):
+        while not _within_bounds(f.name, value):
             attempts += 1
             if attempts > _MAX_REJECTIONS:
                 raise RuntimeError(
@@ -205,20 +217,6 @@ _HIST_RANGE = (-1.0, 1.0)
 _HIST_BINS = 40
 
 
-def _run_draw(args: tuple[int, int, ParamRanges, Calibration]) -> tuple[int, float, bool]:
-    """Worker: one draw -> (index, shortfall, failed)."""
-    from .dynamics import IntegrationError, integrate_labor_share
-
-    index, seed, ranges, base = args
-    rng = SplitMix64(substream_seed(seed, index))
-    calib = sample_calibration(rng, ranges, base)
-    try:
-        s_final, _ = integrate_labor_share(calib, PolicySpec(), _MC_HORIZON, _MC_DT)
-    except IntegrationError:
-        return index, math.nan, True
-    return index, monetary.demand_shortfall(s_final, calib), False
-
-
 def monte_carlo(
     n: int,
     ranges: ParamRanges,
@@ -231,23 +229,27 @@ def monte_carlo(
 
     The recorded statistic per draw is the end-of-horizon demand shortfall
     ``1 - consumption_ratio(s_final)/consumption_ratio(s_L0)``. Integrator
-    failures are counted, not fatal. Identical (seed, ranges, n) give a
-    bit-identical summary for any ``jobs``.
+    failures are counted, not fatal. Every draw is sampled from its own
+    substream and all draws are integrated together as lanes of one kernel
+    in this process. ``jobs`` is accepted for call compatibility and
+    ignored: identical (seed, ranges, n) give a bit-identical summary for
+    any ``jobs``.
     """
     if n < 1:
         raise ValueError("monte_carlo needs n >= 1")
-    tasks = [(i, seed, ranges, base) for i in range(n)]
-    results: list[tuple[int, float, bool]]
-    if jobs > 1 and n > 1:
-        chunk = max(1, n // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_draw, tasks, chunksize=chunk))
-    else:
-        results = [_run_draw(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    shortfalls = np.array([r[1] for r in results if not r[2]], dtype=np.float64)
-    n_failures = sum(1 for r in results if r[2])
+    calibrations = [
+        sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base) for i in range(n)
+    ]
+    s_final, failed = integrate_lanes(calibrations, PolicySpec(), _MC_HORIZON, _MC_DT)
+    shortfalls = np.array(
+        [
+            monetary.demand_shortfall(float(s), c)
+            for s, c, bad in zip(s_final, calibrations, failed)
+            if not bad
+        ],
+        dtype=np.float64,
+    )
+    n_failures = int(failed.sum())
     if shortfalls.size == 0:
         raise RuntimeError("all Monte Carlo draws failed to integrate")
     counts, edges = np.histogram(shortfalls, bins=_HIST_BINS, range=_HIST_RANGE)

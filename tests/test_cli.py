@@ -194,3 +194,47 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for cmd in ("simulate", "sweep", "montecarlo", "credit", "repro"):
         assert cmd in proc.stdout
+
+
+# --- input errors ------------------------------------------------------------
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "-inf"])
+def test_non_finite_config_value_exit_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"V_obs = {raw}\n")
+    code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "V_obs" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "trajectory_baseline.csv").exists()
+
+
+def test_simulate_misaligned_dt_exit_2(tmp_path, capsys):
+    code = run_cli("simulate", "--scenario", "baseline", "--dt", "0.03", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario baseline" in err and "does not divide" in err
+
+
+def _regress_data(tmp_path, body):
+    data = tmp_path / "d.csv"
+    rows = [f"{2 + 3 * i},{i}" for i in range(6)]
+    data.write_text("y,x\n" + "\n".join(rows) + "\n" + body)
+    return data
+
+
+@pytest.mark.parametrize("body,column,what", [
+    ("20\n", "x", "too short"),
+    ("nan,6\n", "y", "finite"),
+    ("20,inf\n", "x", "finite"),
+    ("20,abc\n", "x", "not a number"),
+])
+def test_regress_bad_row_exit_2(tmp_path, capsys, body, column, what):
+    data = _regress_data(tmp_path, body)
+    code = run_cli("regress", "--data", str(data), "--formula", "y ~ x",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "line 8" in err and f"column '{column}'" in err and what in err
+    assert "Traceback" not in err

@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from macrostress.dynamics import (
     diffusion,
     explosive_threshold,
     integrate_labor_share,
+    integrate_lanes,
     labor_share_derivative,
     margin_pressure,
     reinstatement_rate,
@@ -346,3 +349,87 @@ def test_perturbation_decays_below_threshold(c, horizon):
 @pytest.mark.parametrize("c,horizon", STABILITY_CASES)
 def test_perturbation_grows_above_threshold(c, horizon):
     assert _perturbation_gap(c, 1.01, horizon) > 0.01
+
+
+# --- lane-batched kernel -----------------------------------------------------
+
+def _sampled_calibrations(n, seed=42):
+    from macrostress.stochastics import SplitMix64, default_ranges, sample_calibration, substream_seed
+
+    return [
+        sample_calibration(SplitMix64(substream_seed(seed, i)), default_ranges(), C)
+        for i in range(n)
+    ]
+
+
+def _scalar_or_nan(c, p, horizon, dt):
+    try:
+        return integrate_labor_share(c, p, horizon, dt)[0]
+    except IntegrationError:
+        return math.nan
+
+
+def test_lanes_agree_with_scalar_on_sampled_draws():
+    cals = _sampled_calibrations(64)
+    s_final, failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    assert not failed.any()
+    for c, s in zip(cals, s_final):
+        assert abs(s - integrate_labor_share(c, NO_POLICY, 10.0, 0.01)[0]) <= 1e-12
+
+
+def test_lanes_agree_with_scalar_under_policy():
+    # the transfer switches on mid-run for lanes below their baseline share
+    cals = [with_updates(C, g_A=g) for g in (0.05, 0.2, 0.4)]
+    p = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
+    s_final, failed = integrate_lanes(cals, p, 10.0, 0.01)
+    assert not failed.any()
+    for c, s in zip(cals, s_final):
+        assert abs(s - integrate_labor_share(c, p, 10.0, 0.01)[0]) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def slicing_lanes():
+    """1030 sampled lanes over 20 steps, integrated as one block."""
+    cals = _sampled_calibrations(1030, seed=5)
+    return cals, integrate_lanes(cals, NO_POLICY, 0.2, 0.01)
+
+
+@pytest.mark.parametrize("width,n", [(1, 64), (7, 1030), (1001, 1030)])
+def test_lanes_do_not_depend_on_slicing(slicing_lanes, width, n):
+    # block sizes that are not a multiple of the SIMD width exercise numpy's tail loops
+    cals, (whole, whole_failed) = slicing_lanes
+    parts = [integrate_lanes(cals[i:min(i + width, n)], NO_POLICY, 0.2, 0.01)
+             for i in range(0, n, width)]
+    assert np.array_equal(np.concatenate([s for s, _ in parts]), whole[:n], equal_nan=True)
+    assert np.array_equal(np.concatenate([f for _, f in parts]), whole_failed[:n])
+
+
+def test_failing_lanes_fail_alone():
+    cals = _sampled_calibrations(40)
+    overflow = with_updates(C, g_A=150.0)   # alpha_rho*g_A*t passes the cap before t = 10
+    non_finite = with_updates(C, g_A=1.0, eta=1e308)  # reinstatement flow overflows to inf
+    for bad in (overflow, non_finite):
+        with pytest.raises(IntegrationError):
+            integrate_labor_share(bad, NO_POLICY, 10.0, 0.01)
+    clean, clean_failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    mixed_cals = cals[:13] + [overflow] + cals[13:29] + [non_finite] + cals[29:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the kernel lets no RuntimeWarning escape
+        mixed, mixed_failed = integrate_lanes(mixed_cals, NO_POLICY, 10.0, 0.01)
+    assert not clean_failed.any()
+    assert np.flatnonzero(mixed_failed).tolist() == [13, 30]
+    assert np.isnan(mixed[[13, 30]]).all()
+    assert np.array_equal(np.delete(mixed, [13, 30]), clean)
+
+
+def test_lanes_fail_exactly_where_the_scalar_raises():
+    cals = [with_updates(C, g_A=g) for g in (0.4, 139.0, 141.0, 300.0)]
+    s_final, failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    expected = [_scalar_or_nan(c, NO_POLICY, 10.0, 0.01) for c in cals]
+    assert failed.tolist() == [math.isnan(e) for e in expected] == [False, False, True, True]
+    assert abs(s_final[1] - expected[1]) <= 1e-12
+
+
+def test_lanes_empty_input():
+    s_final, failed = integrate_lanes([], NO_POLICY, 1.0, 0.01)
+    assert s_final.shape == failed.shape == (0,)

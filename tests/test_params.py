@@ -3,6 +3,7 @@ import math
 import pytest
 
 from macrostress.params import (
+    MAX_STEPS,
     Calibration,
     ConfigError,
     PolicySpec,
@@ -189,3 +190,48 @@ def test_calibration_is_immutable():
     c = default_calibration()
     with pytest.raises(Exception):
         c.g_A = 0.9  # type: ignore[misc]
+
+
+def test_scenario_guard_dt_must_divide_horizon():
+    problems = validate_scenario(Scenario(name="odd", horizon=10.0, dt=0.03))
+    assert len(problems) == 1
+    assert "scenario odd" in problems[0] and "dt = 0.03" in problems[0]
+    assert "does not divide horizon" in problems[0]
+    # grids that divide up to rounding in the last place pass
+    for horizon, dt in [(10.0, 0.01), (10.0, 0.001), (7.0, 0.02), (1.0, 0.05), (0.3, 0.1 / 3)]:
+        assert validate_scenario(Scenario(name="ok", horizon=horizon, dt=dt)) == []
+
+
+def test_scenario_guard_step_count_cap():
+    problems = validate_scenario(Scenario(name="long", horizon=1e12, dt=0.01))
+    assert len(problems) == 1
+    assert "scenario long" in problems[0] and "horizon / dt" in problems[0]
+    assert str(MAX_STEPS) in problems[0]
+    at_cap = Scenario(name="cap", horizon=MAX_STEPS * 0.01, dt=0.01)
+    assert validate_scenario(at_cap) == []
+    over = Scenario(name="over", horizon=(MAX_STEPS + 1) * 0.01, dt=0.01)
+    assert validate_scenario(over) != []
+
+
+def test_scenario_guard_non_finite_horizon_and_dt():
+    for horizon, dt in [(math.inf, 0.01), (math.nan, 0.01), (10.0, math.nan)]:
+        problems = validate_scenario(Scenario(name="nf", horizon=horizon, dt=dt))
+        assert any("must be finite" in m and "scenario nf" in m for m in problems)
+
+
+def test_load_config_rejects_misaligned_dt(tmp_path):
+    path = tmp_path / "s.cfg"
+    path.write_text("[scenario.x]\ndt = 0.03\n")
+    with pytest.raises(ConfigError, match="scenario x: dt = 0.03 does not divide"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_config_rejects_non_finite_values(tmp_path, raw):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"# velocity anchor\nV_obs = {raw}\n")
+    with pytest.raises(ConfigError, match=f"line 2: value for 'V_obs' must be finite"):
+        load_config(path)
+    path.write_text(f"[scenario.s]\nhorizon = 10\ntau = {raw}\n")
+    with pytest.raises(ConfigError, match=f"line 3: value for 'tau' must be finite"):
+        load_config(path)

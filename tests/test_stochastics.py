@@ -1,10 +1,14 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from macrostress.dynamics import classify_regime, integrate_labor_share, RegimeKind
+from macrostress.dynamics import IntegrationError, classify_regime, integrate_labor_share, RegimeKind
 from macrostress.monetary import demand_shortfall
 from macrostress.params import PolicySpec, default_calibration, validate, with_updates
 from macrostress.stochastics import (
+    _FIELD_BOUNDS,
     ParamRanges,
     SplitMix64,
     default_ranges,
@@ -15,6 +19,7 @@ from macrostress.stochastics import (
     sample_calibration,
     substream_seed,
     uniform,
+    _within_bounds,
 )
 
 BASE = default_calibration()
@@ -91,6 +96,23 @@ def test_loguniform_respects_bounds_and_median():
     assert med == pytest.approx(geo_mid, rel=0.1)
 
 
+def _probe_values(lo, hi):
+    """Each bound, its float neighbours, and values well inside and outside."""
+    values = {-1.0, -5e-324, 0.0, 5e-324, 0.5, 1.0, 2.0, math.inf, -math.inf}
+    for b in (lo, hi):
+        if math.isfinite(b):
+            values |= {b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)}
+    return sorted(values)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ParamRanges)])
+def test_sampler_bounds_reject_what_validate_rejects(name):
+    lo, hi, _, _ = _FIELD_BOUNDS[name]
+    for value in _probe_values(lo, hi):
+        if validate(with_updates(BASE, **{name: value})):
+            assert not _within_bounds(name, value), f"{name} = {value!r}"
+
+
 def test_sample_spec_validation():
     with pytest.raises(ValueError):
         uniform(0.5, 0.1)
@@ -115,13 +137,13 @@ def test_single_fixed_draw_matches_direct_simulation():
 
 
 def test_threshold_zero_counts_positive_shortfalls():
-    from macrostress.stochastics import _run_draw
-
     n, seed = 64, 9
     summary = monte_carlo(n, default_ranges(), BASE, seed=seed, shortfall_threshold=0.0)
-    shortfalls = [
-        _run_draw((i, seed, default_ranges(), BASE))[1] for i in range(n)
-    ]
+    shortfalls = []
+    for i in range(n):
+        c = sample_calibration(SplitMix64(substream_seed(seed, i)), default_ranges(), BASE)
+        s_final, _ = integrate_labor_share(c, PolicySpec(), 10.0, 0.01)
+        shortfalls.append(demand_shortfall(s_final, c))
     expected = sum(1 for s in shortfalls if s > 0.0) / n
     assert summary.tail_prob == expected
 
@@ -130,12 +152,29 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     a = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=1)
     b = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=1)
     c = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=2)
-    assert a == b == c
+    d = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=4)
+    assert a == b == c == d
 
 
 def test_monte_carlo_histogram_accounts_for_all_draws():
     summary = monte_carlo(128, default_ranges(), BASE, seed=17, shortfall_threshold=0.30)
     assert sum(cnt for _, _, cnt in summary.histogram) == 128 - summary.n_failures
+
+
+def test_monte_carlo_counts_failed_lanes():
+    # a g_A range this wide puts some draws past the reinstatement overflow cap
+    ranges = ParamRanges(**{**default_ranges().__dict__, "g_A": uniform(100.0, 160.0)})
+    n = 40
+    summary = monte_carlo(n, ranges, BASE, seed=3, shortfall_threshold=0.30)
+    failures = 0
+    for i in range(n):
+        c = sample_calibration(SplitMix64(substream_seed(3, i)), ranges, BASE)
+        try:
+            integrate_labor_share(c, PolicySpec(), 10.0, 0.01)
+        except IntegrationError:
+            failures += 1
+    assert 0 < summary.n_failures == failures < n
+    assert summary.n_failures + sum(cnt for _, _, cnt in summary.histogram) == n
 
 
 def test_explosive_draws_dominate_halved_growth():
