@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -85,10 +84,6 @@ def _scenario_by_name(name: str, from_config: list[Scenario]) -> Scenario:
     return table[name]
 
 
-def _jobs(arg: int | None) -> int:
-    return arg if arg is not None else (os.cpu_count() or 1)
-
-
 def _out_dir(arg: str | None) -> Path:
     out = Path(arg) if arg else Path("out")
     out.mkdir(parents=True, exist_ok=True)
@@ -141,7 +136,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     calib, scenarios = _load(args.config)
     base = _scenario_by_name(args.scenario, scenarios)
     grid = PolicyGrid(lags=_parse_float_list(args.lags), taus=_parse_float_list(args.taus), base=base)
-    cells = policy_sweep(grid, calib, jobs=_jobs(args.jobs))
+    cells = policy_sweep(grid, calib)
     out = _out_dir(args.out)
     rows = ["lag,tau,depth,s_L_final,consumption_decline_pct"]
     for cell in cells:
@@ -352,7 +347,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     grid = PolicyGrid(
         lags=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), taus=(0.03, 0.05, 0.10), base=base
     )
-    cells = policy_sweep(grid, calib, jobs=_jobs(args.jobs))
+    cells = policy_sweep(grid, calib)
     rows = ["lag,tau,depth,s_L_final,consumption_decline_pct"]
     for cell in cells:
         rows.append(
@@ -443,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lags", default="0,0.5,1,1.5,2,2.5,3", help="comma-separated lags, years")
     p.add_argument("--taus", default="0.03,0.05,0.10", help="comma-separated transfer magnitudes")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--jobs", type=int, help="parallel workers (default: all cores; results identical)")
+    p.add_argument("--jobs", type=int,
+                   help="accepted and ignored: the sweep runs in one process, and its "
+                        "results never depend on --jobs")
 
     p = sub.add_parser("montecarlo", help="sampled-calibration shortfall distribution")
     common(p)
@@ -484,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int,
-                   help="policy-sweep workers (default: all cores; results identical); "
-                        "Monte Carlo runs in one process either way")
+                   help="accepted and ignored: no step starts a worker process, and the "
+                        "results never depend on --jobs")
 
     return parser
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,7 +247,15 @@ def integrate_labor_share(
     return s, collapse
 
 
-_LANE_BLOCK = 4096  # lanes integrated together; bounds the kernel's working set
+_LANE_BLOCK = 4096  # Monte Carlo lanes integrated together; bounds the kernel's working set
+
+
+def lane_constants(lanes: Iterable[tuple[Calibration, PolicySpec]]) -> np.ndarray:
+    """The lane kernel's constants: one row per drift constant, then ``tau`` and the
+    activation time ``start_time + lag``; one column per (calibration, policy) lane."""
+    rows = [(*_drift_constants(c), p.tau, p.start_time + p.lag) for c, p in lanes]
+    # The explicit 12 keeps the shape for zero lanes.
+    return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 12).T)
 
 
 def integrate_lanes(
@@ -265,60 +273,79 @@ def integrate_lanes(
     integrated in fixed blocks of per-step vectors; no lane x step matrix
     is built.
     """
-    consts = np.array([_drift_constants(c) for c in calibrations], dtype=np.float64)
-    # One contiguous row per constant; the explicit 10 keeps the shape for zero lanes.
-    consts = np.ascontiguousarray(consts.reshape(-1, 10).T)
+    consts = lane_constants((c, policy) for c in calibrations)
     n = consts.shape[1]
     s_final = np.empty(n)
     failed = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, n, _LANE_BLOCK):
             hi = min(lo + _LANE_BLOCK, n)
-            s_final[lo:hi], failed[lo:hi] = _rk4_block(consts[:, lo:hi], policy, horizon, dt)
+            for _, s in rk4_lanes(consts[:, lo:hi], horizon, dt, failed[lo:hi]):
+                pass
+            s_final[lo:hi] = s
     s_final[failed] = np.nan
     return s_final, failed
 
 
-def _rk4_block(
-    consts: np.ndarray, p: PolicySpec, horizon: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lane kernel over one block; ``consts`` holds one row per drift constant."""
-    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = consts
-    tau, activation = p.tau, p.start_time + p.lag
-    failed = np.zeros(s0.shape, dtype=bool)
+# Stage-time x lane entries of the time-only terms computed at once. Larger
+# chunks leave the cache and raise the peak RSS without saving time.
+_STAGE_BLOCK = 1 << 12
 
-    def drive(t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The state-free terms at stage time t: (-d * disp_scale, rho)."""
-        e = neg_kappa * (t - t0)
+
+def rk4_lanes(
+    consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The lane kernel: yields (t, labor share per lane) at every grid point, t = 0 included.
+
+    ``consts`` comes from :func:`lane_constants`. Failed lanes are marked in
+    ``failed`` in place, at the latest by the step at which they fail, and
+    keep being integrated. The time-only terms are computed for a chunk of
+    steps at once, at most ``_STAGE_BLOCK`` entries, so no lane x step
+    matrix is built. Callers run the kernel under
+    ``np.errstate(all="ignore")``, because a failing lane overflows.
+    """
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi, tau, activation = (
+        consts
+    )
+
+    def drive(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The state-free terms at the stage times in column ``ts``, one row per stage
+        time: (-d * disp_scale, rho, transfer once active)."""
+        e = neg_kappa * (ts - t0)
         d = np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d_bar / (1.0 + np.exp(e))))
-        x = rho_exp * t
-        failed[x > _EXP_CAP] = True
-        return -d * disp_scale, rho0 + rho_scale * np.exp(x)
+        x = rho_exp * ts
+        failed[(x > _EXP_CAP).any(axis=0)] = True
+        return -d * disp_scale, rho0 + rho_scale * np.exp(x), np.where(ts >= activation, tau, 0.0)
 
-    def deriv(t: float, s: np.ndarray, push: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def deriv(s: np.ndarray, push: np.ndarray, rho: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         gap = s0 - s
-        pi = np.where(gap > 0.0, k_pi * gap, 0.0)
-        stab = np.where(s < s0, tau, 0.0) if t >= activation else 0.0
-        raw = push - beta * pi + rho + stab
+        below = gap > 0.0  # the same test as s < s0
+        pi = np.where(below, k_pi * gap, 0.0)
+        raw = push - beta * pi + rho + np.where(below, transfer, 0.0)
         absorbed = ((s <= 0.0) & (raw < 0.0)) | ((s >= 1.0) & (raw > 0.0))
         return np.where(absorbed, 0.0, raw)
 
     s = s0.copy()
+    yield 0.0, s
     half = dt / 2.0
     sixth = dt / 6.0
-    for i in range(round(horizon / dt)):
-        t = i * dt
-        push, rho = drive(t)
-        k1 = deriv(t, s, push, rho)
-        push, rho = drive(t + half)
-        k2 = deriv(t + half, s + half * k1, push, rho)
-        k3 = deriv(t + half, s + half * k2, push, rho)
-        push, rho = drive(t + dt)
-        k4 = deriv(t + dt, s + dt * k3, push, rho)
-        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        failed |= ~np.isfinite(s)
-        s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
-    return s, failed
+    n_steps = round(horizon / dt)
+    chunk = max(1, _STAGE_BLOCK // (3 * max(1, s.size)))
+    for lo in range(0, n_steps, chunk):
+        steps = range(lo, min(lo + chunk, n_steps))
+        # Stage times i*dt, i*dt + half, i*dt + dt, as the scalar integrator forms them.
+        ts = np.array([(i * dt, i * dt + half, i * dt + dt) for i in steps]).reshape(-1, 1)
+        push, rho, transfer = drive(ts)
+        for j, i in enumerate(steps):
+            start, mid, end = 3 * j, 3 * j + 1, 3 * j + 2
+            k1 = deriv(s, push[start], rho[start], transfer[start])
+            k2 = deriv(s + half * k1, push[mid], rho[mid], transfer[mid])
+            k3 = deriv(s + half * k2, push[mid], rho[mid], transfer[mid])
+            k4 = deriv(s + dt * k3, push[end], rho[end], transfer[end])
+            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            failed |= ~np.isfinite(s)
+            s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+            yield (i + 1) * dt, s
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:

@@ -13,6 +13,7 @@ never flip a settled one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,48 +250,85 @@ _RULE_KEYS = {"series", "comparator", "threshold", "window", "transform",
               "transform_param", "direction", "note"}
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _periods(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(raw)
+    return value
+
+
 def load_rules(path: str | Path) -> list[IndicatorRule]:
     """Read a rule set from the flat key-value format.
 
     Blocks are introduced by ``[rule.<id>]``; keys are series, comparator,
-    threshold, window, transform, transform_param, direction, note.
+    threshold, window, transform, transform_param, direction, note. Errors
+    name the file and line, and the key when a value does not parse.
     """
     from .params import ConfigError
 
-    blocks: list[tuple[str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
+    blocks: list[tuple[str, dict[str, tuple[str, int]]]] = []
+    current: dict[str, tuple[str, int]] | None = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
             if not (line.startswith("[rule.") and line.endswith("]")):
-                raise ConfigError(f"line {lineno}: malformed section header: {raw.strip()!r}")
+                raise ConfigError(
+                    f"{path}: line {lineno}: malformed section header: {raw.strip()!r}"
+                )
             rule_id = line[len("[rule."):-1].strip()
             current = {}
             blocks.append((rule_id, current))
             continue
         if current is None or "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value' inside a [rule.*] block")
+            raise ConfigError(
+                f"{path}: line {lineno}: expected 'key = value' inside a [rule.*] block"
+            )
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _RULE_KEYS:
-            raise ConfigError(f"line {lineno}: unknown rule key '{key}'")
-        current[key] = value.strip()
+            raise ConfigError(f"{path}: line {lineno}: unknown rule key '{key}'")
+        current[key] = (value.strip(), lineno)
+
+    def parsed(block: dict[str, tuple[str, int]], key: str, parse, what: str):
+        raw, lineno = block[key]
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: value for '{key}' must be {what}: {raw!r}"
+            ) from None
 
     rules = []
     for rule_id, block in blocks:
+        text = {key: raw for key, (raw, _) in block.items()}
+        transform = text.get("transform", "level")
+        transform_param: str | int | None = text.get("transform_param")
+        if transform == "yoy_pct_change" and transform_param is not None:
+            transform_param = parsed(block, "transform_param", _periods, "a whole number >= 1")
+        threshold = None
+        if "threshold" in block:
+            threshold = parsed(block, "threshold", _finite_float, "a finite number")
+        window = parsed(block, "window", int, "a whole number") if "window" in block else 4
         rules.append(
             IndicatorRule(
                 id=rule_id,
-                series_name=block.get("series", ""),
-                comparator=block.get("comparator", ">="),
-                threshold=float(block["threshold"]) if "threshold" in block else None,
-                window=int(block.get("window", "4")),
-                transform=block.get("transform", "level"),
-                transform_param=block.get("transform_param"),
-                direction=block.get("direction", "falsifies"),
-                note=block.get("note", ""),
+                series_name=text.get("series", ""),
+                comparator=text.get("comparator", ">="),
+                threshold=threshold,
+                window=window,
+                transform=transform,
+                transform_param=transform_param,
+                direction=text.get("direction", "falsifies"),
+                note=text.get("note", ""),
             )
         )
     return rules

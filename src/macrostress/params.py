@@ -135,6 +135,8 @@ def validate(c: Calibration) -> list[str]:
         v.append("chi_top must be in [0, 1]")
     if not 0.0 < c.d_bar <= 1.0:
         v.append("d_bar must be in (0, 1]")
+    if c.g_A < 0.0:
+        v.append("g_A must be >= 0")
     if c.kappa <= 0.0:
         v.append("kappa must be positive")
     if c.rho0 < 0.0:
@@ -174,7 +176,13 @@ _GRID_RTOL = 1e-9       # dt must divide the horizon within this relative tolera
 
 def validate_scenario(s: Scenario) -> list[str]:
     v: list[str] = []
-    for name, value in (("horizon", s.horizon), ("dt", s.dt)):
+    for name, value in (
+        ("horizon", s.horizon),
+        ("dt", s.dt),
+        ("tau", s.policy.tau),
+        ("lag", s.policy.lag),
+        ("start_time", s.policy.start_time),
+    ):
         if not math.isfinite(value):
             v.append(f"scenario {s.name}: {name} must be finite")
     if s.horizon <= 0.0:

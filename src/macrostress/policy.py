@@ -1,10 +1,18 @@
-"""Lagged fiscal transfers, crisis depth, and the policy-response sweep."""
+"""Lagged fiscal transfers, crisis depth, and the policy-response sweep.
+
+The sweep integrates all of its (lag, tau) cells together as lanes of the
+RK4 lane kernel in :mod:`macrostress.dynamics`, in one process.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from .params import Calibration, PolicySpec, Scenario
+import numpy as np
+
+from . import monetary
+from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 
 
 def transfer_at(t: float, p: PolicySpec) -> float:
@@ -58,35 +66,61 @@ class SweepCell:
     consumption_decline_pct: float
 
 
-def _run_cell(args: tuple[float, float, Scenario, Calibration]) -> SweepCell:
-    import dataclasses
-
-    from . import monetary
-    from .dynamics import simulate_path
-
-    lag, tau, base, c = args
-    policy = PolicySpec(tau=tau, lag=lag, start_time=base.policy.start_time)
-    scenario = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}", policy=policy)
-    traj = simulate_path(scenario, c)
-    return SweepCell(
-        lag=lag,
-        tau=tau,
-        depth=crisis_depth(traj, policy),
-        s_L_final=traj.points[-1].s_L,
-        consumption_decline_pct=100.0 * monetary.cumulative_consumption_decline(traj, c),
-    )
-
-
 def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
-    """One simulation per (lag, tau) cell, in deterministic row-major order.
+    """Integrate every (lag, tau) cell, in deterministic row-major order.
 
-    Cells are independent; ``jobs > 1`` maps them over worker processes with
-    output order unchanged.
+    The cells run as lanes of one pass of the RK4 lane kernel in this
+    process, under the base scenario's effective calibration. Each step is
+    folded into per-cell running reductions that repeat :func:`crisis_depth`
+    and :func:`monetary.cumulative_consumption_decline` on the recorded
+    path operation for operation, so no path is stored. No worker process
+    is started: ``jobs`` is accepted for call compatibility and ignored,
+    and the cells never depend on it.
     """
-    tasks = [(lag, tau, grid.base, c) for lag in grid.lags for tau in grid.taus]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # dynamics imports this module, so its names are looked up at call time
+    from .dynamics import IntegrationError, _effective_calibration, lane_constants, rk4_lanes
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(_run_cell, tasks))
-    return [_run_cell(t) for t in tasks]
+    base = grid.base
+    cells = [(lag, tau) for lag in grid.lags for tau in grid.taus]
+    start = base.policy.start_time
+    policies = [PolicySpec(tau=tau, lag=lag, start_time=start) for lag, tau in cells]
+    calibration_problems = validate(c)
+    for (lag, tau), policy in zip(cells, policies):
+        cell = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}", policy=policy)
+        problems = calibration_problems + validate_scenario(cell)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    ce = _effective_calibration(base, c)
+    consts = lane_constants((ce, p) for p in policies)
+    taus, activation = consts[-2:]
+    failed = np.zeros(len(cells), dtype=bool)
+    with np.errstate(all="ignore"):
+        depth = np.zeros(len(cells))
+        area = 0.0
+        t_prev = cr_prev = None
+        for t, s in rk4_lanes(consts, base.horizon, base.dt, failed):
+            if failed.any():
+                lag, tau = cells[int(np.argmax(failed))]
+                raise IntegrationError(
+                    f"policy sweep cell lag={lag:g}, tau={tau:g}: the reinstatement term "
+                    f"overflows or the labor share turns non-finite before t={base.horizon:g}"
+                )
+            gap = (ce.s_L0 - s) - np.where(t >= activation, taus, 0.0)
+            depth = np.where(gap > depth, gap, depth)
+            cr = monetary.consumption_ratio(s, ce)
+            if cr_prev is not None:
+                area = area + 0.5 * (cr_prev + cr) * (t - t_prev)
+            t_prev, cr_prev = t, cr
+        # the path spans [0, t] once the loop ends
+        decline = 1.0 - (area / t) / monetary.consumption_ratio(c.s_L0, c)
+    return [
+        SweepCell(
+            lag=lag,
+            tau=tau,
+            depth=float(depth[i]),
+            s_L_final=float(s[i]),
+            consumption_decline_pct=100.0 * float(decline[i]),
+        )
+        for i, (lag, tau) in enumerate(cells)
+    ]

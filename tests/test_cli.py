@@ -210,6 +210,39 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, raw):
     assert not (tmp_path / "o" / "trajectory_baseline.csv").exists()
 
 
+def test_negative_g_A_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("g_A = -0.5\n")
+    code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "g_A must be >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line,key,what", [
+    ("window = x", "window", "a whole number"),
+    ("window = 2.5", "window", "a whole number"),
+    ("threshold = abc", "threshold", "a finite number"),
+    ("threshold = nan", "threshold", "a finite number"),
+    ("threshold = -inf", "threshold", "a finite number"),
+    ("transform_param = four", "transform_param", "a whole number >= 1"),
+    ("transform_param = 0", "transform_param", "a whole number >= 1"),
+])
+def test_indicators_bad_rule_value_exit_2(tmp_path, capsys, line, key, what):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(
+        "[rule.H2]\nseries = s\ntransform = yoy_pct_change\nthreshold = 1\n" + line + "\n"
+    )
+    data = tmp_path / "data"
+    data.mkdir()
+    code = run_cli("indicators", "--rules", str(rules), "--data", str(data),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{rules}: line 5: value for '{key}' must be {what}" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_misaligned_dt_exit_2(tmp_path, capsys):
     code = run_cli("simulate", "--scenario", "baseline", "--dt", "0.03", "--out", str(tmp_path))
     assert code == 2

@@ -234,6 +234,14 @@ threshold = 200
     assert rules[1].window == 4
 
 
+def test_load_rules_parses_yoy_periods(tmp_path):
+    p = tmp_path / "rules.cfg"
+    p.write_text("[rule.H9]\ntransform = yoy_pct_change\ntransform_param = 2\n"
+                 "[rule.H5]\ntransform = gap_vs\ntransform_param = treasury\n")
+    yoy, gap = load_rules(p)
+    assert yoy.transform_param == 2 and gap.transform_param == "treasury"
+
+
 def test_load_rules_unknown_key(tmp_path):
     from macrostress.params import ConfigError
 

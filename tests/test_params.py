@@ -65,6 +65,18 @@ def test_validate_flags_alpha_rho_upper_bound():
     assert any("alpha_rho" in m for m in msgs)
 
 
+def test_validate_flags_negative_g_A():
+    assert "g_A must be >= 0" in validate(with_updates(default_calibration(), g_A=-0.5))
+    assert validate(with_updates(default_calibration(), g_A=0.0)) == []
+
+
+def test_load_config_rejects_negative_g_A(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("g_A = -0.5\n")
+    with pytest.raises(ConfigError, match="g_A must be >= 0"):
+        load_config(path)
+
+
 def test_validate_flags_low_mpc():
     c = with_updates(default_calibration(), mpc_labor=0.4)
     assert any("mpc_labor must exceed 0.5" in m for m in validate(c))
@@ -217,6 +229,14 @@ def test_scenario_guard_non_finite_horizon_and_dt():
     for horizon, dt in [(math.inf, 0.01), (math.nan, 0.01), (10.0, math.nan)]:
         problems = validate_scenario(Scenario(name="nf", horizon=horizon, dt=dt))
         assert any("must be finite" in m and "scenario nf" in m for m in problems)
+
+
+def test_scenario_guard_non_finite_policy():
+    for field in ("tau", "lag", "start_time"):
+        for value in (math.nan, math.inf, -math.inf):
+            policy = PolicySpec(**{field: value})
+            problems = validate_scenario(Scenario(name="nf", policy=policy))
+            assert f"scenario nf: {field} must be finite" in problems
 
 
 def test_load_config_rejects_misaligned_dt(tmp_path):

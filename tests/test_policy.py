@@ -1,10 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
-from macrostress.dynamics import simulate_path
+from macrostress.cli import main
+from macrostress.dynamics import IntegrationError, simulate_path
+from macrostress.monetary import cumulative_consumption_decline
 from macrostress.params import PolicySpec, Scenario, default_calibration, with_updates
-from macrostress.policy import PolicyGrid, crisis_depth, policy_sweep, transfer_at
+from macrostress.policy import PolicyGrid, SweepCell, crisis_depth, policy_sweep, transfer_at
 
 C = default_calibration()
 
@@ -126,8 +129,89 @@ def test_sweep_worker_count_invariant():
     base = Scenario(name="rapid", g_A_override=0.20, horizon=5.0, dt=0.05)
     grid = PolicyGrid(lags=(0.0, 1.0), taus=(0.03, 0.10), base=base)
     serial = policy_sweep(grid, C, jobs=1)
-    parallel = policy_sweep(grid, C, jobs=2)
-    assert serial == parallel
+    assert policy_sweep(grid, C, jobs=2) == serial
+    assert policy_sweep(grid, C, jobs=4) == serial
+
+
+# --- lane sweep vs the per-cell reference ------------------------------------
+
+def _reference_cells(grid, c):
+    """One recorded scalar path per cell, reduced by crisis_depth and
+    cumulative_consumption_decline: the sweep before it ran on lanes."""
+    cells = []
+    for lag in grid.lags:
+        for tau in grid.taus:
+            policy = PolicySpec(tau=tau, lag=lag, start_time=grid.base.policy.start_time)
+            traj = simulate_path(dataclasses.replace(grid.base, policy=policy), c)
+            cells.append(SweepCell(
+                lag=lag,
+                tau=tau,
+                depth=crisis_depth(traj, policy),
+                s_L_final=traj.points[-1].s_L,
+                consumption_decline_pct=100.0 * cumulative_consumption_decline(traj, c),
+            ))
+    return cells
+
+
+_RAPID = Scenario(name="rapid", g_A_override=0.20, horizon=10.0, dt=0.02)
+
+
+@pytest.mark.parametrize("lags,taus,base", [
+    ((1.0,), (0.05,), _RAPID),                                           # one cell
+    ((0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.07,), _RAPID),              # seven cells
+    ((0.5, 12.0), (0.03, 0.10), _RAPID),                                 # a lag beyond the horizon
+    ((0.0, 2.0), (0.0,), _RAPID),                                        # tau = 0
+    ((0.0, 1.0), (0.03, 0.10),
+     dataclasses.replace(_RAPID, policy=PolicySpec(start_time=1.5))),     # start_time > 0
+    ((0.0, 6.0), (0.0, 0.02), Scenario(name="extreme", g_A_override=0.40,
+                                       horizon=10.0, dt=0.02)),           # reaches s = 0
+    ((0.0,), (0.0, 0.10), Scenario(name="surge", g_A_override=2.0,
+                                   horizon=10.0, dt=0.02)),               # reaches s = 1
+])
+def test_lane_sweep_equals_reference(lags, taus, base):
+    grid = PolicyGrid(lags=lags, taus=taus, base=base)
+    cells = policy_sweep(grid, C)
+    assert cells == _reference_cells(grid, C)
+    assert all(type(v) is float for cell in cells for v in dataclasses.astuple(cell))
+
+
+def test_lane_sweep_grids_reach_the_absorbing_edges():
+    # the last two grids above exercise the kernel's absorbing branches
+    for g_A, edge in ((0.40, 0.0), (2.0, 1.0)):
+        base = Scenario(name="edge", g_A_override=g_A, horizon=10.0, dt=0.02)
+        assert policy_sweep(PolicyGrid(lags=(0.0,), taus=(0.0,), base=base), C)[0].s_L_final == edge
+
+
+def test_lane_sweep_overflow_names_a_cell():
+    # alpha_rho * g_A * t passes the exponent cap before the horizon
+    base = Scenario(name="blowup", g_A_override=150.0, horizon=10.0, dt=0.02)
+    with pytest.raises(IntegrationError, match=r"lag=0, tau=0\.03"):
+        policy_sweep(PolicyGrid(lags=(0.0, 1.0), taus=(0.03,), base=base), C)
+
+
+def test_lane_sweep_overflow_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario.blowup]\ng_A_override = 150\n")
+    code = main(["sweep", "--config", str(cfg), "--scenario", "blowup",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "lag=0, tau=0.03" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--lags", "nan", "lag"),
+    ("--lags", "1e400", "lag"),
+    ("--taus", "inf", "tau"),
+    ("--taus", "0.1,nan", "tau"),
+])
+def test_sweep_non_finite_policy_exit_2(tmp_path, capsys, flag, value, field):
+    code = main(["sweep", flag, value, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err and "scenario rapid_" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 # --- avertance equivalence ---------------------------------------------------
