@@ -13,9 +13,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
+from collections.abc import Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .params import (
     Calibration,
     ConfigError,
     Scenario,
+    csv_number,
     default_calibration,
     default_scenarios,
     load_config,
@@ -55,6 +56,7 @@ def _write_manifest(
     seed: int | None,
     outputs: list[Path],
     started: float,
+    trajectories: Sequence[Trajectory] = (),
 ) -> Path:
     manifest = {
         "command": "macrostress " + " ".join(argv),
@@ -64,6 +66,9 @@ def _write_manifest(
         "engine_version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    if trajectories:
+        # first grid time with the labor share at or below dynamics.S_FLOOR, or null
+        manifest["collapse_time"] = {t.scenario: t.collapse_time for t in trajectories}
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
@@ -91,16 +96,15 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _trajectory_svg(path: Path, traj: Trajectory) -> None:
-    ts = [p.t for p in traj.points]
     svg.write_line_chart(
         path,
         f"Scenario '{traj.scenario}'",
         "years",
         "level",
         [
-            ("labor share", ts, [p.s_L for p in traj.points]),
-            ("velocity", ts, [p.velocity for p in traj.points]),
-            ("consumption ratio", ts, [p.consumption_ratio for p in traj.points]),
+            ("labor share", traj.t, traj.s_L),
+            ("velocity", traj.t, traj.velocity),
+            ("consumption ratio", traj.t, traj.consumption_ratio),
         ],
     )
 
@@ -119,7 +123,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         svg_path = out / f"trajectory_{scenario.name}.svg"
         _trajectory_svg(svg_path, traj)
         outputs.append(svg_path)
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
+    _write_manifest(out, argv, calib, scenarios, None, outputs, started, [traj])
     print(f"wrote {outputs[0]}")
     return EXIT_OK
 
@@ -251,20 +255,6 @@ def _parse_formula(formula: str) -> tuple[str, list[str]]:
     return response, terms
 
 
-def _csv_number(path: str, line: int, column: str, raw: str | None) -> float:
-    """One finite number from a data CSV cell; errors name the file, line and column."""
-    where = f"{path}: line {line}, column '{column}'"
-    if raw is None:
-        raise ConfigError(f"{where}: the row is too short")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite: {raw!r}")
-    return value
-
-
 def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
     calib, scenarios = _load(args.config)
@@ -282,8 +272,8 @@ def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
         x_rows: list[list[float]] = []
         for row in reader:
             line = reader.line_num
-            y_vals.append(_csv_number(args.data, line, response, row[response]))
-            x_rows.append([1.0] + [_csv_number(args.data, line, t, row[t]) for t in terms])
+            y_vals.append(csv_number(args.data, line, response, row[response]))
+            x_rows.append([1.0] + [csv_number(args.data, line, t, row[t]) for t in terms])
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
     out = _out_dir(args.out)
     rows = ["term,coefficient,hc1_se"]
@@ -327,7 +317,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     outputs: list[Path] = []
 
     # Scenario trajectories plus the combined labor-share chart.
-    combined = []
+    trajectories = []
     for scenario in default_scenarios():
         traj = simulate_path(scenario, calib)
         path = out / f"trajectory_{scenario.name}.csv"
@@ -336,10 +326,10 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
         svg_path = out / f"trajectory_{scenario.name}.svg"
         _trajectory_svg(svg_path, traj)
         outputs.append(svg_path)
-        ts = [p.t for p in traj.points]
-        combined.append((scenario.name, ts, [p.s_L for p in traj.points]))
+        trajectories.append(traj)
     fig = out / "scenarios_labor_share.svg"
-    svg.write_line_chart(fig, "Labor share under three adoption rates", "years", "labor share", combined)
+    svg.write_line_chart(fig, "Labor share under three adoption rates", "years", "labor share",
+                         [(traj.scenario, traj.t, traj.s_L) for traj in trajectories])
     outputs.append(fig)
 
     # Policy sweep on the rapid scenario.
@@ -409,7 +399,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     path.write_text(summary.histogram_csv(), encoding="utf-8")
     outputs.append(path)
 
-    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started)
+    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started, trajectories)
     print(f"repro suite written to {out}")
     return EXIT_OK
 

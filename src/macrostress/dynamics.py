@@ -21,6 +21,9 @@ non-stiff in the stable regime, and collapse detection wants uniform time
 resolution rather than adaptivity. State is hard-clamped to [0, 1]; a
 collapse sentinel records the first time the labor share falls to 1% of
 income, below which the model is outside its domain.
+
+A scenario run (:func:`simulate_path`) is a columnar :class:`Trajectory`:
+one float64 array per recorded field, with a row view built on demand.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import enum
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +106,9 @@ def labor_share_derivative(t: float, s_L: float, c: Calibration, p: PolicySpec) 
     return raw
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
+    """One row of a :class:`Trajectory`: the state at one grid time."""
+
     t: float
     s_L: float
     d_t: float
@@ -114,29 +120,46 @@ class TrajectoryPoint:
     tau_effective: float
 
 
-@dataclass(frozen=True)
+_CSV_ROW = ",".join(["%.9g"] * len(TrajectoryPoint._fields))  # the bytes of f"{v:.9g}" per value
+
+
+@dataclass(frozen=True, eq=False)  # no field-wise ==: an array comparison has no truth value
 class Trajectory:
-    """Time-indexed state of one scenario run."""
+    """Time-indexed state of one scenario run, stored by column.
+
+    Each field after ``collapse_time`` is one float64 array with an entry
+    per grid time, in ``CSV_HEADER`` order. :attr:`points` is a row view of
+    the same values, built on first access.
+    """
 
     scenario: str
-    points: tuple[TrajectoryPoint, ...]
     collapse_time: float | None
+    t: np.ndarray
+    s_L: np.ndarray
+    d_t: np.ndarray
+    A_t: np.ndarray
+    rho_t: np.ndarray
+    pi_t: np.ndarray
+    velocity: np.ndarray
+    consumption_ratio: np.ndarray
+    tau_effective: np.ndarray
 
-    CSV_HEADER = "t,s_L,d_t,A_t,rho_t,pi_t,velocity,consumption_ratio,tau_effective"
+    CSV_HEADER = ",".join(TrajectoryPoint._fields)
+
+    def __post_init__(self) -> None:
+        for name in TrajectoryPoint._fields:
+            getattr(self, name).flags.writeable = False  # `points` caches these values
+
+    def _rows(self) -> Iterator[tuple[float, ...]]:
+        return zip(*(getattr(self, name).tolist() for name in TrajectoryPoint._fields))
+
+    @cached_property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        """One :class:`TrajectoryPoint` per grid time."""
+        return tuple(map(TrajectoryPoint._make, self._rows()))
 
     def to_csv(self) -> str:
-        rows = [self.CSV_HEADER]
-        for p in self.points:
-            rows.append(
-                ",".join(
-                    f"{v:.9g}"
-                    for v in (
-                        p.t, p.s_L, p.d_t, p.A_t, p.rho_t, p.pi_t,
-                        p.velocity, p.consumption_ratio, p.tau_effective,
-                    )
-                )
-            )
-        return "\n".join(rows) + "\n"
+        return "\n".join([self.CSV_HEADER, *(_CSV_ROW % row for row in self._rows())]) + "\n"
 
 
 def _effective_calibration(s: Scenario, c: Calibration) -> Calibration:
@@ -349,11 +372,16 @@ def rk4_lanes(
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
-    """Integrate a scenario and record the full per-step state.
+    """Integrate a scenario and record the full per-step state, one column per field.
 
-    Each point carries the adoption fraction, capability index,
-    reinstatement rate, margin pressure, velocity, consumption ratio, and
-    the transfer actually flowing at that step.
+    Besides (t, s_L), the columns are the adoption fraction, capability
+    index, reinstatement rate, margin pressure, velocity, consumption ratio
+    and the transfer actually flowing at each step. The columns repeat the
+    scalar functions of this module and :mod:`monetary` value for value:
+    the exponential and power terms call them element by element, and the
+    rest are whole-array expressions in the same operation order, which
+    IEEE arithmetic makes bit-identical. Raises :class:`IntegrationError`
+    at the first grid time whose capability index overflows.
     """
     problems = validate(c) + validate_scenario(s)
     if problems:
@@ -361,25 +389,27 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     ce = _effective_calibration(s, c)
     raw: list[tuple[float, float]] = []
     _, collapse = integrate_labor_share(ce, s.policy, s.horizon, s.dt, record=raw)
-    points = []
-    for t, s_L in raw:
-        # Transfers flow only while the labor share sits below baseline.
-        tau_eff = transfer_at(t, s.policy) if s_L < ce.s_L0 else 0.0
-        A_t = capability(t, ce)
-        points.append(
-            TrajectoryPoint(
-                t=t,
-                s_L=s_L,
-                d_t=diffusion(t, ce),
-                A_t=A_t,
-                rho_t=reinstatement_rate(A_t, ce),
-                pi_t=margin_pressure(s_L, ce),
-                velocity=monetary.velocity(s_L, tau_eff, ce),
-                consumption_ratio=monetary.consumption_ratio(s_L, ce),
-                tau_effective=tau_eff,
-            )
-        )
-    return Trajectory(scenario=s.name, points=tuple(points), collapse_time=collapse)
+    ts, shares = zip(*raw)
+    A_t = [capability(t, ce) for t in ts]
+    t, s_L = np.array(ts), np.array(shares)
+    # margin_pressure, with its `shortfall <= 0` branch as a mask
+    shortfall = (2.0 * ce.mpc_labor - 1.0) * (ce.s_L0 - s_L)
+    norm = ce.mpc_labor * ce.s_L0 + (1.0 - ce.mpc_labor) * (1.0 - ce.s_L0)
+    # Transfers flow only while the labor share sits below baseline (transfer_at).
+    tau_eff = np.where((s_L < ce.s_L0) & (t >= s.policy.start_time + s.policy.lag), s.policy.tau, 0.0)
+    return Trajectory(
+        scenario=s.name,
+        collapse_time=collapse,
+        t=t,
+        s_L=s_L,
+        d_t=np.array([diffusion(x, ce) for x in ts]),
+        A_t=np.array(A_t),
+        rho_t=np.array([reinstatement_rate(a, ce) for a in A_t]),
+        pi_t=np.where(shortfall > 0.0, shortfall / norm, 0.0),
+        velocity=monetary.velocity(s_L, tau_eff, ce),
+        consumption_ratio=monetary.consumption_ratio(s_L, ce),
+        tau_effective=tau_eff,
+    )
 
 
 def explosive_threshold(rho: float, c: Calibration) -> float:

@@ -12,10 +12,11 @@ never flip a settled one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .params import ConfigError, read_csv_rows
 
 # A series is a list of (ISO-8601 date, value) pairs sorted by date.
 Series = list[tuple[str, float]]
@@ -231,17 +232,14 @@ def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardR
 
 
 def load_series_csv(path: str | Path) -> Series:
-    """Read one series from a (date, value) CSV; header row optional."""
-    out: Series = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
-                continue
-            try:
-                value = float(row[1])
-            except ValueError:
-                continue  # header
-            out.append((row[0].strip(), value))
+    """Read one series from a (date, value) CSV; a header row is optional.
+
+    Every value must be a finite number; errors name the file, line and
+    column (:func:`params.read_csv_rows`).
+    """
+    out: Series = [
+        (date, value) for [date], [value] in read_csv_rows(path, ("date", "value"), text_columns=1)
+    ]
     out.sort(key=lambda p: p[0])
     return out
 
@@ -271,8 +269,6 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
     threshold, window, transform, transform_param, direction, note. Errors
     name the file and line, and the key when a value does not parse.
     """
-    from .params import ConfigError
-
     blocks: list[tuple[str, dict[str, tuple[str, int]]]] = []
     current: dict[str, tuple[str, int]] | None = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):

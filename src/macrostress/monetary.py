@@ -8,12 +8,11 @@ velocity, making simulated paths directly comparable to the FRED series.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .params import Calibration
+from .params import Calibration, ConfigError, read_csv_rows
 
 if TYPE_CHECKING:
     from .dynamics import Trajectory
@@ -101,24 +100,16 @@ def default_quintiles() -> QuintileProfile:
 
 
 def load_quintiles_csv(path: str | Path) -> QuintileProfile:
-    """Read a 5-row CSV with columns share, mpc, exposure (header optional)."""
-    shares: list[float] = []
-    mpcs: list[float] = []
-    exposures: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                share, mpc, exposure = (float(x) for x in row[:3])
-            except ValueError:
-                continue  # header row
-            shares.append(share)
-            mpcs.append(mpc)
-            exposures.append(exposure)
-    if len(shares) != 5:
-        raise ValueError(f"quintile CSV must contain 5 data rows, found {len(shares)}")
-    return QuintileProfile(tuple(shares), tuple(mpcs), tuple(exposures))  # type: ignore[arg-type]
+    """Read a 5-row CSV with columns share, mpc, exposure; a header row is optional.
+
+    Every data value must be a finite number; errors name the file, line
+    and column (:func:`params.read_csv_rows`).
+    """
+    rows = [numbers for _, numbers in read_csv_rows(path, ("share", "mpc", "exposure"))]
+    if len(rows) != 5:
+        raise ConfigError(f"{path}: quintile CSV must contain 5 data rows, found {len(rows)}")
+    shares, mpcs, exposures = zip(*rows)
+    return QuintileProfile(shares, mpcs, exposures)  # type: ignore[arg-type]
 
 
 def consumption_shock(q: QuintileProfile, shock: float) -> tuple[float, list[float]]:
@@ -160,11 +151,11 @@ def cumulative_consumption_decline(traj: "Trajectory", c: Calibration) -> float:
     gains (labor share above baseline) offset later losses, so this is the
     decade-cumulative loss, not the endpoint loss.
     """
-    pts = traj.points
-    if len(pts) < 2:
-        return demand_shortfall(pts[0].s_L, c) if pts else 0.0
+    ts, ratios = traj.t.tolist(), traj.consumption_ratio.tolist()
+    if len(ts) < 2:
+        return demand_shortfall(float(traj.s_L[0]), c) if ts else 0.0
     area = 0.0
-    for a, b in zip(pts, pts[1:]):
-        area += 0.5 * (a.consumption_ratio + b.consumption_ratio) * (b.t - a.t)
-    span = pts[-1].t - pts[0].t
+    for i in range(1, len(ts)):
+        area += 0.5 * (ratios[i - 1] + ratios[i]) * (ts[i] - ts[i - 1])
+    span = ts[-1] - ts[0]
     return 1.0 - (area / span) / consumption_ratio(c.s_L0, c)

@@ -6,13 +6,17 @@ Every other module consumes numeric constants only through the
 
 The config file format is flat ``key = value`` lines with ``#`` comments.
 Scenario blocks are introduced by ``[scenario.<name>]`` headers; keys inside
-a block mirror :class:`Scenario` / :class:`PolicySpec` field names.
+a block mirror :class:`Scenario` / :class:`PolicySpec` field names. The
+data-CSV readers share :func:`read_csv_rows` and :func:`csv_number`, whose
+errors name the file, line and column.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -228,6 +232,57 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"line {lineno}: value for '{key}' must be finite: {raw!r}")
     return value
+
+
+def csv_number(path: str | Path, line: int, column: str, raw: str | None) -> float:
+    """One finite number from a data CSV cell; errors name the file, line and column."""
+    where = f"{path}: line {line}, column '{column}'"
+    if raw is None:
+        raise ConfigError(f"{where}: the row is too short")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite: {raw!r}")
+    return value
+
+
+def read_csv_rows(
+    path: str | Path, columns: Sequence[str], text_columns: int = 0
+) -> list[tuple[list[str], list[float]]]:
+    """The data rows of a CSV with an optional header, as (text cells, number cells).
+
+    The first ``text_columns`` of ``columns`` are read as stripped text and
+    the rest as finite numbers; cells past ``columns`` are ignored. Blank
+    rows are skipped. Only the first non-blank row may be a header: it is
+    one when a number cell of it does not parse. Every other row that is
+    short, or whose number cell does not parse or is not finite, raises
+    :class:`ConfigError` naming the file, line and column.
+    """
+    rows: list[tuple[list[str], list[float]]] = []
+    first = True
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            cells = row[: len(columns)] + [None] * (len(columns) - len(row))
+            if first:
+                first = False
+                try:
+                    for raw in cells[text_columns:]:
+                        if raw is not None:
+                            float(raw)
+                except ValueError:
+                    continue  # the header
+            texts = [(raw or "").strip() for raw in cells[:text_columns]]
+            numbers = [
+                csv_number(path, reader.line_num, column, raw)
+                for column, raw in zip(columns[text_columns:], cells[text_columns:])
+            ]
+            rows.append((texts, numbers))
+    return rows
 
 
 def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:

@@ -33,10 +33,11 @@ def crisis_depth(traj: "Trajectory", p: PolicySpec) -> float:  # noqa: F821
     ``max_t max(0, (s_L0 - s_L(t)) - transfer_at(t))``: zero exactly when
     the lagged transfer covers the decline pointwise at every recorded step.
     """
-    s0 = traj.points[0].s_L
+    shares = traj.s_L.tolist()
+    s0 = shares[0]
     depth = 0.0
-    for pt in traj.points:
-        gap = (s0 - pt.s_L) - transfer_at(pt.t, p)
+    for t, s_L in zip(traj.t.tolist(), shares):
+        gap = (s0 - s_L) - transfer_at(t, p)
         if gap > depth:
             depth = gap
     return depth

@@ -5,6 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H = 880, 560
 _ML, _MR, _MT, _MB = 70, 180, 50, 60
@@ -31,13 +33,21 @@ def write_line_chart(
     y_label: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 ) -> None:
-    """Write one chart: (label, xs, ys) per series, shared axes, legend at right."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all or not ys_all:
+    """Write one chart: (label, xs, ys) per series, shared axes, legend at right.
+
+    ``xs`` and ``ys`` are sequences or arrays of numbers; the points of a
+    series pair them up to the shorter of the two.
+    """
+    columns = [
+        (np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        for _, xs, ys in series
+    ]
+    xs_all = np.concatenate([np.empty(0), *(xs for xs, _ in columns)])
+    ys_all = np.concatenate([np.empty(0), *(ys for _, ys in columns)])
+    if not xs_all.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -47,10 +57,11 @@ def write_line_chart(
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
-    def px(x: float) -> float:
+    # The pixel transform; written once for scalars and arrays, in one operation order.
+    def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -88,9 +99,9 @@ def write_line_chart(
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" '
         f'stroke="#000000" stroke-width="1.5"/>'
     )
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join("%.2f,%.2f" % xy for xy in zip(px(xs).tolist(), py(ys).tolist()))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
         )

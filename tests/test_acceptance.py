@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report. Tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
 import random
 import time
@@ -293,3 +294,5 @@ def test_criterion_13_repro_suite(tmp_path):
     missing = [f for f in expected if not (out / f).exists()]
     ok = code == 0 and not missing and elapsed < 60.0
     _report(13, f"repro suite in {elapsed:.1f}s, artifacts complete (missing: {missing})", ok)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["collapse_time"] == {"baseline": None, "rapid": None, "extreme": 8.06}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,7 @@ def test_simulate_baseline_writes_csv(tmp_path):
     assert manifest["engine_version"]
     assert manifest["outputs"] == ["trajectory_baseline.csv"]
     assert len(manifest["config_hash"]) == 64
+    assert manifest["collapse_time"] == {"baseline": None}
 
 
 def test_simulate_unknown_scenario_exit_2(tmp_path, capsys):
@@ -48,6 +50,32 @@ def test_simulate_svg(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+# sha256 of the data files `simulate --svg` writes for each shipped scenario,
+# recorded before trajectories became columnar (CPython 3.11, glibc's libm).
+# Any change to path assembly or CSV/SVG rendering that moves a byte fails here.
+GOLDEN_SHA256 = {
+    "baseline": ("081209ac0224b24d0c8d09c1a854429b540df652341c10af2c1ed07b7e5224f1",
+                 "e3a5e033852d11721a5e322f85828cace47513731eb95046e24e7b74c560e709"),
+    "rapid": ("79ab3bb5405da2c5fdcbaf197bba5b2eceaf028aa9dc61de6d7a9d10a34b1017",
+              "4fc43fd86caf63fba3356977fd0aba7e0c61c90d1ae6c49f7b12656d5eba6103"),
+    "extreme": ("ef3279a7790684047957b669d0e1ffc352d053c34e7509ccd338e44af4906cbe",
+                "0bb118c4ba88750e1014b397e43b721447ca70cdc4f89b423195b16967ef611c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_simulate_outputs_byte_identical_to_golden(tmp_path, name):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--scenario", name, "--out", str(out), "--svg") == 0
+    digests = tuple(
+        hashlib.sha256((out / f"trajectory_{name}.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    )
+    assert digests == GOLDEN_SHA256[name]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["collapse_time"] == {name: 8.06 if name == "extreme" else None}
+
+
 def test_simulate_with_config_scenario(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[scenario.custom]\ng_A_override = 0.1\nhorizon = 2\n")
@@ -60,6 +88,18 @@ def test_unknown_flag_is_fatal():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--not-a-flag")
     assert exc.value.code == 2
+
+
+def test_capability_overflow_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    # the path integrates; the capability column overflows near the horizon
+    cfg.write_text("[scenario.x]\ng_A_override = 70.5\n")
+    code = run_cli("simulate", "--config", str(cfg), "--scenario", "x",
+                   "--out", str(tmp_path / "o"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "capability index overflows at t=9.93 (g_A*t=700.065)" in err
+    assert not (tmp_path / "o" / "trajectory_x.csv").exists()
 
 
 def test_integration_failure_exit_3(tmp_path, capsys):
@@ -98,6 +138,23 @@ def test_decompose_total(tmp_path, capsys):
     assert total == pytest.approx(3.92, abs=0.05)
     top = float(rows[-2].split(",")[-1])
     assert top == pytest.approx(3.54, abs=0.05)
+
+
+@pytest.mark.parametrize("rows,line,column,what", [
+    (["0.08,0.85,0.05", "0.10,0.85,0.08", "0.11,0.85,abc"], 4, "exposure", "not a number"),
+    (["0.08,0.85,0.05", "0.10,nan,0.08"], 3, "mpc", "finite"),
+    (["0.08,0.85,0.05", "0.10,0.85"], 3, "exposure", "too short"),
+    (["0.08,0.85,0.05", "share,mpc,exposure"], 3, "share", "not a number"),  # late header
+])
+def test_decompose_bad_quintile_row_exit_2(tmp_path, capsys, rows, line, column, what):
+    q = tmp_path / "q.csv"
+    filler = ["0.12,0.85,0.12", "0.59,0.85,0.60", "0.11,0.85,0.10"]
+    q.write_text("\n".join(["share,mpc,exposure", *rows, *filler]) + "\n")
+    code = run_cli("decompose", "--quintiles", str(q), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{q}: line {line}, column '{column}'" in err and what in err
+    assert "Traceback" not in err
 
 
 # --- intermediation ----------------------------------------------------------
@@ -182,6 +239,23 @@ def test_indicators_command(tmp_path, capsys):
     assert run_cli("indicators", "--data", str(data_dir), "--out", str(out)) == 0
     text = (out / "indicators_report.csv").read_text()
     assert "H2" in text and "Falsified" in text
+
+
+@pytest.mark.parametrize("body,line,what", [
+    ("date,value\n2026-01-01,112\n2026-04-01,abc\n", 3, "not a number"),
+    ("2026-01-01,112\n\n2026-04-01,nan\n", 3, "finite"),
+    ("2026-01-01,112\n2026-04-01\n", 2, "too short"),
+])
+def test_indicators_bad_series_row_exit_2(tmp_path, capsys, body, line, what):
+    data_dir = tmp_path / "series"
+    data_dir.mkdir()
+    series = data_dir / "saas_net_retention_pct.csv"
+    series.write_text(body)
+    code = run_cli("indicators", "--data", str(data_dir), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{series}: line {line}, column 'value'" in err and what in err
+    assert "Traceback" not in err
 
 
 # --- console entry point -----------------------------------------------------

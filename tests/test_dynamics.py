@@ -23,7 +23,15 @@ from macrostress.dynamics import (
     reinstatement_rate,
     simulate_path,
 )
-from macrostress.params import PolicySpec, Scenario, default_calibration, with_updates
+from macrostress.monetary import consumption_ratio, velocity
+from macrostress.params import (
+    PolicySpec,
+    Scenario,
+    default_calibration,
+    default_scenarios,
+    with_updates,
+)
+from macrostress.policy import transfer_at
 
 C = default_calibration()
 NO_POLICY = PolicySpec()
@@ -226,6 +234,67 @@ def test_csv_export_shape():
     assert lines[0] == "t,s_L,d_t,A_t,rho_t,pi_t,velocity,consumption_ratio,tau_effective"
     assert len(lines) == 102
     assert all(len(line.split(",")) == 9 for line in lines[1:])
+
+
+def _scalar_rows(traj, s, c):
+    """The per-point assembly the columnar Trajectory replaced, kept as its reference."""
+    ce = with_updates(c, g_A=s.g_A_override) if s.g_A_override is not None else c
+    rows = []
+    for t, s_L in zip(traj.t.tolist(), traj.s_L.tolist()):
+        tau_eff = transfer_at(t, s.policy) if s_L < ce.s_L0 else 0.0
+        A_t = capability(t, ce)
+        rows.append((
+            t, s_L, diffusion(t, ce), A_t, reinstatement_rate(A_t, ce), margin_pressure(s_L, ce),
+            velocity(s_L, tau_eff, ce), consumption_ratio(s_L, ce), tau_eff,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(name="baseline", g_A_override=0.05),
+    Scenario(name="extreme", g_A_override=0.40),   # collapses: pi_t > 0, s_L at the floor
+    # transfers start on the grid time 3.0, below baseline, and later lift s_L above it
+    Scenario(name="managed", g_A_override=0.40, policy=PolicySpec(tau=0.06, lag=2.5, start_time=0.5)),
+    # s_L starts at s_L0 and rises: no pressure, and the active transfer never flows
+    Scenario(name="above", g_A_override=0.0, policy=PolicySpec(tau=0.05)),
+])
+def test_columns_equal_scalar_functions(scenario):
+    traj = simulate_path(scenario, C)
+    assert all(col.dtype == np.float64 for col in (traj.t, traj.d_t, traj.tau_effective))
+    assert list(traj.points) == _scalar_rows(traj, scenario, C)
+    assert all(type(v) is float for v in traj.points[-1])
+    assert traj.points is traj.points  # built once
+    with pytest.raises(ValueError):
+        traj.s_L[0] = 0.0  # so the row view cannot go stale
+    header = "t,s_L,d_t,A_t,rho_t,pi_t,velocity,consumption_ratio,tau_effective"
+    assert traj.to_csv() == "\n".join(
+        [header, *(",".join(f"{v:.9g}" for v in row) for row in traj.points)]
+    ) + "\n"
+
+
+@pytest.mark.parametrize("g_A,message", [
+    (70.5, r"capability index overflows at t=9\.93 \(g_A\*t=700\.065\)"),
+    (72.0, r"capability index overflows at t=9\.73 \(g_A\*t=700\.56\)"),
+])
+def test_capability_overflow_names_first_grid_time(g_A, message):
+    # the integration itself finishes: only alpha_rho*g_A*t enters the drift
+    with pytest.raises(IntegrationError, match=message):
+        simulate_path(Scenario(name="x", g_A_override=g_A), C)
+
+
+@pytest.mark.parametrize("name", ["baseline", "rapid", "extreme"])
+def test_path_agrees_with_solve_ivp_oracle(name):
+    """An adaptive 8th-order integrator on the public derivative, state clamped to [0, 1]."""
+    integrate = pytest.importorskip("scipy.integrate")
+    s = next(x for x in default_scenarios() if x.name == name)
+    ce = with_updates(C, g_A=s.g_A_override)
+    traj = simulate_path(s, C)
+    sol = integrate.solve_ivp(
+        lambda t, y: [labor_share_derivative(t, min(max(y[0], 0.0), 1.0), ce, s.policy)],
+        (0.0, s.horizon), [ce.s_L0], method="DOP853", rtol=1e-10, atol=1e-12, t_eval=traj.t,
+    )
+    assert sol.success
+    assert np.max(np.abs(sol.y[0] - traj.s_L)) <= 1e-6
 
 
 def test_integration_error_diagnostic():
