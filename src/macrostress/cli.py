@@ -48,6 +48,20 @@ def _config_hash(calib: Calibration, scenarios: list[Scenario]) -> str:
     return hashlib.sha256(serialize_config(calib, scenarios).encode("utf-8")).hexdigest()
 
 
+class _Phases:
+    """Wall time of consecutive run phases: each :meth:`end` closes the phase
+    that began at the previous one (or at construction)."""
+
+    def __init__(self) -> None:
+        self.records: list[dict[str, object]] = []
+        self._mark = time.perf_counter()
+
+    def end(self, name: str) -> None:
+        now = time.perf_counter()
+        self.records.append({"name": name, "seconds": round(now - self._mark, 6)})
+        self._mark = now
+
+
 def _write_manifest(
     out_dir: Path,
     argv: list[str],
@@ -57,10 +71,14 @@ def _write_manifest(
     outputs: list[Path],
     started: float,
     trajectories: Sequence[Trajectory] = (),
+    phases: _Phases | None = None,
 ) -> Path:
+    config_hash = _config_hash(calib, scenarios)
+    if phases is not None:
+        phases.end("manifest")
     manifest = {
         "command": "macrostress " + " ".join(argv),
-        "config_hash": _config_hash(calib, scenarios),
+        "config_hash": config_hash,
         "seed": seed,
         "outputs": [str(p.name) for p in outputs],
         "engine_version": __version__,
@@ -69,6 +87,8 @@ def _write_manifest(
     if trajectories:
         # first grid time with the labor share at or below dynamics.S_FLOOR, or null
         manifest["collapse_time"] = {t.scenario: t.collapse_time for t in trajectories}
+    if phases is not None:
+        manifest["phases"] = phases.records
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
@@ -315,6 +335,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
         out = Path(f"repro_{stamp}")
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
+    phases = _Phases()
 
     # Scenario trajectories plus the combined labor-share chart.
     trajectories = []
@@ -331,6 +352,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     svg.write_line_chart(fig, "Labor share under three adoption rates", "years", "labor share",
                          [(traj.scenario, traj.t, traj.s_L) for traj in trajectories])
     outputs.append(fig)
+    phases.end("trajectories")
 
     # Policy sweep on the rapid scenario.
     base = _scenario_by_name("rapid", scenarios)
@@ -355,6 +377,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     svg.write_line_chart(fig, "Crisis depth vs policy lag (rapid)", "policy lag, years",
                          "crisis depth", series)
     outputs.append(fig)
+    phases.end("sweep")
 
     # Borrower sensitivity table.
     table = dscr_sensitivity(BorrowerState(dscr=1.5, sigma_r=calib.sigma_r), [0.0, 0.20, 0.30])
@@ -386,6 +409,7 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
         encoding="utf-8",
     )
     outputs.append(path)
+    phases.end("tables")
 
     # Monte Carlo summary.
     summary = monte_carlo(
@@ -398,8 +422,9 @@ def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
     path = out / "mc_histogram.csv"
     path.write_text(summary.histogram_csv(), encoding="utf-8")
     outputs.append(path)
+    phases.end("monte_carlo")
 
-    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started, trajectories)
+    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started, trajectories, phases)
     print(f"repro suite written to {out}")
     return EXIT_OK
 

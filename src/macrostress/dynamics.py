@@ -321,39 +321,88 @@ def rk4_lanes(
     """The lane kernel: yields (t, labor share per lane) at every grid point, t = 0 included.
 
     ``consts`` comes from :func:`lane_constants`. Failed lanes are marked in
-    ``failed`` in place, at the latest by the step at which they fail, and
-    keep being integrated. The time-only terms are computed for a chunk of
-    steps at once, at most ``_STAGE_BLOCK`` entries, so no lane x step
-    matrix is built. Callers run the kernel under
+    ``failed`` in place and keep being integrated: a lane whose
+    reinstatement exponent passes the cap at the last stage time is marked
+    before the first step, a lane whose state turns non-finite at that
+    step. The time-only terms are computed for a chunk of steps at once,
+    at most ``_STAGE_BLOCK`` entries, into buffers reused across chunks, so
+    no lane x step matrix is built. Callers run the kernel under
     ``np.errstate(all="ignore")``, because a failing lane overflows.
+
+    Every lane that does not fail yields the values of
+    :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
+    Three terms run only when they can change a value:
+
+    - the logistic tails (``d = 0`` for ``e > 40``, ``d = d_bar`` for
+      ``e < -40``), when some lane has ``|e| > 40`` at the first or the last
+      stage time; ``e`` is monotone in t, so no stage time between goes further;
+    - the transfer, at stage times where some lane's transfer is non-zero;
+    - the absorbing edges, when some stage state is ``<= 0`` or ``>= 1``.
+
+    The margin pressure is ``k_pi * max(gap, 0)`` and the transfer enters
+    as ``transfer * (gap > 0)``. Skipping a zero transfer, or adding it as a
+    product, can change a drift only in the sign of a zero. No state value
+    sees that: ``s`` is never ``-0.0``, so ``s + (+-0.0) == s``; and
+    ``gap = s0 - s`` is never ``-0.0``, because ``s0 > 0``.
     """
     d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi, tau, activation = (
         consts
     )
-
-    def drive(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The state-free terms at the stage times in column ``ts``, one row per stage
-        time: (-d * disp_scale, rho, transfer once active)."""
-        e = neg_kappa * (ts - t0)
-        d = np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d_bar / (1.0 + np.exp(e))))
-        x = rho_exp * ts
-        failed[(x > _EXP_CAP).any(axis=0)] = True
-        return -d * disp_scale, rho0 + rho_scale * np.exp(x), np.where(ts >= activation, tau, 0.0)
-
-    def deriv(s: np.ndarray, push: np.ndarray, rho: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-        gap = s0 - s
-        below = gap > 0.0  # the same test as s < s0
-        pi = np.where(below, k_pi * gap, 0.0)
-        raw = push - beta * pi + rho + np.where(below, transfer, 0.0)
-        absorbed = ((s <= 0.0) & (raw < 0.0)) | ((s >= 1.0) & (raw > 0.0))
-        return np.where(absorbed, 0.0, raw)
-
-    s = s0.copy()
-    yield 0.0, s
     half = dt / 2.0
     sixth = dt / 6.0
     n_steps = round(horizon / dt)
-    chunk = max(1, _STAGE_BLOCK // (3 * max(1, s.size)))
+    neg_disp = -disp_scale
+    with_transfer = bool(tau.any())
+    with_tails = False
+    if n_steps:
+        t_last = (n_steps - 1) * dt + dt  # the largest stage time
+        # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
+        failed |= rho_exp * t_last > _EXP_CAP
+        e_ends = neg_kappa * (np.array([[0.0], [t_last]]) - t0)
+        with_tails = bool((np.abs(e_ends) > 40.0).any())
+    chunk = max(1, _STAGE_BLOCK // (3 * max(1, s0.size)))
+    # Fresh stage-time x lane temporaries cost more than the arithmetic on them.
+    push_buf = np.empty((3 * min(chunk, n_steps), s0.size))
+    rho_buf = np.empty_like(push_buf)
+
+    def drive(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
+        """The state-free terms at the stage times in column ``ts``, one row per stage
+        time: (-d * disp_scale, rho, the transfer once active, or None where it is
+        zero in every lane)."""
+        push, rho = push_buf[: len(ts)], rho_buf[: len(ts)]
+        np.subtract(ts, t0, out=push)
+        np.multiply(neg_kappa, push, out=push)  # e
+        if with_tails:
+            upper, lower = push > 40.0, push < -40.0
+        np.exp(push, out=push)
+        np.add(1.0, push, out=push)
+        np.divide(d_bar, push, out=push)  # d
+        if with_tails:
+            push[...] = np.where(upper, 0.0, np.where(lower, d_bar, push))
+        np.multiply(push, neg_disp, out=push)
+        np.multiply(rho_exp, ts, out=rho)
+        np.exp(rho, out=rho)
+        np.multiply(rho_scale, rho, out=rho)
+        np.add(rho0, rho, out=rho)
+        if not with_transfer:
+            return push, rho, [None] * len(ts)
+        transfer = np.where(ts >= activation, tau, 0.0)
+        return push, rho, [row if row.any() else None for row in transfer]
+
+    def deriv(s: np.ndarray, push: np.ndarray, rho: np.ndarray, transfer: np.ndarray | None) -> np.ndarray:
+        gap = s0 - s
+        raw = push - beta * (k_pi * np.maximum(gap, 0.0)) + rho
+        if transfer is not None:
+            raw = raw + transfer * (gap > 0.0)
+        # fmin / fmax skip NaN, so a failed lane hides no lane at an edge; `initial` covers no lanes
+        if np.fmin.reduce(s, initial=1.0) <= 0.0:
+            raw = np.where((s <= 0.0) & (raw < 0.0), 0.0, raw)
+        if np.fmax.reduce(s, initial=0.0) >= 1.0:
+            raw = np.where((s >= 1.0) & (raw > 0.0), 0.0, raw)
+        return raw
+
+    s = s0.copy()
+    yield 0.0, s
     for lo in range(0, n_steps, chunk):
         steps = range(lo, min(lo + chunk, n_steps))
         # Stage times i*dt, i*dt + half, i*dt + dt, as the scalar integrator forms them.
@@ -367,7 +416,7 @@ def rk4_lanes(
             k4 = deriv(s + dt * k3, push[end], rho[end], transfer[end])
             s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             failed |= ~np.isfinite(s)
-            s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+            s = np.minimum(np.maximum(s, 0.0), 1.0)
             yield (i + 1) * dt, s
 
 

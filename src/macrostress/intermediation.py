@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .params import Calibration
+from .params import Calibration, ConfigError, csv_number
 
 # Regulatory ordinal -> friction floor as a fraction of the pre-AI friction
 # level. Declared convention; preserves the qualitative sector ranking.
@@ -167,30 +167,42 @@ def report_to_csv(rows: list[SectorReportRow]) -> str:
     return "\n".join(out) + "\n"
 
 
+_SECTOR_COLUMNS = (
+    "name", "revenue_busd", "friction_share_low", "friction_share_high",
+    "switching", "regulatory", "net_exposure",
+)
+_SECTOR_NUMBERS = {"revenue_busd", "friction_share_low", "friction_share_high"}
+
+
 def load_sectors_csv(path: str | Path) -> list[SectorProfile]:
-    """Read sector rows from a CSV mirroring the shipped table columns."""
+    """Read sector rows from a CSV mirroring the shipped table columns.
+
+    The header names the columns. A row that is short, a number cell that
+    does not parse or is not finite, and a row :class:`SectorProfile`
+    rejects raise :class:`ConfigError` naming the file and line, and the
+    column where there is one.
+    """
     sectors: list[SectorProfile] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ValueError("sector CSV is empty")
-        required = {
-            "name", "revenue_busd", "friction_share_low", "friction_share_high",
-            "switching", "regulatory", "net_exposure",
-        }
-        missing = required - set(reader.fieldnames)
+            raise ConfigError(f"{path}: sector CSV is empty")
+        missing = set(_SECTOR_COLUMNS) - set(reader.fieldnames)
         if missing:
-            raise ValueError(f"sector CSV missing columns: {sorted(missing)}")
+            raise ConfigError(f"{path}: sector CSV missing columns: {sorted(missing)}")
         for row in reader:
-            sectors.append(
-                SectorProfile(
-                    name=row["name"],
-                    revenue_busd=float(row["revenue_busd"]),
-                    friction_share_low=float(row["friction_share_low"]),
-                    friction_share_high=float(row["friction_share_high"]),
-                    switching=row["switching"],
-                    regulatory=row["regulatory"],
-                    net_exposure=row["net_exposure"],
-                )
-            )
+            line = reader.line_num
+            cells: dict[str, object] = {}
+            for column in _SECTOR_COLUMNS:
+                raw = row[column]
+                if column in _SECTOR_NUMBERS:
+                    cells[column] = csv_number(path, line, column, raw)
+                elif raw is None:
+                    raise ConfigError(f"{path}: line {line}, column '{column}': the row is too short")
+                else:
+                    cells[column] = raw
+            try:
+                sectors.append(SectorProfile(**cells))  # type: ignore[arg-type]
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {line}: {exc}") from None
     return sectors

@@ -114,14 +114,14 @@ def with_updates(c: Calibration, **overrides: float) -> Calibration:
     """Replace fields on a calibration, recomputing derived fields.
 
     ``mpc_capital`` and ``sbar_eff`` are tied to ``mpc_labor`` and
-    ``d_bar * sbar`` unless the caller pins them explicitly.
+    ``d_bar * sbar`` unless the caller pins them explicitly. The derived
+    values join the overrides, so the calibration is built once.
     """
-    out = dataclasses.replace(c, **overrides)
     if "mpc_labor" in overrides and "mpc_capital" not in overrides:
-        out = dataclasses.replace(out, mpc_capital=1.0 - out.mpc_labor)
+        overrides["mpc_capital"] = 1.0 - overrides["mpc_labor"]
     if ("d_bar" in overrides or "sbar" in overrides) and "sbar_eff" not in overrides:
-        out = dataclasses.replace(out, sbar_eff=out.d_bar * out.sbar)
-    return out
+        overrides["sbar_eff"] = overrides.get("d_bar", c.d_bar) * overrides.get("sbar", c.sbar)
+    return dataclasses.replace(c, **overrides)
 
 
 def validate(c: Calibration) -> list[str]:

@@ -108,7 +108,7 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
                     f"overflows or the labor share turns non-finite before t={base.horizon:g}"
                 )
             gap = (ce.s_L0 - s) - np.where(t >= activation, taus, 0.0)
-            depth = np.where(gap > depth, gap, depth)
+            depth = np.maximum(gap, depth)  # gap is never -0.0 or NaN here
             cr = monetary.consumption_ratio(s, ce)
             if cr_prev is not None:
                 area = area + 0.5 * (cr_prev + cr) * (t - t_prev)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report. Tolerances are pinned here and nowhere else.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -277,13 +278,39 @@ def test_criterion_12_normal_cdf_accuracy():
     _report(12, f"max |Phi - oracle| = {worst:.3e} over 1,601-point grid", ok)
 
 
-def test_criterion_13_repro_suite(tmp_path):
+# sha256 of every repro data file at --n 2000 --seed 42. Any change to an
+# engine path that moves a byte of the suite fails here.
+REPRO_SEED_42_SHA256 = {
+    "credit_sensitivity.csv": "58b51f7c8c512dbc285e6d4a856611ae91740e7d8d942b757b61ef87ea39efdf",
+    "decomposition.csv": "90b5dc5670e49cba5b673cf67410c53c387657645c89fa71363758465579c175",
+    "mc_histogram.csv": "1291a50ceaf225a8f248b85954ea1f311a47b249e7536e92038ca23d17cfd802",
+    "mc_summary.txt": "c92fc8a230a8234edbbaa26641de224e05381c6d1139da4d454f7fe90074078b",
+    "scenarios_labor_share.svg": "d80c13458012c74a2534a06b40883dfa15eda46463d4cabe87983699479936c5",
+    "sector_report.csv": "a1b459233fcb880eee5da99ef259041879d3679d5488c68d8e9f0326fcce5d61",
+    "sweep.csv": "2528d4e91389b723631988a2747f1d32d1d9b333d7760d7aa5a9a954743677b1",
+    "sweep.svg": "22035937f48cee815ca0aea3273603e900b6d1ff6e866a7fc617a5b100f2c316",
+    "trajectory_baseline.csv": "081209ac0224b24d0c8d09c1a854429b540df652341c10af2c1ed07b7e5224f1",
+    "trajectory_baseline.svg": "e3a5e033852d11721a5e322f85828cace47513731eb95046e24e7b74c560e709",
+    "trajectory_extreme.csv": "ef3279a7790684047957b669d0e1ffc352d053c34e7509ccd338e44af4906cbe",
+    "trajectory_extreme.svg": "0bb118c4ba88750e1014b397e43b721447ca70cdc4f89b423195b16967ef611c",
+    "trajectory_rapid.csv": "79ab3bb5405da2c5fdcbaf197bba5b2eceaf028aa9dc61de6d7a9d10a34b1017",
+    "trajectory_rapid.svg": "4fc43fd86caf63fba3356977fd0aba7e0c61c90d1ae6c49f7b12656d5eba6103",
+}
+
+
+@pytest.fixture(scope="module")
+def repro_run(tmp_path_factory):
+    """One `repro --n 2000 --seed 42` run: (exit code, seconds, output directory)."""
     from macrostress.cli import main
 
-    out = tmp_path / "repro"
+    out = tmp_path_factory.mktemp("repro") / "repro"
     start = time.perf_counter()
     code = main(["repro", "--out", str(out), "--n", "2000", "--seed", "42", "--jobs", "4"])
-    elapsed = time.perf_counter() - start
+    return code, time.perf_counter() - start, out
+
+
+def test_criterion_13_repro_suite(repro_run):
+    code, elapsed, out = repro_run
     expected = [
         "trajectory_baseline.csv", "trajectory_rapid.csv", "trajectory_extreme.csv",
         "trajectory_baseline.svg", "trajectory_rapid.svg", "trajectory_extreme.svg",
@@ -296,3 +323,19 @@ def test_criterion_13_repro_suite(tmp_path):
     _report(13, f"repro suite in {elapsed:.1f}s, artifacts complete (missing: {missing})", ok)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["collapse_time"] == {"baseline": None, "rapid": None, "extreme": 8.06}
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in REPRO_SEED_42_SHA256
+    }
+    assert digests == REPRO_SEED_42_SHA256
+
+
+def test_repro_manifest_phases(repro_run):
+    _, _, out = repro_run
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    phases = manifest["phases"]
+    assert [p["name"] for p in phases] == [
+        "trajectories", "sweep", "tables", "monte_carlo", "manifest",
+    ]
+    assert all(p["seconds"] >= 0.0 for p in phases)
+    assert sum(p["seconds"] for p in phases) <= manifest["wall_time_s"]

@@ -168,6 +168,33 @@ def test_intermediation_report(tmp_path):
     assert top3 == {"SaaS (seat)", "Mgmt. consulting", "Travel booking"}
 
 
+_SECTOR_HEADER = "name,revenue_busd,friction_share_low,friction_share_high,switching,regulatory,net_exposure"
+
+
+@pytest.mark.parametrize("rows,line,column,what", [
+    (["A,10,0.1,0.2,Low,Low,High", "B,20"], 3, "friction_share_low", "too short"),
+    (["A,10,0.1,0.2,Low,Low"], 2, "net_exposure", "too short"),
+    (["A,nan,0.1,0.2,Low,Low,High"], 2, "revenue_busd", "finite"),
+    (["A,10,0.1,0.2,Low,Low,High", "B,abc,0.1,0.2,Low,Low,High"], 3, "revenue_busd", "not a number"),
+])
+def test_intermediation_bad_sector_row_exit_2(tmp_path, capsys, rows, line, column, what):
+    sectors = tmp_path / "s.csv"
+    sectors.write_text("\n".join([_SECTOR_HEADER, *rows]) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("intermediation", "--sectors", str(sectors), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{sectors}: line {line}, column '{column}'" in err and what in err
+    assert "Traceback" not in err
+    assert not (out / "sector_report.csv").exists()
+
+
+def test_intermediation_rejected_sector_names_line(tmp_path, capsys):
+    sectors = tmp_path / "s.csv"
+    sectors.write_text(_SECTOR_HEADER + "\nA,10,0.3,0.2,Low,Low,High\n")
+    assert run_cli("intermediation", "--sectors", str(sectors), "--out", str(tmp_path / "o")) == 2
+    assert f"{sectors}: line 2: A: friction share range" in capsys.readouterr().err
+
+
 # --- montecarlo --------------------------------------------------------------
 
 def test_montecarlo_byte_identical_reruns(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrostress.dynamics import (
+    _EXP_CAP,
+    _STAGE_BLOCK,
     IntegrationError,
     RegimeKind,
     S_FLOOR,
@@ -19,8 +21,10 @@ from macrostress.dynamics import (
     integrate_labor_share,
     integrate_lanes,
     labor_share_derivative,
+    lane_constants,
     margin_pressure,
     reinstatement_rate,
+    rk4_lanes,
     simulate_path,
 )
 from macrostress.monetary import consumption_ratio, velocity
@@ -502,3 +506,122 @@ def test_lanes_fail_exactly_where_the_scalar_raises():
 def test_lanes_empty_input():
     s_final, failed = integrate_lanes([], NO_POLICY, 1.0, 0.01)
     assert s_final.shape == failed.shape == (0,)
+
+
+# --- the lane kernel against its previous form --------------------------------
+
+def _reference_rk4_lanes(consts, horizon, dt, failed):
+    """The lane kernel before its numpy calls were cut, kept as the per-step reference."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi, tau, activation = (
+        consts
+    )
+
+    def drive(ts):
+        e = neg_kappa * (ts - t0)
+        d = np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d_bar / (1.0 + np.exp(e))))
+        x = rho_exp * ts
+        failed[(x > _EXP_CAP).any(axis=0)] = True
+        return -d * disp_scale, rho0 + rho_scale * np.exp(x), np.where(ts >= activation, tau, 0.0)
+
+    def deriv(s, push, rho, transfer):
+        gap = s0 - s
+        below = gap > 0.0
+        pi = np.where(below, k_pi * gap, 0.0)
+        raw = push - beta * pi + rho + np.where(below, transfer, 0.0)
+        absorbed = ((s <= 0.0) & (raw < 0.0)) | ((s >= 1.0) & (raw > 0.0))
+        return np.where(absorbed, 0.0, raw)
+
+    s = s0.copy()
+    yield 0.0, s
+    half = dt / 2.0
+    sixth = dt / 6.0
+    n_steps = round(horizon / dt)
+    chunk = max(1, _STAGE_BLOCK // (3 * max(1, s.size)))
+    for lo in range(0, n_steps, chunk):
+        steps = range(lo, min(lo + chunk, n_steps))
+        ts = np.array([(i * dt, i * dt + half, i * dt + dt) for i in steps]).reshape(-1, 1)
+        push, rho, transfer = drive(ts)
+        for j, i in enumerate(steps):
+            start, mid, end = 3 * j, 3 * j + 1, 3 * j + 2
+            k1 = deriv(s, push[start], rho[start], transfer[start])
+            k2 = deriv(s + half * k1, push[mid], rho[mid], transfer[mid])
+            k3 = deriv(s + half * k2, push[mid], rho[mid], transfer[mid])
+            k4 = deriv(s + dt * k3, push[end], rho[end], transfer[end])
+            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            failed |= ~np.isfinite(s)
+            s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+            yield (i + 1) * dt, s
+
+
+_POLICY = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
+
+
+def _kernel_cases():
+    sampled = _sampled_calibrations(400)
+    # g_A = 0.4 collapses to s = 0 and g_A = 2 climbs to s = 1; the last lane
+    # sits at s = 1 from t = 2.17 until adoption pulls it off at t = 6.34
+    release = with_updates(C, g_A=2.0, alpha_rho=0.01, rho0=0.2, t0_diffusion=6.0, kappa=5.0)
+    edges = [
+        (with_updates(C, g_A=g), PolicySpec(tau=tau, lag=lag))
+        for g in (0.4, 2.0) for lag in (0.0, 6.0) for tau in (0.0, 0.02, 0.1)
+    ] + [(release, NO_POLICY)]
+    # kappa * t0 > 40: d is 0 early on, which only a share near 0 can tell from d_bar / (1 + e^e)
+    steep = [(with_updates(C, kappa=k, g_A=0.3), _POLICY) for k in (30.0, 2.0, 50.0)]
+    steep.append((with_updates(C, kappa=30.0, s_L0=1e-300, rho0=0.0, eta=0.0), NO_POLICY))
+    bad = [
+        with_updates(C, g_A=150.0),              # overflows early
+        with_updates(C, g_A=1.0, eta=1e308),     # the state turns non-finite
+        with_updates(C, g_A=141.0),              # overflows late
+        with_updates(C, g_A=140.1),              # overflows only in the last step
+        with_updates(C, g_A=1e308, f_slope=10.0),  # the state turns NaN
+    ]
+    mixed = sampled[:13] + bad[:1] + sampled[13:29] + bad[1:2] + sampled[29:40] + bad[2:]
+    # next to the NaN lane, a lane collapses to s = 0 by t = 8.06 and a transfer lifts it at t = 9
+    recovery = (with_updates(C, g_A=0.4), PolicySpec(tau=0.5, lag=9.0))
+    return {
+        "sampled": ([(c, NO_POLICY) for c in sampled], 10.0),
+        "sampled_policy": ([(c, _POLICY) for c in sampled], 10.0),
+        "sweep_edges": (edges, 10.0),
+        "logistic_tails": (steep, 10.0),
+        "failing_mixed": ([(c, NO_POLICY) for c in mixed] + [recovery], 10.0),
+        "failing_mixed_policy": ([(c, _POLICY) for c in mixed] + [recovery], 10.0),
+        "lanes_0": ([], 1.0),
+        "lanes_1": ([(c, _POLICY) for c in _sampled_calibrations(1, seed=7)], 10.0),
+        "lanes_7": ([(c, _POLICY) for c in _sampled_calibrations(7, seed=7)], 10.0),
+        "lanes_1001": ([(c, _POLICY) for c in _sampled_calibrations(1001, seed=7)], 3.0),
+    }
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    return _kernel_cases()
+
+
+@pytest.mark.parametrize("case", [
+    "sampled", "sampled_policy", "sweep_edges", "logistic_tails", "failing_mixed",
+    "failing_mixed_policy", "lanes_0", "lanes_1", "lanes_7", "lanes_1001",
+])
+def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
+    lanes, horizon = kernel_cases[case]
+    consts = lane_constants(lanes)
+    failed, ref_failed = np.zeros(len(lanes), bool), np.zeros(len(lanes), bool)
+    steps = 0
+    with np.errstate(all="ignore"):
+        for (t, s), (ref_t, ref_s) in zip(
+            rk4_lanes(consts, horizon, 0.01, failed),
+            _reference_rk4_lanes(consts, horizon, 0.01, ref_failed),
+            strict=True,
+        ):
+            assert t == ref_t and np.array_equal(s, ref_s, equal_nan=True), (case, t)
+            steps += 1
+    assert steps == round(horizon / 0.01) + 1
+    assert np.array_equal(failed, ref_failed)
+    if case == "sampled":   # some draws collapse: the absorbing edge is taken
+        assert (s == 0.0).any()
+    if case == "sweep_edges":
+        assert s.min() == 0.0 and s.max() == 1.0
+    if case == "logistic_tails":   # e = -kappa * (0 - t0) > 40 at t = 0
+        assert (consts[1] * (0.0 - consts[2]) > 40.0).any()
+    if case.startswith("failing_mixed"):
+        assert np.flatnonzero(failed).tolist() == [13, 30, 42, 43, 44]
+        assert np.isnan(s[44]) and s[45] > 0.0

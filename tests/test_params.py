@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -87,6 +88,33 @@ def test_with_updates_recomputes_derived_fields():
     assert c.mpc_labor + c.mpc_capital == 1.0
     assert abs(c.sbar_eff - 0.7 * 0.6) <= 1e-12
     assert validate(c) == []
+
+
+def _three_replace_with_updates(c, **overrides):
+    """``with_updates`` as a replace of the overrides, then one per derived field."""
+    out = dataclasses.replace(c, **overrides)
+    if "mpc_labor" in overrides and "mpc_capital" not in overrides:
+        out = dataclasses.replace(out, mpc_capital=1.0 - out.mpc_labor)
+    if ("d_bar" in overrides or "sbar" in overrides) and "sbar_eff" not in overrides:
+        out = dataclasses.replace(out, sbar_eff=out.d_bar * out.sbar)
+    return out
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mpc_labor": 0.8123},
+    {"d_bar": 0.7321},
+    {"sbar": 0.4567},
+    {"d_bar": 0.7321, "sbar": 0.4567},
+    {"mpc_labor": 0.8123, "mpc_capital": 0.25},          # pinned mpc_capital
+    {"d_bar": 0.7321, "sbar_eff": 0.3},                  # pinned sbar_eff
+    {},
+    {"g_A": 0.3, "kappa": 3.1, "mpc_labor": 0.77, "d_bar": 0.61, "f_slope": 0.13},
+])
+def test_with_updates_equals_three_replace_reference(overrides):
+    for base in (default_calibration(), Calibration(d_bar=0.9, sbar=0.7, sbar_eff=0.63)):
+        out = with_updates(base, **overrides)
+        # repr shows every field with its type and the sign of a zero
+        assert repr(out) == repr(_three_replace_with_updates(base, **overrides))
 
 
 def test_load_config_empty_file(tmp_path):
