@@ -2,20 +2,22 @@
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
 4 I/O failure. Every run writes its data files plus a ``run_manifest.json``
-recording the command line, config hash, seed, output list, engine version
-and wall time. Given the same config and seed, the data outputs are
-byte-identical across runs.
+recording the command line, config hash, seed, output list, engine version,
+wall time and environment; a run that fails before writing leaves no files.
+Given the same config and seed, the data outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import sys
 import time
-from collections.abc import Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .credit import BorrowerState, dscr_sensitivity
 from .dynamics import IntegrationError, Trajectory, simulate_path
 from .indicators import dashboard, default_rules, load_rules, load_series_csv
 from .params import (
-    Calibration,
     ConfigError,
     Scenario,
     csv_number,
@@ -35,8 +36,8 @@ from .params import (
     load_config,
     serialize_config,
 )
-from .policy import PolicyGrid, policy_sweep
-from .stochastics import default_ranges, monte_carlo, ols_hc1
+from .policy import PolicyGrid, SweepCell, policy_sweep
+from .stochastics import McSummary, default_ranges, monte_carlo, ols_hc1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,60 +45,87 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _config_hash(calib: Calibration, scenarios: list[Scenario]) -> str:
-    return hashlib.sha256(serialize_config(calib, scenarios).encode("utf-8")).hexdigest()
+class _Run:
+    """One command's run: its config, output files, phases and manifest.
 
+    The output directory is created when the first output path is handed
+    out, so a run that fails before it writes leaves nothing behind.
+    """
 
-class _Phases:
-    """Wall time of consecutive run phases: each :meth:`end` closes the phase
-    that began at the previous one (or at construction)."""
+    def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:
+        self.started = self._mark = time.perf_counter()
+        self.argv = argv
+        self.seed: int | None = getattr(args, "seed", None)
+        self.calib, self.scenarios = (
+            load_config(args.config) if args.config else (default_calibration(), [])
+        )
+        if args.out:
+            self.out = Path(args.out)
+        elif args.command == "repro":
+            self.out = Path(datetime.now(timezone.utc).strftime("repro_%Y%m%dT%H%M%SZ"))
+        else:
+            self.out = Path("out")
+        self.outputs: list[Path] = []
+        self.phases: list[dict[str, object]] = []
+        self.trajectories: list[Trajectory] = []
 
-    def __init__(self) -> None:
-        self.records: list[dict[str, object]] = []
-        self._mark = time.perf_counter()
+    def path(self, name: str) -> Path:
+        """Record output file ``name`` and return its path; the first call makes the directory."""
+        if not self.outputs:
+            self.out.mkdir(parents=True, exist_ok=True)
+        path = self.out / name
+        self.outputs.append(path)
+        return path
 
-    def end(self, name: str) -> None:
+    def write(self, name: str, text: str) -> str:
+        self.path(name).write_text(text, encoding="utf-8")
+        return text
+
+    def phase(self, name: str) -> None:
+        """Close the phase that began at the previous call (or at the start of the run)."""
         now = time.perf_counter()
-        self.records.append({"name": name, "seconds": round(now - self._mark, 6)})
+        self.phases.append({"name": name, "seconds": round(now - self._mark, 6)})
         self._mark = now
 
-
-def _write_manifest(
-    out_dir: Path,
-    argv: list[str],
-    calib: Calibration,
-    scenarios: list[Scenario],
-    seed: int | None,
-    outputs: list[Path],
-    started: float,
-    trajectories: Sequence[Trajectory] = (),
-    phases: _Phases | None = None,
-) -> Path:
-    config_hash = _config_hash(calib, scenarios)
-    if phases is not None:
-        phases.end("manifest")
-    manifest = {
-        "command": "macrostress " + " ".join(argv),
-        "config_hash": config_hash,
-        "seed": seed,
-        "outputs": [str(p.name) for p in outputs],
-        "engine_version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    if trajectories:
-        # first grid time with the labor share at or below dynamics.S_FLOOR, or null
-        manifest["collapse_time"] = {t.scenario: t.collapse_time for t in trajectories}
-    if phases is not None:
-        manifest["phases"] = phases.records
-    path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return path
+    def finish(self) -> None:
+        """Write ``run_manifest.json`` next to the outputs."""
+        config = serialize_config(self.calib, self.scenarios).encode("utf-8")
+        config_hash = hashlib.sha256(config).hexdigest()
+        if self.phases:
+            self.phase("manifest")
+        manifest: dict[str, object] = {
+            "command": "macrostress " + " ".join(self.argv),
+            "config_hash": config_hash,
+            "seed": self.seed,
+            "outputs": [p.name for p in self.outputs],
+            "engine_version": __version__,
+            "wall_time_s": round(time.perf_counter() - self.started, 6),
+        }
+        if self.trajectories:
+            # first grid time with the labor share at or below dynamics.S_FLOOR, or null
+            manifest["collapse_time"] = {t.scenario: t.collapse_time for t in self.trajectories}
+        if self.phases:
+            manifest["phases"] = self.phases
+        # from sys and os.uname: importing and querying `platform` takes tens of ms
+        uname = os.uname() if hasattr(os, "uname") else None
+        manifest["environment"] = {
+            "python": f"{sys.implementation.name} {sys.version.split()[0]}",
+            "numpy": np.__version__,
+            "platform": f"{uname.sysname} {uname.release} {uname.machine}" if uname else sys.platform,
+        }
+        text = json.dumps(manifest, indent=2) + "\n"
+        (self.out / "run_manifest.json").write_text(text, encoding="utf-8")
 
 
-def _load(config: str | None) -> tuple[Calibration, list[Scenario]]:
-    if config is None:
-        return default_calibration(), []
-    return load_config(config)
+def _finite_float(text: str) -> float:
+    """argparse type for float options: ``nan`` and ``inf`` are rejected like ``abc``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _scenario_by_name(name: str, from_config: list[Scenario]) -> Scenario:
@@ -109,45 +137,6 @@ def _scenario_by_name(name: str, from_config: list[Scenario]) -> Scenario:
     return table[name]
 
 
-def _out_dir(arg: str | None) -> Path:
-    out = Path(arg) if arg else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _trajectory_svg(path: Path, traj: Trajectory) -> None:
-    svg.write_line_chart(
-        path,
-        f"Scenario '{traj.scenario}'",
-        "years",
-        "level",
-        [
-            ("labor share", traj.t, traj.s_L),
-            ("velocity", traj.t, traj.velocity),
-            ("consumption ratio", traj.t, traj.consumption_ratio),
-        ],
-    )
-
-
-def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
-    scenario = _scenario_by_name(args.scenario, scenarios)
-    if args.dt is not None:
-        scenario = dataclasses.replace(scenario, dt=args.dt)
-    out = _out_dir(args.out)
-    traj = simulate_path(scenario, calib)
-    outputs = [out / f"trajectory_{scenario.name}.csv"]
-    outputs[0].write_text(traj.to_csv(), encoding="utf-8")
-    if args.svg:
-        svg_path = out / f"trajectory_{scenario.name}.svg"
-        _trajectory_svg(svg_path, traj)
-        outputs.append(svg_path)
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started, [traj])
-    print(f"wrote {outputs[0]}")
-    return EXIT_OK
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
@@ -155,113 +144,134 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a comma-separated list of numbers: {text!r}") from None
 
 
-def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
-    base = _scenario_by_name(args.scenario, scenarios)
-    grid = PolicyGrid(lags=_parse_float_list(args.lags), taus=_parse_float_list(args.taus), base=base)
-    cells = policy_sweep(grid, calib)
-    out = _out_dir(args.out)
-    rows = ["lag,tau,depth,s_L_final,consumption_decline_pct"]
-    for cell in cells:
-        rows.append(
-            f"{cell.lag:.9g},{cell.tau:.9g},{cell.depth:.9g},"
-            f"{cell.s_L_final:.9g},{cell.consumption_decline_pct:.9g}"
-        )
-    outputs = [out / "sweep.csv"]
-    outputs[0].write_text("\n".join(rows) + "\n", encoding="utf-8")
-    if args.svg:
-        series = []
-        for tau in grid.taus:
-            pts = [(c.lag, c.depth) for c in cells if c.tau == tau]
-            series.append(
-                (f"tau = {tau:g}", [p[0] for p in pts], [p[1] for p in pts])
-            )
-        svg_path = out / "sweep.svg"
+def _table(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+# --- writers: the one place each data file is rendered -----------------------
+
+def _write_trajectory(run: _Run, traj: Trajectory, chart: bool) -> None:
+    run.trajectories.append(traj)
+    run.write(f"trajectory_{traj.scenario}.csv", traj.to_csv())
+    if chart:
         svg.write_line_chart(
-            svg_path, f"Crisis depth vs policy lag ('{base.name}')",
+            run.path(f"trajectory_{traj.scenario}.svg"),
+            f"Scenario '{traj.scenario}'",
+            "years",
+            "level",
+            [
+                ("labor share", traj.t, traj.s_L),
+                ("velocity", traj.t, traj.velocity),
+                ("consumption ratio", traj.t, traj.consumption_ratio),
+            ],
+        )
+
+
+def _write_scenarios_chart(run: _Run, trajectories: list[Trajectory]) -> None:
+    svg.write_line_chart(
+        run.path("scenarios_labor_share.svg"), "Labor share under three adoption rates",
+        "years", "labor share", [(traj.scenario, traj.t, traj.s_L) for traj in trajectories],
+    )
+
+
+def _write_sweep(run: _Run, grid: PolicyGrid, cells: list[SweepCell], label: str | None) -> None:
+    """``sweep.csv``, and ``sweep.svg`` titled with ``label`` unless it is None."""
+    run.write("sweep.csv", _table("lag,tau,depth,s_L_final,consumption_decline_pct", [
+        f"{c.lag:.9g},{c.tau:.9g},{c.depth:.9g},{c.s_L_final:.9g},{c.consumption_decline_pct:.9g}"
+        for c in cells
+    ]))
+    if label is not None:
+        series = [
+            (f"tau = {tau:g}", [c.lag for c in cells if c.tau == tau],
+             [c.depth for c in cells if c.tau == tau])
+            for tau in grid.taus
+        ]
+        svg.write_line_chart(
+            run.path("sweep.svg"), f"Crisis depth vs policy lag ({label})",
             "policy lag, years", "crisis depth", series,
         )
-        outputs.append(svg_path)
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print(f"wrote {outputs[0]}")
-    return EXIT_OK
 
 
-def _cmd_montecarlo(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
-    summary = monte_carlo(
+def _write_credit(run: _Run, table: list[tuple[float, float, float]]) -> str:
+    return run.write("credit_sensitivity.csv", _table("delta,dscr_post,pd", [
+        f"{delta:.9g},{dscr_post:.9g},{pd:.9g}" for delta, dscr_post, pd in table
+    ]))
+
+
+def _write_decomposition(
+    run: _Run, profile: monetary.QuintileProfile, total: float, per_quintile: list[float]
+) -> None:
+    rows = [
+        f"{i + 1},{profile.consumption_shares[i]:.9g},{profile.mpcs[i]:.9g},"
+        f"{profile.exposures[i]:.9g},{per_quintile[i]:.9g}"
+        for i in range(5)
+    ]
+    rows.append(f"total,,,,{total:.9g}")
+    run.write("decomposition.csv",
+              _table("quintile,consumption_share,mpc,exposure,contribution_pp", rows))
+
+
+def _write_sector_report(run: _Run, report: list[intermediation.SectorReportRow]) -> None:
+    run.write("sector_report.csv", intermediation.report_to_csv(report))
+
+
+def _write_monte_carlo(run: _Run, summary: McSummary) -> str:
+    text = run.write("mc_summary.txt", summary.to_text())
+    run.write("mc_histogram.csv", summary.histogram_csv())
+    return text
+
+
+# --- subcommands: each computes, writes through the writers, and returns its stdout
+
+def _cmd_simulate(args: argparse.Namespace, run: _Run) -> str:
+    scenario = _scenario_by_name(args.scenario, run.scenarios)
+    if args.dt is not None:
+        scenario = dataclasses.replace(scenario, dt=args.dt)
+    _write_trajectory(run, simulate_path(scenario, run.calib), args.svg)
+    return f"wrote {run.outputs[0]}\n"
+
+
+def _cmd_sweep(args: argparse.Namespace, run: _Run) -> str:
+    base = _scenario_by_name(args.scenario, run.scenarios)
+    grid = PolicyGrid(lags=_parse_float_list(args.lags), taus=_parse_float_list(args.taus), base=base)
+    _write_sweep(run, grid, policy_sweep(grid, run.calib), f"'{base.name}'" if args.svg else None)
+    return f"wrote {run.outputs[0]}\n"
+
+
+def _cmd_montecarlo(args: argparse.Namespace, run: _Run) -> str:
+    return _write_monte_carlo(run, monte_carlo(
         n=args.n,
         ranges=default_ranges(),
-        base=calib,
+        base=run.calib,
         seed=args.seed,
         shortfall_threshold=args.threshold,
-    )
-    out = _out_dir(args.out)
-    outputs = [out / "mc_summary.txt", out / "mc_histogram.csv"]
-    outputs[0].write_text(summary.to_text(), encoding="utf-8")
-    outputs[1].write_text(summary.histogram_csv(), encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started)
-    print(summary.to_text(), end="")
-    return EXIT_OK
+    ))
 
 
-def _cmd_credit(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
+def _cmd_credit(args: argparse.Namespace, run: _Run) -> str:
     borrower = BorrowerState(dscr=args.dscr, sigma_r=args.sigma)
-    table = dscr_sensitivity(borrower, list(_parse_float_list(args.deltas)))
-    out = _out_dir(args.out)
-    rows = ["delta,dscr_post,pd"]
-    for delta, dscr_post, pd in table:
-        rows.append(f"{delta:.9g},{dscr_post:.9g},{pd:.9g}")
-    outputs = [out / "credit_sensitivity.csv"]
-    outputs[0].write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print("\n".join(rows))
-    return EXIT_OK
+    return _write_credit(run, dscr_sensitivity(borrower, list(_parse_float_list(args.deltas))))
 
 
-def _cmd_intermediation(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
+def _cmd_intermediation(args: argparse.Namespace, run: _Run) -> str:
     sectors = (
         intermediation.load_sectors_csv(args.sectors)
         if args.sectors
         else intermediation.default_sectors()
     )
-    report = intermediation.sector_report(sectors)
-    out = _out_dir(args.out)
-    outputs = [out / "sector_report.csv"]
-    outputs[0].write_text(intermediation.report_to_csv(report), encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print(f"wrote {outputs[0]}")
-    return EXIT_OK
+    _write_sector_report(run, intermediation.sector_report(sectors))
+    return f"wrote {run.outputs[0]}\n"
 
 
-def _cmd_decompose(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
+def _cmd_decompose(args: argparse.Namespace, run: _Run) -> str:
     profile = (
         monetary.load_quintiles_csv(args.quintiles)
         if args.quintiles
         else monetary.default_quintiles()
     )
     total, per_quintile = monetary.consumption_shock(profile, args.shock)
-    out = _out_dir(args.out)
-    rows = ["quintile,consumption_share,mpc,exposure,contribution_pp"]
-    for i in range(5):
-        rows.append(
-            f"{i + 1},{profile.consumption_shares[i]:.9g},{profile.mpcs[i]:.9g},"
-            f"{profile.exposures[i]:.9g},{per_quintile[i]:.9g}"
-        )
-    rows.append(f"total,,,,{total:.9g}")
-    outputs = [out / "decomposition.csv"]
-    outputs[0].write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print(f"total consumption decline: {total:.4g} pp")
-    return EXIT_OK
+    _write_decomposition(run, profile, total, per_quintile)
+    return f"total consumption decline: {total:.4g} pp\n"
 
 
 def _parse_formula(formula: str) -> tuple[str, list[str]]:
@@ -275,14 +285,10 @@ def _parse_formula(formula: str) -> tuple[str, list[str]]:
     return response, terms
 
 
-def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
+def _cmd_regress(args: argparse.Namespace, run: _Run) -> str:
     response, terms = _parse_formula(args.formula)
-    import csv as _csv
-
     with open(args.data, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError(f"{args.data}: empty CSV")
         missing = [c for c in [response, *terms] if c not in reader.fieldnames]
@@ -295,138 +301,59 @@ def _cmd_regress(args: argparse.Namespace, argv: list[str]) -> int:
             y_vals.append(csv_number(args.data, line, response, row[response]))
             x_rows.append([1.0] + [csv_number(args.data, line, t, row[t]) for t in terms])
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
-    out = _out_dir(args.out)
-    rows = ["term,coefficient,hc1_se"]
-    for name, coef, se in zip(["intercept", *terms], result.coefficients, result.hc1_se):
-        rows.append(f"{name},{coef:.9g},{se:.9g}")
-    outputs = [out / "regression.csv"]
-    outputs[0].write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print("\n".join(rows))
-    print(f"r_squared = {result.r_squared:.6g}")
-    print(f"n = {result.n}")
-    return EXIT_OK
+    text = run.write("regression.csv", _table("term,coefficient,hc1_se", [
+        f"{name},{coef:.9g},{se:.9g}"
+        for name, coef, se in zip(["intercept", *terms], result.coefficients, result.hc1_se)
+    ]))
+    return text + f"r_squared = {result.r_squared:.6g}\nn = {result.n}\n"
 
 
-def _cmd_indicators(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
+def _cmd_indicators(args: argparse.Namespace, run: _Run) -> str:
     rules = load_rules(args.rules) if args.rules else default_rules()
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise ConfigError(f"--data must name a directory of <series>.csv files: {data_dir}")
     data = {p.stem: load_series_csv(p) for p in sorted(data_dir.glob("*.csv"))}
     report = dashboard(rules, data)
-    out = _out_dir(args.out)
-    outputs = [out / "indicators_report.csv"]
-    outputs[0].write_text(report.to_csv(), encoding="utf-8")
-    _write_manifest(out, argv, calib, scenarios, None, outputs, started)
-    print(report.to_text(), end="")
-    return EXIT_OK
+    run.write("indicators_report.csv", report.to_csv())
+    return report.to_text()
 
 
-def _cmd_repro(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.perf_counter()
-    calib, scenarios = _load(args.config)
-    if args.out:
-        out = Path(args.out)
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        out = Path(f"repro_{stamp}")
-    out.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-    phases = _Phases()
+def _cmd_repro(args: argparse.Namespace, run: _Run) -> str:
+    # Every result is computed before the first file is written, so an input
+    # or numeric error leaves no partial suite behind.
+    trajectories = [simulate_path(scenario, run.calib) for scenario in default_scenarios()]
+    run.phase("trajectories")
 
-    # Scenario trajectories plus the combined labor-share chart.
-    trajectories = []
-    for scenario in default_scenarios():
-        traj = simulate_path(scenario, calib)
-        path = out / f"trajectory_{scenario.name}.csv"
-        path.write_text(traj.to_csv(), encoding="utf-8")
-        outputs.append(path)
-        svg_path = out / f"trajectory_{scenario.name}.svg"
-        _trajectory_svg(svg_path, traj)
-        outputs.append(svg_path)
-        trajectories.append(traj)
-    fig = out / "scenarios_labor_share.svg"
-    svg.write_line_chart(fig, "Labor share under three adoption rates", "years", "labor share",
-                         [(traj.scenario, traj.t, traj.s_L) for traj in trajectories])
-    outputs.append(fig)
-    phases.end("trajectories")
-
-    # Policy sweep on the rapid scenario.
-    base = _scenario_by_name("rapid", scenarios)
     grid = PolicyGrid(
-        lags=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), taus=(0.03, 0.05, 0.10), base=base
+        lags=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), taus=(0.03, 0.05, 0.10),
+        base=_scenario_by_name("rapid", run.scenarios),
     )
-    cells = policy_sweep(grid, calib)
-    rows = ["lag,tau,depth,s_L_final,consumption_decline_pct"]
-    for cell in cells:
-        rows.append(
-            f"{cell.lag:.9g},{cell.tau:.9g},{cell.depth:.9g},"
-            f"{cell.s_L_final:.9g},{cell.consumption_decline_pct:.9g}"
-        )
-    path = out / "sweep.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    outputs.append(path)
-    series = []
-    for tau in grid.taus:
-        pts = [(c.lag, c.depth) for c in cells if c.tau == tau]
-        series.append((f"tau = {tau:g}", [p[0] for p in pts], [p[1] for p in pts]))
-    fig = out / "sweep.svg"
-    svg.write_line_chart(fig, "Crisis depth vs policy lag (rapid)", "policy lag, years",
-                         "crisis depth", series)
-    outputs.append(fig)
-    phases.end("sweep")
+    cells = policy_sweep(grid, run.calib)
+    run.phase("sweep")
 
-    # Borrower sensitivity table.
-    table = dscr_sensitivity(BorrowerState(dscr=1.5, sigma_r=calib.sigma_r), [0.0, 0.20, 0.30])
-    rows = ["delta,dscr_post,pd"]
-    for delta, dscr_post, pd in table:
-        rows.append(f"{delta:.9g},{dscr_post:.9g},{pd:.9g}")
-    path = out / "credit_sensitivity.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    outputs.append(path)
-
-    # Consumption-shock decomposition.
+    credit = dscr_sensitivity(BorrowerState(dscr=1.5, sigma_r=run.calib.sigma_r), [0.0, 0.20, 0.30])
     profile = monetary.default_quintiles()
     total, per_quintile = monetary.consumption_shock(profile, 0.10)
-    rows = ["quintile,consumption_share,mpc,exposure,contribution_pp"]
-    for i in range(5):
-        rows.append(
-            f"{i + 1},{profile.consumption_shares[i]:.9g},{profile.mpcs[i]:.9g},"
-            f"{profile.exposures[i]:.9g},{per_quintile[i]:.9g}"
-        )
-    rows.append(f"total,,,,{total:.9g}")
-    path = out / "decomposition.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    outputs.append(path)
+    report = intermediation.sector_report(intermediation.default_sectors())
+    run.phase("tables")
 
-    # Sector exposure report.
-    path = out / "sector_report.csv"
-    path.write_text(
-        intermediation.report_to_csv(intermediation.sector_report(intermediation.default_sectors())),
-        encoding="utf-8",
-    )
-    outputs.append(path)
-    phases.end("tables")
-
-    # Monte Carlo summary.
     summary = monte_carlo(
-        n=args.n, ranges=default_ranges(), base=calib, seed=args.seed,
+        n=args.n, ranges=default_ranges(), base=run.calib, seed=args.seed,
         shortfall_threshold=0.30,
     )
-    path = out / "mc_summary.txt"
-    path.write_text(summary.to_text(), encoding="utf-8")
-    outputs.append(path)
-    path = out / "mc_histogram.csv"
-    path.write_text(summary.histogram_csv(), encoding="utf-8")
-    outputs.append(path)
-    phases.end("monte_carlo")
+    run.phase("monte_carlo")
 
-    _write_manifest(out, argv, calib, scenarios, args.seed, outputs, started, trajectories, phases)
-    print(f"repro suite written to {out}")
-    return EXIT_OK
+    for traj in trajectories:
+        _write_trajectory(run, traj, chart=True)
+    _write_scenarios_chart(run, trajectories)
+    _write_sweep(run, grid, cells, "rapid")
+    _write_credit(run, credit)
+    _write_decomposition(run, profile, total, per_quintile)
+    _write_sector_report(run, report)
+    _write_monte_carlo(run, summary)
+    run.phase("write")
+    return f"repro suite written to {run.out}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,10 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key-value config file")
         p.add_argument("--out", help="output directory (default: ./out)")
 
+    def jobs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--jobs", type=int, help="accepted and ignored: no step starts a worker "
+                       "process, and the results never depend on --jobs")
+
     p = sub.add_parser("simulate", help="integrate one scenario and export the trajectory")
     common(p)
     p.add_argument("--scenario", default="baseline", help="scenario name (default: baseline)")
-    p.add_argument("--dt", type=float, help="override the integration step, years")
+    p.add_argument("--dt", type=_finite_float, help="override the integration step, years")
     p.add_argument("--svg", action="store_true", help="also write a line chart")
 
     p = sub.add_parser("sweep", help="crisis depth over a (lag, tau) policy grid")
@@ -453,23 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lags", default="0,0.5,1,1.5,2,2.5,3", help="comma-separated lags, years")
     p.add_argument("--taus", default="0.03,0.05,0.10", help="comma-separated transfer magnitudes")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--jobs", type=int,
-                   help="accepted and ignored: the sweep runs in one process, and its "
-                        "results never depend on --jobs")
+    jobs(p)
 
     p = sub.add_parser("montecarlo", help="sampled-calibration shortfall distribution")
     common(p)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threshold", type=float, default=0.30, help="tail shortfall threshold")
-    p.add_argument("--jobs", type=int,
-                   help="accepted and ignored: Monte Carlo runs in one process, and its "
-                        "results never depend on --jobs")
+    p.add_argument("--threshold", type=_finite_float, default=0.30, help="tail shortfall threshold")
+    jobs(p)
 
     p = sub.add_parser("credit", help="borrower default-probability sensitivity table")
     common(p)
-    p.add_argument("--dscr", type=float, default=1.5)
-    p.add_argument("--sigma", type=float, default=0.20)
+    p.add_argument("--dscr", type=_finite_float, default=1.5)
+    p.add_argument("--sigma", type=_finite_float, default=0.20)
     p.add_argument("--deltas", default="0,0.20,0.30", help="ascending income shocks")
 
     p = sub.add_parser("intermediation", help="sector margin-exposure report")
@@ -478,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="quintile decomposition of a consumption shock")
     common(p)
-    p.add_argument("--shock", type=float, default=0.10)
+    p.add_argument("--shock", type=_finite_float, default=0.10)
     p.add_argument("--quintiles", help="CSV with 5 rows: share,mpc,exposure")
 
     p = sub.add_parser("regress", help="OLS with HC1 robust standard errors")
@@ -495,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2000, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int,
-                   help="accepted and ignored: no step starts a worker process, and the "
-                        "results never depend on --jobs")
+    jobs(p)
 
     return parser
 
@@ -517,10 +442,12 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, argv)
+        run = _Run(args, argv)
+        stdout = _HANDLERS[args.command](args, run)
+        run.finish()
+        print(stdout, end="")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -530,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -155,6 +155,8 @@ def validate(c: Calibration) -> list[str]:
         v.append("f_slope must be positive")
     if c.A0 <= 0.0:
         v.append("A0 must be positive")
+    if c.V_obs <= 0.0:
+        v.append("V_obs must be positive")
     if c.phi_min > c.phi0:
         v.append("phi_min must not exceed phi0")
     if c.phi_min < 0.0:

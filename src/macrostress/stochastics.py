@@ -211,6 +211,7 @@ class McSummary:
         return "\n".join(rows) + "\n"
 
 
+MAX_DRAWS = 1_000_000  # draw-count cap: every sampled calibration is held until the lanes run
 _MC_HORIZON = 10.0
 _MC_DT = 0.01
 _HIST_RANGE = (-1.0, 1.0)
@@ -237,6 +238,8 @@ def monte_carlo(
     """
     if n < 1:
         raise ValueError("monte_carlo needs n >= 1")
+    if n > MAX_DRAWS:
+        raise ValueError(f"monte_carlo needs n <= {MAX_DRAWS}, got n = {n}")
     calibrations = [
         sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base) for i in range(n)
     ]

@@ -335,7 +335,26 @@ def test_repro_manifest_phases(repro_run):
     manifest = json.loads((out / "run_manifest.json").read_text())
     phases = manifest["phases"]
     assert [p["name"] for p in phases] == [
-        "trajectories", "sweep", "tables", "monte_carlo", "manifest",
+        "trajectories", "sweep", "tables", "monte_carlo", "write", "manifest",
     ]
     assert all(p["seconds"] >= 0.0 for p in phases)
     assert sum(p["seconds"] for p in phases) <= manifest["wall_time_s"]
+
+
+# Each subcommand renders its files through the same writer as `repro`, so at
+# the shared defaults (and seed 42) they must equal the repro goldens.
+@pytest.mark.parametrize("argv,files", [
+    (["sweep"], ["sweep.csv"]),
+    (["credit"], ["credit_sensitivity.csv"]),
+    (["decompose"], ["decomposition.csv"]),
+    (["intermediation"], ["sector_report.csv"]),
+    (["montecarlo", "--n", "2000", "--seed", "42"], ["mc_summary.txt", "mc_histogram.csv"]),
+])
+def test_subcommand_files_equal_repro_goldens(tmp_path, argv, files):
+    from macrostress.cli import main
+
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["outputs"] == files
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+    assert digests == {name: REPRO_SEED_42_SHA256[name] for name in files}

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from macrostress.cli import main
+from macrostress.stochastics import MAX_DRAWS
 
 
 def run_cli(*argv):
@@ -318,6 +319,50 @@ def test_negative_g_A_config_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "g_A must be >= 0" in err and "Traceback" not in err
+
+
+def test_non_positive_V_obs_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("V_obs = -1\n")
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "V_obs must be positive" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,option", [
+    ("simulate", "--dt"),
+    ("montecarlo", "--threshold"),
+    ("credit", "--dscr"),
+    ("credit", "--sigma"),
+    ("decompose", "--shock"),
+])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_option_exit_2(tmp_path, capsys, command, option, raw):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, f"{option}={raw}", "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a finite number, got '{raw}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", str(MAX_DRAWS + 1)])
+def test_repro_bad_draw_count_writes_nothing(tmp_path, capsys, n):
+    # every result is computed before the first file is written
+    out = tmp_path / "o"
+    assert run_cli("repro", "--n", n, "--out", str(out)) == 2
+    assert "monte_carlo needs n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_environment_block(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("credit", "--out", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert set(manifest["environment"]) == {"python", "numpy", "platform"}
+    assert all(isinstance(v, str) and v for v in manifest["environment"].values())
 
 
 @pytest.mark.parametrize("line,key,what", [

@@ -71,6 +71,12 @@ def test_validate_flags_negative_g_A():
     assert validate(with_updates(default_calibration(), g_A=0.0)) == []
 
 
+def test_validate_flags_non_positive_V_obs():
+    for value in (-1.0, 0.0):
+        assert "V_obs must be positive" in validate(with_updates(default_calibration(), V_obs=value))
+    assert validate(with_updates(default_calibration(), V_obs=1e-9)) == []
+
+
 def test_load_config_rejects_negative_g_A(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("g_A = -0.5\n")

@@ -9,6 +9,7 @@ from macrostress.monetary import demand_shortfall
 from macrostress.params import PolicySpec, default_calibration, validate, with_updates
 from macrostress.stochastics import (
     _FIELD_BOUNDS,
+    MAX_DRAWS,
     ParamRanges,
     SplitMix64,
     default_ranges,
@@ -154,6 +155,13 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     c = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=2)
     d = monte_carlo(64, default_ranges(), BASE, seed=31, shortfall_threshold=0.30, jobs=4)
     assert a == b == c == d
+
+
+# MAX_DRAWS + 1 is rejected before any sampling; a draw count near the cap is never run here.
+@pytest.mark.parametrize("n", [0, MAX_DRAWS + 1])
+def test_monte_carlo_rejects_draw_count_outside_cap(n):
+    with pytest.raises(ValueError, match="monte_carlo needs n"):
+        monte_carlo(n, default_ranges(), BASE, seed=1, shortfall_threshold=0.30)
 
 
 def test_monte_carlo_histogram_accounts_for_all_draws():
