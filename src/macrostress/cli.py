@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
 4 I/O failure. Every run writes its data files plus a ``run_manifest.json``
 recording the command line, config hash, seed, output list, engine version,
-wall time and environment; a run that fails before writing leaves no files.
+wall time and environment, and for a Monte Carlo its work counters; a run
+that fails before writing leaves no files.
 Given the same config and seed, the data outputs are byte-identical across runs.
 """
 
@@ -68,6 +69,7 @@ class _Run:
         self.outputs: list[Path] = []
         self.phases: list[dict[str, object]] = []
         self.trajectories: list[Trajectory] = []
+        self.monte_carlo: McSummary | None = None
 
     def path(self, name: str) -> Path:
         """Record output file ``name`` and return its path; the first call makes the directory."""
@@ -106,6 +108,8 @@ class _Run:
             manifest["collapse_time"] = {t.scenario: t.collapse_time for t in self.trajectories}
         if self.phases:
             manifest["phases"] = self.phases
+        if self.monte_carlo is not None:
+            manifest["monte_carlo"] = self.monte_carlo.counters()
         # from sys and os.uname: importing and querying `platform` takes tens of ms
         uname = os.uname() if hasattr(os, "uname") else None
         manifest["environment"] = {
@@ -125,6 +129,17 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for ``--seed``: a whole number in [0, 2**64), the generator's seed space."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected a whole number in [0, 2**64), got {text!r}")
     return value
 
 
@@ -216,6 +231,7 @@ def _write_sector_report(run: _Run, report: list[intermediation.SectorReportRow]
 
 
 def _write_monte_carlo(run: _Run, summary: McSummary) -> str:
+    run.monte_carlo = summary
     text = run.write("mc_summary.txt", summary.to_text())
     run.write("mc_histogram.csv", summary.histogram_csv())
     return text
@@ -389,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="sampled-calibration shortfall distribution")
     common(p)
     p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--threshold", type=_finite_float, default=0.30, help="tail shortfall threshold")
     jobs(p)
 
@@ -421,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="run the full figure/table suite into one directory")
     common(p)
     p.add_argument("--n", type=int, default=2000, help="Monte Carlo draws")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     jobs(p)
 
     return parser

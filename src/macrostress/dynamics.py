@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -275,17 +275,32 @@ _LANE_BLOCK = 4096  # Monte Carlo lanes integrated together; bounds the kernel's
 
 def lane_constants(lanes: Iterable[tuple[Calibration, PolicySpec]]) -> np.ndarray:
     """The lane kernel's constants: one row per drift constant, then ``tau`` and the
-    activation time ``start_time + lag``; one column per (calibration, policy) lane."""
+    activation time ``start_time + lag``; one column per (calibration, policy) lane.
+
+    The policy sweep builds its lanes here; the Monte Carlo builds them with
+    :func:`column_lane_constants`, and the tests hold it to this reference."""
     rows = [(*_drift_constants(c), p.tau, p.start_time + p.lag) for c, p in lanes]
     # The explicit 12 keeps the shape for zero lanes.
     return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 12).T)
 
 
-def integrate_lanes(
-    calibrations: Sequence[Calibration], policy: PolicySpec, horizon: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4-integrate independent lanes, one calibration each, under one policy.
+def column_lane_constants(c: Calibration, n: int, p: PolicySpec) -> np.ndarray:
+    """:func:`lane_constants` for ``n`` lanes under one policy, from a calibration
+    stored by column: each field of ``c`` is a float shared by every lane or an
+    array with one entry per lane.
 
+    It evaluates :func:`_drift_constants` once, on the columns, so each entry
+    comes from the same IEEE operations, in the same order, as the scalar
+    builder's for that lane; ``A0 ** alpha_rho`` stays a Python scalar.
+    """
+    rows = (*_drift_constants(c), p.tau, p.start_time + p.lag)
+    return np.array([np.broadcast_to(row, (n,)) for row in rows], dtype=np.float64)
+
+
+def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4-integrate independent lanes, one column of ``consts`` each.
+
+    ``consts`` comes from :func:`lane_constants` or :func:`column_lane_constants`.
     Returns (final labor share, failed) arrays, one entry per lane. A lane
     fails when its reinstatement exponent passes the overflow cap at any
     stage or its state turns non-finite; the other lanes are unaffected and
@@ -296,7 +311,6 @@ def integrate_lanes(
     integrated in fixed blocks of per-step vectors; no lane x step matrix
     is built.
     """
-    consts = lane_constants((c, policy) for c in calibrations)
     n = consts.shape[1]
     s_final = np.empty(n)
     failed = np.zeros(n, dtype=bool)

@@ -7,20 +7,29 @@ reproduce the stream from the constants below; the first four outputs for
 seed 42 are recorded in the README and pinned by a test.
 
 Per-draw substreams are derived as ``mix(seed + (index + 1) * GAMMA)``, so
-draws are independent of execution order. That is what lets the Monte Carlo
-integrate every draw at once, as lanes of one numpy kernel in one process;
-its results never depend on ``jobs`` / ``--jobs``.
+draws are independent of execution order, and variate k of draw i is
+``mix(substream + (k + 1) * GAMMA)``. The Monte Carlo therefore computes
+every variate of every draw together, as uint64 arrays, and samples each
+parameter as one column over all draws; the lane kernel's constants and the
+shortfalls are built from those columns. A draw that needs a redraw (or
+would fail validation) goes through the scalar :func:`sample_calibration`
+instead, so every draw keeps the bits the scalar sampler gives it, and a
+sampling error is the one the scalar loop raises first. Every draw is
+integrated at once, as lanes of one numpy kernel in one process; the
+results never depend on ``jobs`` / ``--jobs``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import monetary
-from .dynamics import integrate_lanes
+from .dynamics import column_lane_constants, integrate_lanes
 from .params import Calibration, PolicySpec, validate, with_updates
 
 _MASK64 = (1 << 64) - 1
@@ -54,6 +63,25 @@ def substream_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GAMMA) & _MASK64)
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a uint64 array; uint64 wraparound is the ``& _MASK64``."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _variates(seed: int, n: int, k: int) -> np.ndarray:
+    """``u[j, i]``: the (j+1)-th ``next_float()`` of ``SplitMix64(substream_seed(seed, i))``,
+    for ``k`` variates of draws ``0 .. n-1``; ``0 <= seed < 2**64``."""
+    with np.errstate(over="ignore"):
+        streams = _mix64_array(
+            np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        )
+        steps = np.arange(1, k + 1, dtype=np.uint64)[:, None] * np.uint64(_GAMMA)
+        z = _mix64_array(streams + steps)
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """How one parameter is drawn: fixed, uniform(lo, hi), or log-uniform(lo, hi)."""
@@ -79,6 +107,19 @@ class SampleSpec:
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u
         return math.exp(math.log(self.lo) + (math.log(self.hi) - math.log(self.lo)) * u)
+
+    def draw_column(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`draw` for each variate of ``u``, bit for bit, for a spec that consumes one.
+
+        ``uniform`` is IEEE-exact over arrays. ``loguniform`` calls ``math.exp``
+        per element, because numpy's ``exp`` is not bit-equal to it. An
+        exponent past 709, where ``math.exp`` may raise, gives NaN, which no
+        bound accepts, so that draw goes to the scalar sampler and raises there.
+        """
+        if self.kind == "uniform":
+            return self.lo + (self.hi - self.lo) * u
+        x = math.log(self.lo) + (math.log(self.hi) - math.log(self.lo)) * u
+        return np.array([math.exp(v) if v <= 709.0 else math.nan for v in x.tolist()])
 
     @property
     def consumes_draw(self) -> bool:
@@ -133,8 +174,11 @@ def default_ranges() -> ParamRanges:
 
 
 # Per sampled parameter, the interval a draw must fall in: (lo, hi, lo_closed,
-# hi_closed). Each is the interval validate() accepts, except g_A, which
-# validate() leaves unchecked and the sampler keeps positive.
+# hi_closed). Each is the interval validate() accepts, except g_A: validate()
+# accepts g_A = 0, while the sampler's bound, set before validate() checked
+# g_A, stays open at 0, because closing it would change the draws of any
+# range that can yield exactly 0 (fixed(0.0), or uniform(0.0, hi) at u = 0).
+# A sampler bound may be stricter than validate(), never looser.
 _FIELD_BOUNDS = {
     "g_A": (0.0, math.inf, False, True),
     "kappa": (0.0, math.inf, False, True),
@@ -148,12 +192,13 @@ _FIELD_BOUNDS = {
 }
 
 
-def _within_bounds(name: str, value: float) -> bool:
-    """The sampler's rejection test: is ``value`` inside the bounds of parameter ``name``?"""
+def _within_bounds(name: str, value: float | np.ndarray) -> bool | np.ndarray:
+    """The sampler's rejection test: is ``value`` (a float, or an array elementwise)
+    inside the bounds of parameter ``name``?"""
     lo, hi, lo_closed, hi_closed = _FIELD_BOUNDS[name]
     above = lo <= value if lo_closed else lo < value
     below = value <= hi if hi_closed else value < hi
-    return above and below
+    return above & below
 
 
 _MAX_REJECTIONS = 100
@@ -183,15 +228,76 @@ def sample_calibration(rng: SplitMix64, ranges: ParamRanges, base: Calibration) 
     return sampled
 
 
+def sample_columns(
+    n: int, ranges: ParamRanges, base: Calibration, seed: int
+) -> tuple[dict[str, np.ndarray], list[int]]:
+    """Draws ``0 .. n-1`` of ``seed``, one column per sampled parameter, in ParamRanges order.
+
+    Entry i of each column is the value ``sample_calibration(SplitMix64(
+    substream_seed(seed, i)), ranges, base)`` gives that parameter. Every
+    variate is computed at once and each parameter is sampled as one column.
+    A draw goes through :func:`sample_calibration` instead when a variate
+    falls outside its bounds (the scalar sampler redraws it, which shifts the
+    variates of every later parameter) or when ``validate()`` would reject
+    it; those draws run in increasing index order, so the first
+    ``RuntimeError`` is the one the scalar loop raises. Returns the columns
+    and the indices of the draws that took the scalar path.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    specs = [(f.name, getattr(ranges, f.name)) for f in fields(ParamRanges)]
+    u = iter(_variates(seed, n, sum(spec.consumes_draw for _, spec in specs)))
+    columns: dict[str, np.ndarray] = {}
+    redraw = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):  # a NaN or inf draw fails its bounds and is redrawn
+        for name, spec in specs:
+            column = spec.draw_column(next(u)) if spec.consumes_draw else np.full(n, float(spec.lo))
+            redraw |= ~_within_bounds(name, column)
+            columns[name] = column
+    # validate() on a draw within every bound: the sampled fields pass, so what is
+    # left is the mpc_capital identity, checked per draw (it holds on all of
+    # (0.5, 1), but not below 0.5), and the unsampled fields, the same for every
+    # draw and checked once on the first draw kept.
+    mpc = columns["mpc_labor"]
+    redraw |= mpc + (1.0 - mpc) != 1.0
+    kept = np.flatnonzero(~redraw)
+    if kept.size and validate(_column_calibration(base, columns, int(kept[0]))):
+        redraw[:] = True
+    scalar = np.flatnonzero(redraw).tolist()
+    for i in scalar:
+        c = sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base)
+        for name, column in columns.items():
+            column[i] = getattr(c, name)
+    return columns, scalar
+
+
+def _column_calibration(base: Calibration, columns: dict[str, np.ndarray], i: int) -> Calibration:
+    """Draw ``i`` as a Calibration: the fields ``with_updates`` derives from the
+    sampled ones (``mpc_capital``, ``sbar_eff``) are derived as it does."""
+    values = {name: float(column[i]) for name, column in columns.items()}
+    return dataclasses.replace(
+        base, **values,
+        mpc_capital=1.0 - values["mpc_labor"], sbar_eff=values["d_bar"] * base.sbar,
+    )
+
+
 @dataclass(frozen=True)
 class McSummary:
+    """The Monte Carlo result. ``to_text`` and ``histogram_csv`` are the data files;
+    :meth:`counters` is the work behind them, for the run manifest."""
+
     n_draws: int
     median_shortfall: float
     tail_prob: float
     threshold: float
     histogram: tuple[tuple[float, float, int], ...]  # (bin_lo, bin_hi, count)
     seed: int
-    n_failures: int
+    failed_draws: tuple[int, ...]  # indices of the draws whose lane failed
+    scalar_draws: int  # draws sampled by sample_calibration rather than by column
+
+    @property
+    def n_failures(self) -> int:
+        return len(self.failed_draws)
 
     def to_text(self) -> str:
         lines = [
@@ -210,8 +316,16 @@ class McSummary:
             rows.append(f"{lo:.9g},{hi:.9g},{count}")
         return "\n".join(rows) + "\n"
 
+    def counters(self) -> dict[str, object]:
+        return {
+            "lanes": self.n_draws,
+            "rk4_steps": self.n_draws * round(_MC_HORIZON / _MC_DT),  # over all lanes
+            "scalar_draws": self.scalar_draws,
+            "failed_draws": list(self.failed_draws),
+        }
 
-MAX_DRAWS = 1_000_000  # draw-count cap: every sampled calibration is held until the lanes run
+
+MAX_DRAWS = 1_000_000  # draw-count cap: every sampled column is held until the lanes run
 _MC_HORIZON = 10.0
 _MC_DT = 0.01
 _HIST_RANGE = (-1.0, 1.0)
@@ -231,28 +345,22 @@ def monte_carlo(
     The recorded statistic per draw is the end-of-horizon demand shortfall
     ``1 - consumption_ratio(s_final)/consumption_ratio(s_L0)``. Integrator
     failures are counted, not fatal. Every draw is sampled from its own
-    substream and all draws are integrated together as lanes of one kernel
-    in this process. ``jobs`` is accepted for call compatibility and
-    ignored: identical (seed, ranges, n) give a bit-identical summary for
-    any ``jobs``.
+    substream (:func:`sample_columns`), and all draws are integrated
+    together as lanes of one kernel in this process; the lane constants and
+    the shortfalls are computed over the columns, by the scalar functions'
+    own expressions. ``seed`` must lie in [0, 2**64). ``jobs`` is accepted
+    for call compatibility and ignored: identical (seed, ranges, n) give a
+    bit-identical summary for any ``jobs``.
     """
     if n < 1:
         raise ValueError("monte_carlo needs n >= 1")
     if n > MAX_DRAWS:
         raise ValueError(f"monte_carlo needs n <= {MAX_DRAWS}, got n = {n}")
-    calibrations = [
-        sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base) for i in range(n)
-    ]
-    s_final, failed = integrate_lanes(calibrations, PolicySpec(), _MC_HORIZON, _MC_DT)
-    shortfalls = np.array(
-        [
-            monetary.demand_shortfall(float(s), c)
-            for s, c, bad in zip(s_final, calibrations, failed)
-            if not bad
-        ],
-        dtype=np.float64,
-    )
-    n_failures = int(failed.sum())
+    columns, scalar = sample_columns(n, ranges, base, seed)
+    draws = SimpleNamespace(**{**vars(base), **columns})  # a Calibration stored by column
+    consts = column_lane_constants(draws, n, PolicySpec())
+    s_final, failed = integrate_lanes(consts, _MC_HORIZON, _MC_DT)
+    shortfalls = monetary.demand_shortfall(s_final, draws)[~failed]  # failed lanes are NaN
     if shortfalls.size == 0:
         raise RuntimeError("all Monte Carlo draws failed to integrate")
     counts, edges = np.histogram(shortfalls, bins=_HIST_BINS, range=_HIST_RANGE)
@@ -266,7 +374,8 @@ def monte_carlo(
         threshold=shortfall_threshold,
         histogram=histogram,
         seed=seed,
-        n_failures=n_failures,
+        failed_draws=tuple(np.flatnonzero(failed).tolist()),
+        scalar_draws=len(scalar),
     )
 
 

@@ -341,6 +341,18 @@ def test_repro_manifest_phases(repro_run):
     assert sum(p["seconds"] for p in phases) <= manifest["wall_time_s"]
 
 
+def test_repro_manifest_monte_carlo_counters(repro_run):
+    # decided from the run's own files: every draw is a histogram count or a failed lane
+    _, _, out = repro_run
+    counters = json.loads((out / "run_manifest.json").read_text())["monte_carlo"]
+    rows = (out / "mc_histogram.csv").read_text().strip().split("\n")[1:]
+    counts = sum(int(row.rsplit(",", 1)[1]) for row in rows)
+    assert counters["lanes"] == 2000
+    assert len(counters["failed_draws"]) + counts == counters["lanes"]
+    assert counters["rk4_steps"] == 2000 * 1000
+    assert counters["scalar_draws"] == 0   # the shipped ranges never need a redraw
+
+
 # Each subcommand renders its files through the same writer as `repro`, so at
 # the shared defaults (and seed 42) they must equal the repro goldens.
 @pytest.mark.parametrize("argv,files", [

@@ -208,6 +208,51 @@ def test_montecarlo_byte_identical_reruns(tmp_path):
     assert (out1 / "mc_histogram.csv").read_bytes() == (out2 / "mc_histogram.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["montecarlo", "repro"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "abc"])
+def test_seed_outside_uint64_exit_2(tmp_path, capsys, command, seed):
+    # seeds used to be reduced modulo 2**64: -1 ran as 2**64 - 1, and 2**64 as 0
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--n", "5", f"--seed={seed}", "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a whole number in [0, 2**64), got '{seed}'" in err
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("montecarlo", "--n", "5", "--seed", str(2**64 - 1), "--out", str(out)) == 0
+    assert "seed = 18446744073709551615\n" in (out / "mc_summary.txt").read_text()
+    assert json.loads((out / "run_manifest.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_montecarlo_manifest_accounts_for_every_draw(tmp_path, monkeypatch):
+    # g_A draws this large make some lanes overflow; the manifest alone must tell
+    # which, and with the histogram account for every draw
+    import dataclasses
+
+    from macrostress import cli
+    from macrostress.stochastics import default_ranges, uniform
+
+    monkeypatch.setattr(cli, "default_ranges", lambda: dataclasses.replace(
+        default_ranges(), g_A=uniform(100.0, 160.0), mpc_labor=uniform(0.3, 0.95),
+    ))
+    out = tmp_path / "o"
+    assert run_cli("montecarlo", "--n", "40", "--seed", "3", "--out", str(out)) == 0
+    counters = json.loads((out / "run_manifest.json").read_text())["monte_carlo"]
+    assert set(counters) == {"lanes", "rk4_steps", "scalar_draws", "failed_draws"}
+    rows = (out / "mc_histogram.csv").read_text().strip().split("\n")[1:]
+    counts = sum(int(row.rsplit(",", 1)[1]) for row in rows)
+    assert 0 < len(counters["failed_draws"]) < counters["lanes"] == 40
+    assert len(counters["failed_draws"]) + counts == counters["lanes"]
+    assert counters["rk4_steps"] == 40 * 1000
+    assert 0 < counters["scalar_draws"] < 40
+    summary = (out / "mc_summary.txt").read_text()
+    assert f"n_failures = {len(counters['failed_draws'])}\n" in summary
+
+
 def test_montecarlo_worker_count_invariance(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("montecarlo", "--n", "12", "--seed", "3", "--out", str(out1)) == 0

@@ -444,7 +444,7 @@ def _scalar_or_nan(c, p, horizon, dt):
 
 def test_lanes_agree_with_scalar_on_sampled_draws():
     cals = _sampled_calibrations(64)
-    s_final, failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    s_final, failed = integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 10.0, 0.01)
     assert not failed.any()
     for c, s in zip(cals, s_final):
         assert abs(s - integrate_labor_share(c, NO_POLICY, 10.0, 0.01)[0]) <= 1e-12
@@ -454,7 +454,7 @@ def test_lanes_agree_with_scalar_under_policy():
     # the transfer switches on mid-run for lanes below their baseline share
     cals = [with_updates(C, g_A=g) for g in (0.05, 0.2, 0.4)]
     p = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
-    s_final, failed = integrate_lanes(cals, p, 10.0, 0.01)
+    s_final, failed = integrate_lanes(lane_constants((c, p) for c in cals), 10.0, 0.01)
     assert not failed.any()
     for c, s in zip(cals, s_final):
         assert abs(s - integrate_labor_share(c, p, 10.0, 0.01)[0]) <= 1e-12
@@ -464,15 +464,19 @@ def test_lanes_agree_with_scalar_under_policy():
 def slicing_lanes():
     """1030 sampled lanes over 20 steps, integrated as one block."""
     cals = _sampled_calibrations(1030, seed=5)
-    return cals, integrate_lanes(cals, NO_POLICY, 0.2, 0.01)
+    return cals, integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 0.2, 0.01)
 
 
 @pytest.mark.parametrize("width,n", [(1, 64), (7, 1030), (1001, 1030)])
 def test_lanes_do_not_depend_on_slicing(slicing_lanes, width, n):
     # block sizes that are not a multiple of the SIMD width exercise numpy's tail loops
     cals, (whole, whole_failed) = slicing_lanes
-    parts = [integrate_lanes(cals[i:min(i + width, n)], NO_POLICY, 0.2, 0.01)
-             for i in range(0, n, width)]
+    parts = [
+        integrate_lanes(
+            lane_constants((c, NO_POLICY) for c in cals[i:min(i + width, n)]), 0.2, 0.01
+        )
+        for i in range(0, n, width)
+    ]
     assert np.array_equal(np.concatenate([s for s, _ in parts]), whole[:n], equal_nan=True)
     assert np.array_equal(np.concatenate([f for _, f in parts]), whole_failed[:n])
 
@@ -484,11 +488,13 @@ def test_failing_lanes_fail_alone():
     for bad in (overflow, non_finite):
         with pytest.raises(IntegrationError):
             integrate_labor_share(bad, NO_POLICY, 10.0, 0.01)
-    clean, clean_failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    clean, clean_failed = integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 10.0, 0.01)
     mixed_cals = cals[:13] + [overflow] + cals[13:29] + [non_finite] + cals[29:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the kernel lets no RuntimeWarning escape
-        mixed, mixed_failed = integrate_lanes(mixed_cals, NO_POLICY, 10.0, 0.01)
+        mixed, mixed_failed = integrate_lanes(
+            lane_constants((c, NO_POLICY) for c in mixed_cals), 10.0, 0.01
+        )
     assert not clean_failed.any()
     assert np.flatnonzero(mixed_failed).tolist() == [13, 30]
     assert np.isnan(mixed[[13, 30]]).all()
@@ -497,14 +503,14 @@ def test_failing_lanes_fail_alone():
 
 def test_lanes_fail_exactly_where_the_scalar_raises():
     cals = [with_updates(C, g_A=g) for g in (0.4, 139.0, 141.0, 300.0)]
-    s_final, failed = integrate_lanes(cals, NO_POLICY, 10.0, 0.01)
+    s_final, failed = integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 10.0, 0.01)
     expected = [_scalar_or_nan(c, NO_POLICY, 10.0, 0.01) for c in cals]
     assert failed.tolist() == [math.isnan(e) for e in expected] == [False, False, True, True]
     assert abs(s_final[1] - expected[1]) <= 1e-12
 
 
 def test_lanes_empty_input():
-    s_final, failed = integrate_lanes([], NO_POLICY, 1.0, 0.01)
+    s_final, failed = integrate_lanes(lane_constants([]), 1.0, 0.01)
     assert s_final.shape == failed.shape == (0,)
 
 

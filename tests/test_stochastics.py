@@ -1,23 +1,37 @@
+import dataclasses
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from macrostress.dynamics import IntegrationError, classify_regime, integrate_labor_share, RegimeKind
+from macrostress import stochastics
+from macrostress.dynamics import (
+    IntegrationError,
+    RegimeKind,
+    classify_regime,
+    column_lane_constants,
+    integrate_labor_share,
+    integrate_lanes,
+    lane_constants,
+)
 from macrostress.monetary import demand_shortfall
 from macrostress.params import PolicySpec, default_calibration, validate, with_updates
 from macrostress.stochastics import (
     _FIELD_BOUNDS,
     MAX_DRAWS,
+    McSummary,
     ParamRanges,
     SplitMix64,
+    _variates,
     default_ranges,
     fixed,
     loguniform,
     monte_carlo,
     ols_hc1,
     sample_calibration,
+    sample_columns,
     substream_seed,
     uniform,
     _within_bounds,
@@ -201,6 +215,201 @@ def test_explosive_draws_dominate_halved_growth():
         assert demand_shortfall(s_full, c) >= demand_shortfall(s_half, half) - 1e-9
         checked += 1
     assert checked >= 5
+
+
+# --- the columnar front end against the scalar sampler -------------------------
+
+SEEDS = [0, 1, 42, 2**64 - 1]
+
+
+def _ranges(**specs):
+    return dataclasses.replace(default_ranges(), **specs)
+
+
+def _scalar_draws(n, ranges, base, seed):
+    return [sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base) for i in range(n)]
+
+
+def _scalar_monte_carlo(n, ranges, base, seed, threshold):
+    """The Monte Carlo with every draw sampled by sample_calibration, kept as the reference."""
+    calibrations = _scalar_draws(n, ranges, base, seed)
+    s_final, failed = integrate_lanes(
+        lane_constants((c, PolicySpec()) for c in calibrations), 10.0, 0.01
+    )
+    shortfalls = np.array([
+        demand_shortfall(float(s), c) for s, c, bad in zip(s_final, calibrations, failed) if not bad
+    ])
+    if shortfalls.size == 0:
+        raise RuntimeError("all Monte Carlo draws failed to integrate")
+    counts, edges = np.histogram(shortfalls, bins=40, range=(-1.0, 1.0))
+    return McSummary(
+        n_draws=n,
+        median_shortfall=float(np.median(shortfalls)),
+        tail_prob=float(np.mean(shortfalls > threshold)),
+        threshold=threshold,
+        histogram=tuple((float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(40)),
+        seed=seed,
+        failed_draws=tuple(np.flatnonzero(failed).tolist()),
+        scalar_draws=n,
+    )
+
+
+def _assert_columns_match(n, ranges, base, seed):
+    """sample_columns == sample_calibration on every field of every draw; returns the
+    draws that took the scalar path."""
+    columns, scalar = sample_columns(n, ranges, base, seed)
+    calibrations = _scalar_draws(n, ranges, base, seed)
+    assert list(columns) == [f.name for f in fields(ParamRanges)]
+    for name, column in columns.items():
+        assert column.tolist() == [getattr(c, name) for c in calibrations], name
+    return scalar
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_variates_equal_the_scalar_stream(seed):
+    u = _variates(seed, 300, 9)
+    for i in (0, 1, 150, 299):
+        rng = SplitMix64(substream_seed(seed, i))
+        assert u[:, i].tolist() == [rng.next_float() for _ in range(9)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_columns_constants_and_summary_equal_the_scalar_sampler(seed):
+    n = 300
+    assert _assert_columns_match(n, default_ranges(), BASE, seed) == []
+    columns, _ = sample_columns(n, default_ranges(), BASE, seed)
+    draws = SimpleNamespace(**{**vars(BASE), **columns})
+    calibrations = _scalar_draws(n, default_ranges(), BASE, seed)
+    expected = lane_constants((c, PolicySpec()) for c in calibrations)
+    assert np.array_equal(column_lane_constants(draws, n, PolicySpec()), expected)
+    summary = monte_carlo(n, default_ranges(), BASE, seed, 0.10)
+    assert summary.scalar_draws == 0
+    assert dataclasses.replace(summary, scalar_draws=n) == _scalar_monte_carlo(
+        n, default_ranges(), BASE, seed, 0.10
+    )
+
+
+def test_column_lane_constants_under_a_policy():
+    # A0 != 1, so A0 ** alpha_rho is not exactly 1
+    n, base = 50, dataclasses.replace(BASE, A0=1.7, alpha_rho=0.37, s_L0=0.61)
+    columns, _ = sample_columns(n, default_ranges(), base, 8)
+    draws = SimpleNamespace(**{**vars(base), **columns})
+    p = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
+    expected = lane_constants((c, p) for c in _scalar_draws(n, default_ranges(), base, 8))
+    assert np.array_equal(column_lane_constants(draws, n, p), expected)
+
+
+# Ranges that put some first variates out of bounds (redrawn, so those draws take the
+# scalar path), a g_A range that makes some lanes fail, and a fixed field.
+REDRAW_RANGES = [
+    _ranges(mpc_labor=uniform(0.3, 0.95)),
+    _ranges(g_A=uniform(-0.1, 0.4), d_bar=uniform(0.5, 1.3)),
+    _ranges(g_A=uniform(100.0, 160.0), chi_top=uniform(-0.5, 0.9)),
+    _ranges(kappa=fixed(2.5), rho0=uniform(-0.004, 0.006)),
+]
+
+
+@pytest.mark.parametrize("ranges", REDRAW_RANGES)
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+def test_mixed_columnar_and_scalar_draws_equal_the_scalar_sampler(ranges, seed):
+    n = 200
+    scalar = _assert_columns_match(n, ranges, BASE, seed)
+    assert 0 < len(scalar) < n
+    summary = monte_carlo(n, ranges, BASE, seed, 0.10)
+    assert summary.scalar_draws == len(scalar)
+    assert dataclasses.replace(summary, scalar_draws=n) == _scalar_monte_carlo(
+        n, ranges, BASE, seed, 0.10
+    )
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the RuntimeError it raised."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+def _raised(fn, *args):
+    with pytest.raises(RuntimeError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("ranges", [default_ranges(), *REDRAW_RANGES])
+def test_single_draw_equals_the_scalar_sampler(ranges):
+    for seed in (1, 2, 3):
+        _assert_columns_match(1, ranges, BASE, seed)
+        summary = _outcome(monte_carlo, 1, ranges, BASE, seed, 0.10)
+        if isinstance(summary, McSummary):
+            summary = dataclasses.replace(summary, scalar_draws=1)
+        assert summary == _outcome(_scalar_monte_carlo, 1, ranges, BASE, seed, 0.10)
+
+
+# Each g_A and d_bar variate is out of bounds with probability 0.97, so some draw runs
+# out of redraws, on either parameter; an invalid base fails every draw that
+# is not exhausted first.
+EXHAUSTING = _ranges(g_A=uniform(-0.97, 0.03), d_bar=uniform(-0.97, 0.03))
+INVALID_BASE = dataclasses.replace(BASE, phi_min=2.0)
+
+
+@pytest.mark.parametrize("ranges,base", [
+    (EXHAUSTING, BASE),
+    (default_ranges(), INVALID_BASE),
+    (EXHAUSTING, INVALID_BASE),
+    (_ranges(mpc_labor=fixed(0.4)), BASE),
+])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_sampling_errors_equal_the_scalar_loop(ranges, base, seed):
+    n = 60
+    expected = _raised(_scalar_draws, n, ranges, base, seed)
+    assert _raised(sample_columns, n, ranges, base, seed) == expected
+    assert _raised(monte_carlo, n, ranges, base, seed, 0.30) == expected
+
+
+def test_exhausting_ranges_name_the_first_failing_draws_parameter():
+    # both parameters must be named at some seed, or the test above cannot tell draw order
+    messages = {_raised(monte_carlo, 60, EXHAUSTING, BASE, seed, 0.30)[1] for seed in range(12)}
+    assert {m.rsplit(" ", 1)[1] for m in messages} == {"g_A", "d_bar"}
+
+
+def test_default_ranges_sample_no_draw_one_at_a_time(monkeypatch):
+    # a return to per-draw Python fails here rather than in benchmark noise
+    calls = {"sample_calibration": 0, "with_updates": 0}
+
+    def counted(name):
+        fn = getattr(stochastics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stochastics, name, counted(name))
+    summary = monte_carlo(2000, default_ranges(), BASE, 42, 0.30)
+    assert calls == {"sample_calibration": 0, "with_updates": 0}
+    assert summary.scalar_draws == 0
+    # the counters do see the scalar path when draws take it
+    summary = monte_carlo(100, REDRAW_RANGES[0], BASE, 42, 0.30)
+    assert calls["sample_calibration"] == calls["with_updates"] == summary.scalar_draws > 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
+def test_monte_carlo_rejects_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        monte_carlo(5, default_ranges(), BASE, seed, 0.30)
+
+
+def test_summary_counters():
+    ranges = REDRAW_RANGES[2]
+    summary = monte_carlo(40, ranges, BASE, 3, 0.30)
+    counters = summary.counters()
+    assert counters["lanes"] == 40
+    assert counters["rk4_steps"] == 40 * 1000
+    assert counters["scalar_draws"] == summary.scalar_draws > 0
+    assert len(counters["failed_draws"]) == summary.n_failures > 0
+    assert counters["failed_draws"] == sorted(set(counters["failed_draws"]))
 
 
 # --- OLS / HC1 ---------------------------------------------------------------
