@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 
 class ConfigError(ValueError):
@@ -44,12 +45,16 @@ class Calibration:
     the calibration leaves numerically open (``t0_diffusion``, ``A0``, the
     intermediation block, ``sigma_r``) carry engine defaults documented in
     the README; all are plain config keys.
+
+    Each field's accepted interval is given by its rows of :data:`BOUNDS`.
+    The config format stores ``mpc_capital`` and ``sbar_eff``; :func:`derive`
+    sets them.
     """
 
     # Labor market
     s_L0: float = 0.56          # initial labor share of income
     mpc_labor: float = 0.85     # marginal propensity to consume, labor income
-    mpc_capital: float = 0.15000000000000002  # fixed to 1 - mpc_labor
+    mpc_capital: float = 0.15000000000000002  # derived: 1 - mpc_labor
     # Consumption concentration
     chi_top: float = 0.59       # top-quintile consumption share
     # AI capability / adoption
@@ -78,7 +83,7 @@ class Calibration:
     sigma_r: float = 0.20        # borrower income volatility
     # Task automation ceiling
     sbar: float = 0.60           # long-run automatable task share
-    sbar_eff: float = 0.48       # effective ceiling, fixed to d_bar * sbar
+    sbar_eff: float = 0.48       # effective ceiling, derived: d_bar * sbar
     # CES elasticity; stored for config completeness, not consumed by the
     # reduced-form dynamics.
     sigma_ces: float = 1.0
@@ -110,70 +115,107 @@ def default_scenarios() -> list[Scenario]:
     ]
 
 
-def with_updates(c: Calibration, **overrides: float) -> Calibration:
-    """Replace fields on a calibration, recomputing derived fields.
-
-    ``mpc_capital`` and ``sbar_eff`` are tied to ``mpc_labor`` and
-    ``d_bar * sbar`` unless the caller pins them explicitly. The derived
-    values join the overrides, so the calibration is built once.
-    """
+def derive(c: Calibration, overrides: dict) -> dict:
+    """``overrides`` plus ``mpc_capital = 1 - mpc_labor`` and ``sbar_eff = d_bar * sbar``,
+    each where ``overrides`` moves it and does not pin it; values may be arrays."""
+    out = dict(overrides)
     if "mpc_labor" in overrides and "mpc_capital" not in overrides:
-        overrides["mpc_capital"] = 1.0 - overrides["mpc_labor"]
+        out["mpc_capital"] = 1.0 - overrides["mpc_labor"]
     if ("d_bar" in overrides or "sbar" in overrides) and "sbar_eff" not in overrides:
-        overrides["sbar_eff"] = overrides.get("d_bar", c.d_bar) * overrides.get("sbar", c.sbar)
-    return dataclasses.replace(c, **overrides)
+        out["sbar_eff"] = overrides.get("d_bar", c.d_bar) * overrides.get("sbar", c.sbar)
+    return out
+
+
+def with_updates(c: Calibration, **overrides: float) -> Calibration:
+    """Replace fields on a calibration, recomputing the derived fields (:func:`derive`)."""
+    return dataclasses.replace(c, **derive(c, overrides))
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One row of :data:`BOUNDS`: field ``field``, or ``of(c)`` for a check across fields,
+    must lie in ``lo`` to ``hi``. A field's own rows leave an infinite end open, so they
+    reject NaN and +-inf."""
+
+    field: str
+    lo: float
+    hi: float
+    lo_closed: bool
+    hi_closed: bool
+    message: str
+    of: Callable[[Any], Any] | None = None
+
+    def admits(self, x: Any) -> Any:
+        """Whether ``x`` is in the interval: a bool for a float, elementwise for an array."""
+        above = self.lo <= x if self.lo_closed else self.lo < x
+        below = x <= self.hi if self.hi_closed else x < self.hi
+        return above & below
+
+    def holds(self, c: Any) -> Any:
+        """:meth:`admits` on a Calibration, or on a namespace of columns."""
+        return self.admits(getattr(c, self.field) if self.of is None else self.of(c))
+
+
+def _row(field: str, interval: str, message: str, of: Callable[[Any], Any] | None = None) -> Bound:
+    """A :class:`Bound` from interval notation, e.g. ``"(0, 1]"`` or ``"[0, inf)"``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return Bound(field, lo, hi, interval[0] == "[", interval[-1] == "]", message, of)
+
+
+# Every bound on a calibration, in the order validate() reports them. A
+# field's rows without ``of`` are the sampler's rejection test for it.
+BOUNDS: tuple[Bound, ...] = (
+    _row("s_L0", "(0, 1)", "s_L0 must be in (0, 1)"),
+    _row("mpc_labor", "(0.5, inf)", "mpc_labor must exceed 0.5"),
+    _row("mpc_labor", "(-inf, 1)", "mpc_labor must be below 1"),
+    _row("mpc_capital", "[1, 1]", "mpc_labor + mpc_capital must equal 1 exactly",
+         lambda c: c.mpc_labor + c.mpc_capital),
+    _row("chi_top", "[0, 1]", "chi_top must be in [0, 1]"),
+    _row("d_bar", "(0, 1]", "d_bar must be in (0, 1]"),
+    _row("g_A", "[0, inf)", "g_A must be >= 0"),
+    _row("g_c", "[0, inf)", "g_c must be >= 0"),
+    _row("kappa", "(0, inf)", "kappa must be positive"),
+    _row("t0_diffusion", "(-inf, inf)", "t0_diffusion must be finite"),
+    _row("rho0", "[0, inf)", "rho0 must be >= 0"),
+    _row("eta", "[0, inf)", "eta must be >= 0"),
+    _row("alpha_rho", "(0, 1)", "alpha_rho must be in (0, 1)"),
+    _row("beta_feedback", "(0, inf)", "beta_feedback must be positive"),
+    _row("f_slope", "(0, inf)", "f_slope must be positive"),
+    _row("A0", "(0, inf)", "A0 must be positive"),
+    _row("V_obs", "(0, inf)", "V_obs must be positive"),
+    _row("phi0", "(-inf, inf)", "phi0 must be finite"),
+    # phi_min <= phi0: the difference of two finite floats is <= 0 exactly when
+    # it holds, and is -inf only where it overflows, so that end is closed
+    _row("phi_min", "[-inf, 0]", "phi_min must not exceed phi0", lambda c: c.phi_min - c.phi0),
+    _row("phi_min", "[0, inf)", "phi_min must be >= 0"),
+    _row("m0", "[0, inf)", "m0 must be >= 0"),
+    _row("gamma_m", "[0, inf)", "gamma_m must be >= 0"),
+    _row("gamma_phi", "[0, inf)", "gamma_phi must be >= 0"),
+    _row("sigma_r", "(0, inf)", "sigma_r must be positive"),
+    _row("sbar", "[0, 1]", "sbar must be in [0, 1]"),
+    _row("sbar_eff", "[-1e-12, 1e-12]", "sbar_eff must equal d_bar * sbar within 1e-12",
+         lambda c: c.sbar_eff - c.d_bar * c.sbar),
+    _row("sigma_ces", "(0, inf)", "sigma_ces must be positive"),
+)
 
 
 def validate(c: Calibration) -> list[str]:
-    """Return a list of invariant violations; empty means the calibration is usable."""
-    v: list[str] = []
-    if not 0.0 < c.s_L0 < 1.0:
-        v.append("s_L0 must be in (0, 1)")
-    if c.mpc_labor <= 0.5:
-        v.append("mpc_labor must exceed 0.5")
-    if c.mpc_labor >= 1.0:
-        v.append("mpc_labor must be below 1")
-    if c.mpc_labor + c.mpc_capital != 1.0:
-        v.append("mpc_labor + mpc_capital must equal 1 exactly")
-    if not 0.0 <= c.chi_top <= 1.0:
-        v.append("chi_top must be in [0, 1]")
-    if not 0.0 < c.d_bar <= 1.0:
-        v.append("d_bar must be in (0, 1]")
-    if c.g_A < 0.0:
-        v.append("g_A must be >= 0")
-    if c.kappa <= 0.0:
-        v.append("kappa must be positive")
-    if c.rho0 < 0.0:
-        v.append("rho0 must be >= 0")
-    if c.eta < 0.0:
-        v.append("eta must be >= 0")
-    if not 0.0 < c.alpha_rho < 1.0:
-        v.append("alpha_rho must be in (0, 1)")
-    if c.beta_feedback <= 0.0:
-        v.append("beta_feedback must be positive")
-    if c.f_slope <= 0.0:
-        v.append("f_slope must be positive")
-    if c.A0 <= 0.0:
-        v.append("A0 must be positive")
-    if c.V_obs <= 0.0:
-        v.append("V_obs must be positive")
-    if c.phi_min > c.phi0:
-        v.append("phi_min must not exceed phi0")
-    if c.phi_min < 0.0:
-        v.append("phi_min must be >= 0")
-    if c.m0 < 0.0:
-        v.append("m0 must be >= 0")
-    if c.gamma_m < 0.0:
-        v.append("gamma_m must be >= 0")
-    if c.gamma_phi < 0.0:
-        v.append("gamma_phi must be >= 0")
-    if c.sigma_r <= 0.0:
-        v.append("sigma_r must be positive")
-    if not 0.0 <= c.sbar <= 1.0:
-        v.append("sbar must be in [0, 1]")
-    if abs(c.sbar_eff - c.d_bar * c.sbar) > 1e-12:
-        v.append("sbar_eff must equal d_bar * sbar within 1e-12")
-    return v
+    """The messages of the :data:`BOUNDS` rows ``c`` fails; empty means the calibration is usable."""
+    return [row.message for row in BOUNDS if not row.holds(c)]
+
+
+def valid(c: Any) -> Any:
+    """Whether ``c`` passes every row: a bool for a Calibration, and a mask over the
+    draws for a calibration stored by column (``validate(c) == []`` per draw)."""
+    ok = True
+    for row in BOUNDS:
+        ok = ok & row.holds(c)
+    return ok
+
+
+def field_admits(name: str, x: float) -> bool:
+    """The sampler's rejection test: whether every row bounding field ``name`` alone admits ``x``."""
+    return all(row.admits(x) for row in BOUNDS if row.field == name and row.of is None)
 
 
 MAX_STEPS = 1_000_000  # step-count cap: an integration never runs longer than this

@@ -21,7 +21,6 @@ results never depend on ``jobs`` / ``--jobs``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import monetary
 from .dynamics import column_lane_constants, integrate_lanes
-from .params import Calibration, PolicySpec, validate, with_updates
+from .params import Calibration, PolicySpec, derive, field_admits, valid, validate, with_updates
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
@@ -173,34 +172,6 @@ def default_ranges() -> ParamRanges:
     )
 
 
-# Per sampled parameter, the interval a draw must fall in: (lo, hi, lo_closed,
-# hi_closed). Each is the interval validate() accepts, except g_A: validate()
-# accepts g_A = 0, while the sampler's bound, set before validate() checked
-# g_A, stays open at 0, because closing it would change the draws of any
-# range that can yield exactly 0 (fixed(0.0), or uniform(0.0, hi) at u = 0).
-# A sampler bound may be stricter than validate(), never looser.
-_FIELD_BOUNDS = {
-    "g_A": (0.0, math.inf, False, True),
-    "kappa": (0.0, math.inf, False, True),
-    "rho0": (0.0, math.inf, True, True),
-    "eta": (0.0, math.inf, True, True),
-    "beta_feedback": (0.0, math.inf, False, True),
-    "chi_top": (0.0, 1.0, True, True),
-    "mpc_labor": (0.5, 1.0, False, False),
-    "d_bar": (0.0, 1.0, False, True),
-    "f_slope": (0.0, math.inf, False, True),
-}
-
-
-def _within_bounds(name: str, value: float | np.ndarray) -> bool | np.ndarray:
-    """The sampler's rejection test: is ``value`` (a float, or an array elementwise)
-    inside the bounds of parameter ``name``?"""
-    lo, hi, lo_closed, hi_closed = _FIELD_BOUNDS[name]
-    above = lo <= value if lo_closed else lo < value
-    below = value <= hi if hi_closed else value < hi
-    return above & below
-
-
 _MAX_REJECTIONS = 100
 
 
@@ -213,7 +184,7 @@ def sample_calibration(rng: SplitMix64, ranges: ParamRanges, base: Calibration) 
         spec: SampleSpec = getattr(ranges, f.name)
         value = spec.draw(rng)
         attempts = 0
-        while not _within_bounds(f.name, value):
+        while not field_admits(f.name, value):
             attempts += 1
             if attempts > _MAX_REJECTIONS:
                 raise RuntimeError(
@@ -236,10 +207,11 @@ def sample_columns(
     Entry i of each column is the value ``sample_calibration(SplitMix64(
     substream_seed(seed, i)), ranges, base)`` gives that parameter. Every
     variate is computed at once and each parameter is sampled as one column.
-    A draw goes through :func:`sample_calibration` instead when a variate
-    falls outside its bounds (the scalar sampler redraws it, which shifts the
-    variates of every later parameter) or when ``validate()`` would reject
-    it; those draws run in increasing index order, so the first
+    A draw goes through :func:`sample_calibration` instead when it fails a
+    row of ``params.BOUNDS``, checked over the columns by ``params.valid``:
+    a variate outside its field's rows is redrawn there (which shifts the
+    variates of every later parameter), and a draw ``validate()`` rejects
+    raises there. Those draws run in increasing index order, so the first
     ``RuntimeError`` is the one the scalar loop raises. Returns the columns
     and the indices of the draws that took the scalar path.
     """
@@ -248,21 +220,10 @@ def sample_columns(
     specs = [(f.name, getattr(ranges, f.name)) for f in fields(ParamRanges)]
     u = iter(_variates(seed, n, sum(spec.consumes_draw for _, spec in specs)))
     columns: dict[str, np.ndarray] = {}
-    redraw = np.zeros(n, dtype=bool)
-    with np.errstate(all="ignore"):  # a NaN or inf draw fails its bounds and is redrawn
+    with np.errstate(all="ignore"):  # a NaN or inf draw fails its bounds
         for name, spec in specs:
-            column = spec.draw_column(next(u)) if spec.consumes_draw else np.full(n, float(spec.lo))
-            redraw |= ~_within_bounds(name, column)
-            columns[name] = column
-    # validate() on a draw within every bound: the sampled fields pass, so what is
-    # left is the mpc_capital identity, checked per draw (it holds on all of
-    # (0.5, 1), but not below 0.5), and the unsampled fields, the same for every
-    # draw and checked once on the first draw kept.
-    mpc = columns["mpc_labor"]
-    redraw |= mpc + (1.0 - mpc) != 1.0
-    kept = np.flatnonzero(~redraw)
-    if kept.size and validate(_column_calibration(base, columns, int(kept[0]))):
-        redraw[:] = True
+            columns[name] = spec.draw_column(next(u)) if spec.consumes_draw else np.full(n, float(spec.lo))
+        redraw = ~valid(_by_column(base, columns))
     scalar = np.flatnonzero(redraw).tolist()
     for i in scalar:
         c = sample_calibration(SplitMix64(substream_seed(seed, i)), ranges, base)
@@ -271,14 +232,10 @@ def sample_columns(
     return columns, scalar
 
 
-def _column_calibration(base: Calibration, columns: dict[str, np.ndarray], i: int) -> Calibration:
-    """Draw ``i`` as a Calibration: the fields ``with_updates`` derives from the
-    sampled ones (``mpc_capital``, ``sbar_eff``) are derived as it does."""
-    values = {name: float(column[i]) for name, column in columns.items()}
-    return dataclasses.replace(
-        base, **values,
-        mpc_capital=1.0 - values["mpc_labor"], sbar_eff=values["d_bar"] * base.sbar,
-    )
+def _by_column(base: Calibration, columns: dict[str, np.ndarray]) -> SimpleNamespace:
+    """``with_updates(base, **columns)`` stored by column: a field per attribute,
+    an array for the sampled and derived fields."""
+    return SimpleNamespace(**{**vars(base), **derive(base, columns)})
 
 
 @dataclass(frozen=True)
@@ -357,7 +314,7 @@ def monte_carlo(
     if n > MAX_DRAWS:
         raise ValueError(f"monte_carlo needs n <= {MAX_DRAWS}, got n = {n}")
     columns, scalar = sample_columns(n, ranges, base, seed)
-    draws = SimpleNamespace(**{**vars(base), **columns})  # a Calibration stored by column
+    draws = _by_column(base, columns)
     consts = column_lane_constants(draws, n, PolicySpec())
     s_final, failed = integrate_lanes(consts, _MC_HORIZON, _MC_DT)
     shortfalls = monetary.demand_shortfall(s_final, draws)[~failed]  # failed lanes are NaN

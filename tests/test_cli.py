@@ -366,6 +366,19 @@ def test_negative_g_A_config_exit_2(tmp_path, capsys):
     assert "g_A must be >= 0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("g_c = -1", "g_c must be >= 0"),
+    ("sigma_ces = 0", "sigma_ces must be positive"),
+])
+def test_unchecked_field_config_exit_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_positive_V_obs_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("V_obs = -1\n")

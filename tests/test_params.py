@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from macrostress.dynamics import simulate_path
 from macrostress.params import (
+    BOUNDS,
     MAX_STEPS,
     Calibration,
     ConfigError,
@@ -87,6 +91,86 @@ def test_load_config_rejects_negative_g_A(tmp_path):
 def test_validate_flags_low_mpc():
     c = with_updates(default_calibration(), mpc_labor=0.4)
     assert any("mpc_labor must exceed 0.5" in m for m in validate(c))
+
+
+def test_validate_keeps_its_messages_and_their_order():
+    every_fault = dataclasses.replace(
+        default_calibration(), s_L0=1.0, mpc_labor=1.0, mpc_capital=0.5, chi_top=-0.1,
+        d_bar=0.0, g_A=-1.0, kappa=0.0, rho0=-1e-9, eta=-1.0, alpha_rho=1.0,
+        beta_feedback=0.0, f_slope=-2.0, A0=0.0, V_obs=0.0, phi0=0.5, phi_min=-1.0,
+        m0=-1.0, gamma_m=-1.0, gamma_phi=-1.0, sigma_r=0.0, sbar=1.5, sbar_eff=0.48,
+    )
+    assert validate(every_fault) == [
+        "s_L0 must be in (0, 1)",
+        "mpc_labor must be below 1",
+        "mpc_labor + mpc_capital must equal 1 exactly",
+        "chi_top must be in [0, 1]",
+        "d_bar must be in (0, 1]",
+        "g_A must be >= 0",
+        "kappa must be positive",
+        "rho0 must be >= 0",
+        "eta must be >= 0",
+        "alpha_rho must be in (0, 1)",
+        "beta_feedback must be positive",
+        "f_slope must be positive",
+        "A0 must be positive",
+        "V_obs must be positive",
+        "phi_min must be >= 0",
+        "m0 must be >= 0",
+        "gamma_m must be >= 0",
+        "gamma_phi must be >= 0",
+        "sigma_r must be positive",
+        "sbar must be in [0, 1]",
+        "sbar_eff must equal d_bar * sbar within 1e-12",
+    ]
+    c = dataclasses.replace(default_calibration(), mpc_labor=0.5, phi_min=2.0)
+    assert validate(c) == [
+        "mpc_labor must exceed 0.5",
+        "mpc_labor + mpc_capital must equal 1 exactly",
+        "phi_min must not exceed phi0",
+    ]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Calibration)])
+def test_validate_rejects_non_finite_values(name, value):
+    messages = validate(with_updates(default_calibration(), **{name: value}))
+    assert any(re.search(rf"\b{name}\b", m) for m in messages), messages
+
+
+def test_simulate_path_rejects_nan_V_obs():
+    c = with_updates(default_calibration(), V_obs=math.nan)
+    with pytest.raises(ValueError, match="V_obs must be positive"):
+        simulate_path(default_scenarios()[0], c)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("g_c", -1.0, "g_c must be >= 0"),
+    ("sigma_ces", 0.0, "sigma_ces must be positive"),
+    ("t0_diffusion", -math.inf, "t0_diffusion must be finite"),
+    ("phi0", math.inf, "phi0 must be finite"),
+])
+def test_validate_checks_every_field(name, value, message):
+    assert validate(with_updates(default_calibration(), **{name: value})) == [message]
+
+
+def test_every_calibration_field_has_a_row():
+    assert {row.field for row in BOUNDS} == {f.name for f in dataclasses.fields(Calibration)}
+
+
+def _interval(rows):
+    """The intersection of single-field rows, in interval notation."""
+    lo = max(rows, key=lambda r: (r.lo, not r.lo_closed))
+    hi = min(rows, key=lambda r: (r.hi, r.hi_closed))
+    return f"{'[' if lo.lo_closed else '('}{lo.lo:g}, {hi.hi:g}{']' if hi.hi_closed else ')'}"
+
+
+def test_readme_states_every_fields_interval():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for f in dataclasses.fields(Calibration):
+        rows = [row for row in BOUNDS if row.field == f.name and row.of is None]
+        cell = _interval(rows) if rows else ""
+        assert f"| `{f.name}` | {cell}" in readme, f.name
 
 
 def test_with_updates_recomputes_derived_fields():

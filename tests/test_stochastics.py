@@ -17,9 +17,8 @@ from macrostress.dynamics import (
     lane_constants,
 )
 from macrostress.monetary import demand_shortfall
-from macrostress.params import PolicySpec, default_calibration, validate, with_updates
+from macrostress.params import BOUNDS, PolicySpec, default_calibration, valid, validate, with_updates
 from macrostress.stochastics import (
-    _FIELD_BOUNDS,
     MAX_DRAWS,
     McSummary,
     ParamRanges,
@@ -34,7 +33,6 @@ from macrostress.stochastics import (
     sample_columns,
     substream_seed,
     uniform,
-    _within_bounds,
 )
 
 BASE = default_calibration()
@@ -111,21 +109,54 @@ def test_loguniform_respects_bounds_and_median():
     assert med == pytest.approx(geo_mid, rel=0.1)
 
 
-def _probe_values(lo, hi):
-    """Each bound, its float neighbours, and values well inside and outside."""
-    values = {-1.0, -5e-324, 0.0, 5e-324, 0.5, 1.0, 2.0, math.inf, -math.inf}
-    for b in (lo, hi):
-        if math.isfinite(b):
-            values |= {b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)}
-    return sorted(values)
+def _probe_values(name):
+    """Each bound of field ``name``'s rows, its float neighbours, 0, +-inf and NaN,
+    and values well inside and outside."""
+    values = [-1.0, -5e-324, 0.0, 5e-324, 0.4, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan]
+    for row in BOUNDS:
+        if row.field == name:
+            for b in (row.lo, row.hi):
+                if math.isfinite(b):
+                    values += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    return values
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(ParamRanges)])
+def _mask_agrees_with_validate(draws):
+    """The columnar mask over ``draws`` (one dict of overrides per draw, all with the
+    same keys) equals ``validate(...) == []`` on each draw as a Calibration."""
+    columns = {name: np.array([d[name] for d in draws]) for name in draws[0]}
+    with np.errstate(all="ignore"):
+        mask = valid(stochastics._by_column(BASE, columns))
+    expected = [validate(with_updates(BASE, **d)) == [] for d in draws]
+    assert mask.tolist() == expected, draws
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(row.field for row in BOUNDS)))
 def test_sampler_bounds_reject_what_validate_rejects(name):
-    lo, hi, _, _ = _FIELD_BOUNDS[name]
-    for value in _probe_values(lo, hi):
-        if validate(with_updates(BASE, **{name: value})):
-            assert not _within_bounds(name, value), f"{name} = {value!r}"
+    _mask_agrees_with_validate([{name: value} for value in _probe_values(name)])
+
+
+@pytest.mark.parametrize("draws", [
+    [{"mpc_labor": v} for v in (0.3, 0.4, 0.45, 0.5, 0.75, 0.92, 0.99)],
+    [{"mpc_labor": 0.85, "mpc_capital": c} for c in (0.15, BASE.mpc_capital, 0.25, math.nan)],
+    [{"phi_min": lo, "phi0": hi} for lo, hi in [
+        (1.0, 1.0), (math.nextafter(1.0, 2.0), 1.0), (0.0, 0.0), (0.5, math.nan),
+        (-1e308, 1e308), (1e308, -1e308), (0.1, -0.0), (5e-324, 0.0),
+    ]],
+    [{"d_bar": d, "sbar": s} for d, s in [(0.7, 0.9), (1.0, 1.0), (1e-300, 1e-300), (0.9, math.inf)]],
+    [{"sbar_eff": BASE.d_bar * BASE.sbar + e} for e in (0.0, 1e-12, -1e-12, 1.1e-12, -1.1e-12, 1.0)],
+], ids=["mpc_labor", "mpc_capital", "phi_min-phi0", "d_bar-sbar", "sbar_eff"])
+def test_columnar_mask_agrees_with_validate_across_fields(draws):
+    _mask_agrees_with_validate(draws)
+
+
+def test_fixed_zero_g_A_samples_zero_on_both_paths():
+    ranges = dataclasses.replace(default_ranges(), g_A=fixed(0.0))
+    assert sample_calibration(SplitMix64(1), ranges, BASE).g_A == 0.0
+    columns, scalar = sample_columns(20, ranges, BASE, 42)
+    assert columns["g_A"].tolist() == [0.0] * 20 and scalar == []
+    summary = monte_carlo(20, ranges, BASE, 42, 0.30)
+    assert summary.scalar_draws == 0 and summary.n_draws == 20
 
 
 def test_sample_spec_validation():
