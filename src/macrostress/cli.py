@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
 4 I/O failure. Every run writes its data files plus a ``run_manifest.json``
 recording the command line, config hash, seed, output list, engine version,
-wall time and environment, and for a Monte Carlo its work counters; a run
-that fails before writing leaves no files.
+wall time and environment, and for a sweep or a Monte Carlo its work
+counters; a run that fails before writing leaves no files.
 Given the same config and seed, the data outputs are byte-identical across runs.
 """
 
@@ -69,6 +69,7 @@ class _Run:
         self.outputs: list[Path] = []
         self.phases: list[dict[str, object]] = []
         self.trajectories: list[Trajectory] = []
+        self.sweep: PolicyGrid | None = None
         self.monte_carlo: McSummary | None = None
 
     def path(self, name: str) -> Path:
@@ -108,6 +109,8 @@ class _Run:
             manifest["collapse_time"] = {t.scenario: t.collapse_time for t in self.trajectories}
         if self.phases:
             manifest["phases"] = self.phases
+        if self.sweep is not None:
+            manifest["sweep"] = self.sweep.counters()
         if self.monte_carlo is not None:
             manifest["monte_carlo"] = self.monte_carlo.counters()
         # from sys and os.uname: importing and querying `platform` takes tens of ms
@@ -191,6 +194,7 @@ def _write_scenarios_chart(run: _Run, trajectories: list[Trajectory]) -> None:
 
 def _write_sweep(run: _Run, grid: PolicyGrid, cells: list[SweepCell], label: str | None) -> None:
     """``sweep.csv``, and ``sweep.svg`` titled with ``label`` unless it is None."""
+    run.sweep = grid
     run.write("sweep.csv", _table("lag,tau,depth,s_L_final,consumption_decline_pct", [
         f"{c.lag:.9g},{c.tau:.9g},{c.depth:.9g},{c.s_L_final:.9g},{c.consumption_decline_pct:.9g}"
         for c in cells

@@ -338,10 +338,20 @@ def rk4_lanes(
     ``failed`` in place and keep being integrated: a lane whose
     reinstatement exponent passes the cap at the last stage time is marked
     before the first step, a lane whose state turns non-finite at that
-    step. The time-only terms are computed for a chunk of steps at once,
-    at most ``_STAGE_BLOCK`` entries, into buffers reused across chunks, so
-    no lane x step matrix is built. Callers run the kernel under
-    ``np.errstate(all="ignore")``, because a failing lane overflows.
+    step. Callers run the kernel under ``np.errstate(all="ignore")``,
+    because a failing lane overflows.
+
+    The time-only terms (``-d * disp_scale``, rho and the transfer) are
+    computed for a chunk of steps at once, at most ``_STAGE_BLOCK`` entries,
+    into buffers reused across chunks, so no lane x step matrix is built.
+    They are computed once per distinct stage time: where a step's end time
+    ``i*dt + dt`` equals the next step's start time ``(i+1)*dt`` bit for bit
+    (765 of the 1000 steps at ``dt = 0.01``), the next step reuses that row,
+    also across a chunk boundary. The same times go through the same
+    operations, so reuse changes no bit. The per-lane drift terms, stage
+    inputs and states are fresh arrays: writing them in place with ``out=``
+    costs more per call than it saves at 21-78 lanes. A yielded state is
+    never written afterwards.
 
     Every lane that does not fail yields the values of
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
@@ -350,7 +360,8 @@ def rk4_lanes(
     - the logistic tails (``d = 0`` for ``e > 40``, ``d = d_bar`` for
       ``e < -40``), when some lane has ``|e| > 40`` at the first or the last
       stage time; ``e`` is monotone in t, so no stage time between goes further;
-    - the transfer, at stage times where some lane's transfer is non-zero;
+    - the transfer, at stage times at or after the earliest activation
+      among lanes with a non-zero ``tau``: where some lane's transfer is non-zero;
     - the absorbing edges, when some stage state is ``<= 0`` or ``>= 1``.
 
     The margin pressure is ``k_pi * max(gap, 0)`` and the transfer enters
@@ -366,7 +377,8 @@ def rk4_lanes(
     sixth = dt / 6.0
     n_steps = round(horizon / dt)
     neg_disp = -disp_scale
-    with_transfer = bool(tau.any())
+    # a stage row's transfer is non-zero in some lane exactly from this time on
+    first_transfer = float(activation[tau != 0.0].min(initial=math.inf))
     with_tails = False
     if n_steps:
         t_last = (n_steps - 1) * dt + dt  # the largest stage time
@@ -378,12 +390,13 @@ def rk4_lanes(
     # Fresh stage-time x lane temporaries cost more than the arithmetic on them.
     push_buf = np.empty((3 * min(chunk, n_steps), s0.size))
     rho_buf = np.empty_like(push_buf)
+    # numpy converts a Python float operand on every call, a 0-d array it takes as is
+    zero, one, two, half_dt, full_dt, sixth_dt = map(np.array, (0.0, 1.0, 2.0, half, dt, sixth))
 
-    def drive(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-        """The state-free terms at the stage times in column ``ts``, one row per stage
-        time: (-d * disp_scale, rho, the transfer once active, or None where it is
-        zero in every lane)."""
-        push, rho = push_buf[: len(ts)], rho_buf[: len(ts)]
+    def drive(ts: np.ndarray, lo: int) -> None:
+        """The state-free terms at the stage times in column ``ts``, written to rows
+        ``lo``.. of the buffers: -d * disp_scale, and rho."""
+        push, rho = push_buf[lo : lo + len(ts)], rho_buf[lo : lo + len(ts)]
         np.subtract(ts, t0, out=push)
         np.multiply(neg_kappa, push, out=push)  # e
         if with_tails:
@@ -398,16 +411,12 @@ def rk4_lanes(
         np.exp(rho, out=rho)
         np.multiply(rho_scale, rho, out=rho)
         np.add(rho0, rho, out=rho)
-        if not with_transfer:
-            return push, rho, [None] * len(ts)
-        transfer = np.where(ts >= activation, tau, 0.0)
-        return push, rho, [row if row.any() else None for row in transfer]
 
     def deriv(s: np.ndarray, push: np.ndarray, rho: np.ndarray, transfer: np.ndarray | None) -> np.ndarray:
         gap = s0 - s
-        raw = push - beta * (k_pi * np.maximum(gap, 0.0)) + rho
+        raw = push - beta * (k_pi * np.maximum(gap, zero)) + rho
         if transfer is not None:
-            raw = raw + transfer * (gap > 0.0)
+            raw = raw + transfer * (gap > zero)
         # fmin / fmax skip NaN, so a failed lane hides no lane at an edge; `initial` covers no lanes
         if np.fmin.reduce(s, initial=1.0) <= 0.0:
             raw = np.where((s <= 0.0) & (raw < 0.0), 0.0, raw)
@@ -417,21 +426,45 @@ def rk4_lanes(
 
     s = s0.copy()
     yield 0.0, s
+    # the previous chunk's last end stage: its time, buffer row and transfer
+    carry: tuple[float, int, np.ndarray | None] | None = None
     for lo in range(0, n_steps, chunk):
         steps = range(lo, min(lo + chunk, n_steps))
-        # Stage times i*dt, i*dt + half, i*dt + dt, as the scalar integrator forms them.
-        ts = np.array([(i * dt, i * dt + half, i * dt + dt) for i in steps]).reshape(-1, 1)
-        push, rho, transfer = drive(ts)
-        for j, i in enumerate(steps):
-            start, mid, end = 3 * j, 3 * j + 1, 3 * j + 2
-            k1 = deriv(s, push[start], rho[start], transfer[start])
-            k2 = deriv(s + half * k1, push[mid], rho[mid], transfer[mid])
-            k3 = deriv(s + half * k2, push[mid], rho[mid], transfer[mid])
-            k4 = deriv(s + dt * k3, push[end], rho[end], transfer[end])
-            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Stage times i*dt, i*dt + half, i*dt + dt, as the scalar integrator forms them,
+        # one buffer row each; a start time equal to the previous end time shares its row.
+        times: list[float] = []
+        transfer: list[np.ndarray | None] = []
+        if carry is not None and carry[0] == lo * dt:
+            t_end, end_row, on_end = carry
+            push_buf[0], rho_buf[0] = push_buf[end_row], rho_buf[end_row]
+            times.append(t_end)
+            transfer.append(on_end)
+        first_new = len(times)
+        rows: list[tuple[int, int, int]] = []
+        for i in steps:
+            t = i * dt
+            if not times or times[-1] != t:
+                times.append(t)
+            times += (t + half, t + dt)
+            rows.append((len(times) - 3, len(times) - 2, len(times) - 1))
+        ts = np.array(times[first_new:]).reshape(-1, 1)
+        drive(ts, first_new)
+        if max(times) >= first_transfer:
+            on = np.where(ts >= activation, tau, 0.0)
+            transfer += [r if t >= first_transfer else None for t, r in zip(times[first_new:], on)]
+        else:
+            transfer += [None] * len(ts)
+        stages = list(zip(push_buf, rho_buf, transfer))
+        for (start, mid, end), i in zip(rows, steps):
+            k1 = deriv(s, *stages[start])
+            k2 = deriv(s + half_dt * k1, *stages[mid])
+            k3 = deriv(s + half_dt * k2, *stages[mid])
+            k4 = deriv(s + full_dt * k3, *stages[end])
+            s = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
             failed |= ~np.isfinite(s)
-            s = np.minimum(np.maximum(s, 0.0), 1.0)
+            s = np.minimum(np.maximum(s, zero), one)
             yield (i + 1) * dt, s
+        carry = times[-1], len(times) - 1, transfer[-1]
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:

@@ -230,6 +230,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         ("tau", s.policy.tau),
         ("lag", s.policy.lag),
         ("start_time", s.policy.start_time),
+        ("g_A_override", 0.0 if s.g_A_override is None else s.g_A_override),
     ):
         if not math.isfinite(value):
             v.append(f"scenario {s.name}: {name} must be finite")

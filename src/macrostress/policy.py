@@ -57,6 +57,11 @@ class PolicyGrid:
         if list(self.lags) != sorted(self.lags) or list(self.taus) != sorted(self.taus):
             raise ValueError("policy grid lags and taus must be ascending")
 
+    def counters(self) -> dict[str, int]:
+        """The work of a sweep over this grid, for the run manifest: one lane per cell."""
+        lanes = len(self.lags) * len(self.taus)
+        return {"lanes": lanes, "rk4_steps": lanes * round(self.base.horizon / self.base.dt)}
+
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -67,14 +72,20 @@ class SweepCell:
     consumption_decline_pct: float
 
 
+_SWEEP_BLOCK = 64  # steps whose states the sweep buffers before folding them into its reductions
+
+
 def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
     """Integrate every (lag, tau) cell, in deterministic row-major order.
 
     The cells run as lanes of one pass of the RK4 lane kernel in this
-    process, under the base scenario's effective calibration. Each step is
-    folded into per-cell running reductions that repeat :func:`crisis_depth`
-    and :func:`monetary.cumulative_consumption_decline` on the recorded
-    path operation for operation, so no path is stored. No worker process
+    process, under the base scenario's effective calibration. The steps are
+    folded, ``_SWEEP_BLOCK`` at a time, into per-cell running reductions that
+    repeat :func:`crisis_depth` and
+    :func:`monetary.cumulative_consumption_decline` on the recorded path
+    operation for operation, additions in step order, so no path is stored.
+    Each step's ``failed`` is checked as it comes, so an overflow names the
+    first cell that fails at the first failing step. No worker process
     is started: ``jobs`` is accepted for call compatibility and ignored,
     and the cells never depend on it.
     """
@@ -96,10 +107,27 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     consts = lane_constants((ce, p) for p in policies)
     taus, activation = consts[-2:]
     failed = np.zeros(len(cells), dtype=bool)
+    # the states of the steps not yet folded; row 0 repeats the last step already folded
+    block = np.empty((_SWEEP_BLOCK + 1, len(cells)))
+    times: list[float] = []
+    depth = np.zeros(len(cells))
+    area = np.zeros(len(cells))
+
+    def fold() -> None:
+        """Fold the buffered steps into the running reductions, in the loop's order."""
+        ts = np.array(times).reshape(-1, 1)
+        states = block[: len(times)]
+        gap = (ce.s_L0 - states) - np.where(ts >= activation, taus, 0.0)
+        # gap is never -0.0 or NaN here, so the order of the maxima changes no bit
+        np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
+        cr = monetary.consumption_ratio(states, ce)
+        # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
+        steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
+        area[...] = np.add.accumulate(np.vstack((area, steps)))[-1]
+        block[0] = states[-1]
+        del times[:-1]
+
     with np.errstate(all="ignore"):
-        depth = np.zeros(len(cells))
-        area = 0.0
-        t_prev = cr_prev = None
         for t, s in rk4_lanes(consts, base.horizon, base.dt, failed):
             if failed.any():
                 lag, tau = cells[int(np.argmax(failed))]
@@ -107,12 +135,12 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
                     f"policy sweep cell lag={lag:g}, tau={tau:g}: the reinstatement term "
                     f"overflows or the labor share turns non-finite before t={base.horizon:g}"
                 )
-            gap = (ce.s_L0 - s) - np.where(t >= activation, taus, 0.0)
-            depth = np.maximum(gap, depth)  # gap is never -0.0 or NaN here
-            cr = monetary.consumption_ratio(s, ce)
-            if cr_prev is not None:
-                area = area + 0.5 * (cr_prev + cr) * (t - t_prev)
-            t_prev, cr_prev = t, cr
+            block[len(times)] = s
+            times.append(t)
+            if len(times) == len(block):
+                fold()
+        if len(times) > 1:
+            fold()
         # the path spans [0, t] once the loop ends
         decline = 1.0 - (area / t) / monetary.consumption_ratio(c.s_L0, c)
     return [

@@ -91,9 +91,13 @@ class SampleSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
+            if not math.isfinite(self.lo):
+                raise ValueError(f"fixed sampling value must be finite, got {self.lo!r}")
             return
         if self.kind not in ("uniform", "loguniform"):
             raise ValueError(f"unknown sample kind {self.kind!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"sampling interval [{self.lo!r}, {self.hi!r}] must have finite ends")
         if self.lo > self.hi:
             raise ValueError("sampling interval needs lo <= hi")
         if self.kind == "loguniform" and self.lo <= 0.0:

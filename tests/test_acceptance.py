@@ -353,6 +353,15 @@ def test_repro_manifest_monte_carlo_counters(repro_run):
     assert counters["scalar_draws"] == 0   # the shipped ranges never need a redraw
 
 
+def test_repro_manifest_sweep_counters(repro_run):
+    # the 7 x 3 policy grid on `rapid`: one lane per sweep.csv row, 1000 steps each
+    _, _, out = repro_run
+    counters = json.loads((out / "run_manifest.json").read_text())["sweep"]
+    rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert counters == {"lanes": len(rows), "rk4_steps": len(rows) * 1000}
+    assert len(rows) == 21
+
+
 # Each subcommand renders its files through the same writer as `repro`, so at
 # the shared defaults (and seed 42) they must equal the repro goldens.
 @pytest.mark.parametrize("argv,files", [

@@ -273,6 +273,19 @@ def test_sweep_csv(tmp_path):
     assert (out / "sweep.svg").exists()
 
 
+def test_sweep_manifest_counts_its_work(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario.short]\ng_A_override = 0.2\nhorizon = 2\ndt = 0.02\n")
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--config", str(cfg), "--scenario", "short",
+                   "--lags", "0,0.5,1", "--taus", "0.05,0.1", "--out", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    # one lane per cell, each integrated over horizon / dt = 100 steps
+    assert manifest["sweep"] == {"lanes": 6, "rk4_steps": 6 * 100}
+    assert "monte_carlo" not in manifest
+    assert len((out / "sweep.csv").read_text().strip().split("\n")) == 1 + 6
+
+
 # --- regress -----------------------------------------------------------------
 
 def test_regress_fixture(tmp_path, capsys):

@@ -631,3 +631,79 @@ def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
     if case.startswith("failing_mixed"):
         assert np.flatnonzero(failed).tolist() == [13, 30, 42, 43, 44]
         assert np.isnan(s[44]) and s[45] > 0.0
+
+
+# --- the lane kernel's stage-row reuse and buffers ------------------------------
+
+def _unequal_steps(dt, n_steps):
+    """Steps whose end time i*dt + dt is not the next step's start time (i+1)*dt."""
+    return [i for i in range(n_steps) if i * dt + dt != (i + 1) * dt]
+
+
+def _assert_kernel_equals_reference(lanes, horizon, dt):
+    consts = lane_constants(lanes)
+    failed, ref_failed = np.zeros(len(lanes), bool), np.zeros(len(lanes), bool)
+    steps = 0
+    with np.errstate(all="ignore"):
+        for (t, s), (ref_t, ref_s) in zip(
+            rk4_lanes(consts, horizon, dt, failed),
+            _reference_rk4_lanes(consts, horizon, dt, ref_failed),
+            strict=True,
+        ):
+            assert t == ref_t and np.array_equal(s, ref_s, equal_nan=True), (dt, t)
+            steps += 1
+    assert steps == round(horizon / dt) + 1
+    assert np.array_equal(failed, ref_failed)
+
+
+def _kernel_lanes(n, seed=7):
+    return [(c, _POLICY) for c in _sampled_calibrations(n, seed=seed)]
+
+
+def _steep_lane(t0):
+    """A lane whose adoption jumps at t0 steeply enough that a stage row evaluated one
+    ulp of time off shows in the state: the ulp moves d by about 1e-13 there."""
+    return with_updates(C, kappa=1000.0, t0_diffusion=t0, f_slope=1.0, g_A=1.0, eta=0.0), NO_POLICY
+
+
+def test_lane_kernel_equals_reference_when_every_end_time_is_the_next_start(kernel_cases):
+    # every stage row but the first step's start is shared with the step before
+    assert _unequal_steps(0.25, 40) == []
+    lanes = _kernel_lanes(30) + kernel_cases["sweep_edges"][0]
+    _assert_kernel_equals_reference(lanes, 10.0, 0.25)
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.03])
+def test_lane_kernel_equals_reference_at_other_steps(kernel_cases, dt):
+    n_steps = round(10.0 / dt)
+    unequal = _unequal_steps(dt, n_steps)
+    # 0.02 is 0.01 doubled exactly, so its pattern is the first half of 0.01's; 0.03's differs
+    assert unequal and unequal != _unequal_steps(0.01, 1000)
+    assert (dt == 0.02) == (unequal == _unequal_steps(0.01, n_steps))
+    steep = [_steep_lane((i + 1) * dt) for i in unequal[:3]]
+    lanes = _kernel_lanes(30) + kernel_cases["sweep_edges"][0] + steep
+    _assert_kernel_equals_reference(lanes, 10.0, dt)
+
+
+def test_lane_kernel_equals_reference_across_chunk_boundaries():
+    # 78 lanes run 17 steps per chunk; a chunk reuses the previous chunk's last
+    # stage row only where that end time equals its first start time
+    n, dt = 78, 0.01
+    chunk = max(1, _STAGE_BLOCK // (3 * n))
+    boundaries = range(chunk, 1000, chunk)
+    unshared = [lo for lo in boundaries if (lo - 1) * dt + dt != lo * dt]
+    assert chunk > 1 and 0 < len(unshared) < len(boundaries)
+    steep = [_steep_lane(lo * dt) for lo in unshared[:3]]
+    _assert_kernel_equals_reference(steep + _kernel_lanes(n - len(steep)), 10.0, dt)
+
+
+def test_lane_kernel_states_outlive_the_step():
+    # each yielded state is its own array: no later step writes into it
+    consts = lane_constants(_kernel_lanes(50))
+    failed, ref_failed = np.zeros(50, bool), np.zeros(50, bool)
+    with np.errstate(all="ignore"):
+        kept = list(rk4_lanes(consts, 3.0, 0.01, failed))
+        reference = [(t, s.copy()) for t, s in _reference_rk4_lanes(consts, 3.0, 0.01, ref_failed)]
+    assert len(kept) == len(reference) == 301
+    for (t, s), (ref_t, ref_s) in zip(kept, reference):
+        assert t == ref_t and np.array_equal(s, ref_s), t

@@ -357,6 +357,15 @@ def test_scenario_guard_non_finite_policy():
             assert f"scenario nf: {field} must be finite" in problems
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_guard_non_finite_g_A_override(value):
+    s = Scenario(name="x", g_A_override=value)
+    assert "scenario x: g_A_override must be finite" in validate_scenario(s)
+    # rejected up front, not as an IntegrationError at the first step
+    with pytest.raises(ValueError, match="g_A_override must be finite"):
+        simulate_path(s, default_calibration())
+
+
 def test_load_config_rejects_misaligned_dt(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("[scenario.x]\ndt = 0.03\n")

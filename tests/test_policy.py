@@ -175,6 +175,14 @@ def test_lane_sweep_equals_reference(lags, taus, base):
     assert all(type(v) is float for cell in cells for v in dataclasses.astuple(cell))
 
 
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 128])
+def test_lane_sweep_equals_reference_at_block_edges(steps):
+    # the sweep folds its steps 64 at a time: a path of any length is folded whole
+    base = dataclasses.replace(_RAPID, horizon=steps * 0.02)
+    grid = PolicyGrid(lags=(0.0, 0.5), taus=(0.03, 0.10), base=base)
+    assert policy_sweep(grid, C) == _reference_cells(grid, C)
+
+
 def test_lane_sweep_grids_reach_the_absorbing_edges():
     # the last two grids above exercise the kernel's absorbing branches
     for g_A, edge in ((0.40, 0.0), (2.0, 1.0)):
@@ -197,6 +205,14 @@ def test_lane_sweep_overflow_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric error" in err and "lag=0, tau=0.03" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sweep_non_finite_g_A_override_is_a_value_error(value):
+    base = Scenario(name="x", g_A_override=value)
+    grid = PolicyGrid(lags=(0.0, 1.0), taus=(0.05,), base=base)
+    with pytest.raises(ValueError, match="scenario x_l0.0_t0.05: g_A_override must be finite"):
+        policy_sweep(grid, C)
 
 
 @pytest.mark.parametrize("flag,value,field", [

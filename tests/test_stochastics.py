@@ -166,6 +166,25 @@ def test_sample_spec_validation():
         loguniform(0.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: uniform(math.nan, 1.0),
+    lambda: uniform(0.0, math.inf),
+    lambda: uniform(-math.inf, math.inf),
+    lambda: loguniform(0.1, math.nan),
+    lambda: loguniform(0.1, math.inf),
+])
+def test_sample_spec_rejects_non_finite_ends(make):
+    # accepted, uniform(nan, 1) ran until "sampling exhausted after 100 rejections"
+    with pytest.raises(ValueError, match=r"sampling interval \[.*\] must have finite ends"):
+        make()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fixed_sample_spec_rejects_non_finite_value(value):
+    with pytest.raises(ValueError, match="fixed sampling value must be finite"):
+        fixed(value)
+
+
 # --- monte carlo -------------------------------------------------------------
 
 def test_single_fixed_draw_matches_direct_simulation():
