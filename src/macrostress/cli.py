@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
 4 I/O failure. Every run writes its data files plus a ``run_manifest.json``
 recording the command line, config hash, seed, output list, engine version,
-wall time and environment, and for a sweep or a Monte Carlo its work
-counters; a run that fails before writing leaves no files.
+wall time and environment, for a scenario run its collapse time and
+stability regime, and for a sweep or a Monte Carlo its work counters; a run
+that fails before writing leaves no files.
 Given the same config and seed, the data outputs are byte-identical across runs.
 """
 
@@ -26,7 +27,13 @@ import numpy as np
 
 from . import __version__, intermediation, monetary, svg
 from .credit import BorrowerState, dscr_sensitivity
-from .dynamics import IntegrationError, Trajectory, simulate_path
+from .dynamics import (
+    IntegrationError,
+    Trajectory,
+    _effective_calibration,
+    classify_regime,
+    simulate_path,
+)
 from .indicators import dashboard, default_rules, load_rules, load_series_csv
 from .params import (
     ConfigError,
@@ -69,6 +76,7 @@ class _Run:
         self.outputs: list[Path] = []
         self.phases: list[dict[str, object]] = []
         self.trajectories: list[Trajectory] = []
+        self.regimes: dict[str, dict[str, object]] = {}
         self.sweep: PolicyGrid | None = None
         self.monte_carlo: McSummary | None = None
 
@@ -107,6 +115,8 @@ class _Run:
         if self.trajectories:
             # first grid time with the labor share at or below dynamics.S_FLOOR, or null
             manifest["collapse_time"] = {t.scenario: t.collapse_time for t in self.trajectories}
+        if self.regimes:
+            manifest["regime"] = self.regimes
         if self.phases:
             manifest["phases"] = self.phases
         if self.sweep is not None:
@@ -164,6 +174,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _table(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
+
+
+def _simulate(run: _Run, scenario: Scenario) -> Trajectory:
+    """:func:`simulate_path`, with the paper's stability condition at the scenario's
+    effective ``g_A`` recorded for the manifest."""
+    traj = simulate_path(scenario, run.calib)
+    calib = _effective_calibration(scenario, run.calib)
+    regime = classify_regime(calib)
+    run.regimes[scenario.name] = {
+        "kind": regime.kind.value, "threshold": regime.threshold, "g_A": calib.g_A,
+    }
+    return traj
 
 
 # --- writers: the one place each data file is rendered -----------------------
@@ -247,7 +269,7 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> str:
     scenario = _scenario_by_name(args.scenario, run.scenarios)
     if args.dt is not None:
         scenario = dataclasses.replace(scenario, dt=args.dt)
-    _write_trajectory(run, simulate_path(scenario, run.calib), args.svg)
+    _write_trajectory(run, _simulate(run, scenario), args.svg)
     return f"wrote {run.outputs[0]}\n"
 
 
@@ -342,7 +364,7 @@ def _cmd_indicators(args: argparse.Namespace, run: _Run) -> str:
 def _cmd_repro(args: argparse.Namespace, run: _Run) -> str:
     # Every result is computed before the first file is written, so an input
     # or numeric error leaves no partial suite behind.
-    trajectories = [simulate_path(scenario, run.calib) for scenario in default_scenarios()]
+    trajectories = [_simulate(run, scenario) for scenario in default_scenarios()]
     run.phase("trajectories")
 
     grid = PolicyGrid(

@@ -329,6 +329,14 @@ def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.n
 _STAGE_BLOCK = 1 << 12
 
 
+def _clear_of_edges(s: np.ndarray, lo_edge: float, hi_edge: float) -> bool:
+    """Whether every lane of ``s`` lies above ``lo_edge`` and below ``hi_edge``.
+
+    A NaN edge fails both comparisons. ``fmin`` / ``fmax`` skip NaN lanes,
+    which the absorbing edges leave alone; ``initial`` covers no lanes."""
+    return bool(np.fmin.reduce(s, initial=1.0) > lo_edge and np.fmax.reduce(s, initial=0.0) < hi_edge)
+
+
 def rk4_lanes(
     consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray
 ) -> Iterator[tuple[float, np.ndarray]]:
@@ -362,7 +370,16 @@ def rk4_lanes(
       stage time; ``e`` is monotone in t, so no stage time between goes further;
     - the transfer, at stage times at or after the earliest activation
       among lanes with a non-zero ``tau``: where some lane's transfer is non-zero;
-    - the absorbing edges, when some stage state is ``<= 0`` or ``>= 1``.
+    - the absorbing edges, only in a chunk whose states do not all start
+      clear of the edges, and there when some stage state is ``<= 0`` or
+      ``>= 1``. While every stage input is inside (0, 1), each lane's drift
+      lies in ``[-down, up]``, with ``down = d_bar * disp_scale + beta * k_pi * s0``
+      and ``up`` rho at the last stage time plus ``tau``; a chunk of ``L``
+      steps moves no stage input further than ``L * dt`` times the largest
+      bound, and the factor 2 and the extra step leave room for rounding. So when the chunk's states start above ``(L+1) * 2*dt * max(down)``
+      and below ``1 - (L+1) * 2*dt * max(up)``, one ``fmin`` / ``fmax`` per
+      chunk shows that no stage input reaches an edge, and the edge test is
+      skipped. A NaN or infinite bound (an overflowing lane) fails that test.
 
     The margin pressure is ``k_pi * max(gap, 0)`` and the transfer enters
     as ``transfer * (gap > 0)``. Skipping a zero transfer, or adding it as a
@@ -379,14 +396,17 @@ def rk4_lanes(
     neg_disp = -disp_scale
     # a stage row's transfer is non-zero in some lane exactly from this time on
     first_transfer = float(activation[tau != 0.0].min(initial=math.inf))
-    with_tails = False
-    if n_steps:
-        t_last = (n_steps - 1) * dt + dt  # the largest stage time
-        # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
-        failed |= rho_exp * t_last > _EXP_CAP
-        e_ends = neg_kappa * (np.array([[0.0], [t_last]]) - t0)
-        with_tails = bool((np.abs(e_ends) > 40.0).any())
+    t_last = (n_steps - 1) * dt + dt  # the largest stage time; 0 without steps
+    # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
+    failed |= rho_exp * t_last > _EXP_CAP
+    e_ends = neg_kappa * (np.array([[0.0], [t_last]]) - t0)
+    with_tails = bool((np.abs(e_ends) > 40.0).any())
     chunk = max(1, _STAGE_BLOCK // (3 * max(1, s0.size)))
+    # The drift bounds [-down, up] of the docstring, on the signs validate() enforces
+    # (k_pi > 0, every other term >= 0), scaled to the farthest a chunk can reach.
+    reach = (chunk + 1) * 2.0 * dt
+    lo_edge = reach * (d_bar * disp_scale + beta * (k_pi * s0)).max(initial=0.0)
+    hi_edge = 1.0 - reach * (rho0 + rho_scale * np.exp(rho_exp * t_last) + tau).max(initial=0.0)
     # Fresh stage-time x lane temporaries cost more than the arithmetic on them.
     push_buf = np.empty((3 * min(chunk, n_steps), s0.size))
     rho_buf = np.empty_like(push_buf)
@@ -417,11 +437,12 @@ def rk4_lanes(
         raw = push - beta * (k_pi * np.maximum(gap, zero)) + rho
         if transfer is not None:
             raw = raw + transfer * (gap > zero)
-        # fmin / fmax skip NaN, so a failed lane hides no lane at an edge; `initial` covers no lanes
-        if np.fmin.reduce(s, initial=1.0) <= 0.0:
-            raw = np.where((s <= 0.0) & (raw < 0.0), 0.0, raw)
-        if np.fmax.reduce(s, initial=0.0) >= 1.0:
-            raw = np.where((s >= 1.0) & (raw > 0.0), 0.0, raw)
+        if near_edge:  # this chunk's states do not start clear of the edges
+            # fmin / fmax skip NaN, so a failed lane hides no lane at an edge; `initial` covers no lanes
+            if np.fmin.reduce(s, initial=1.0) <= 0.0:
+                raw = np.where((s <= 0.0) & (raw < 0.0), 0.0, raw)
+            if np.fmax.reduce(s, initial=0.0) >= 1.0:
+                raw = np.where((s >= 1.0) & (raw > 0.0), 0.0, raw)
         return raw
 
     s = s0.copy()
@@ -454,6 +475,7 @@ def rk4_lanes(
             transfer += [r if t >= first_transfer else None for t, r in zip(times[first_new:], on)]
         else:
             transfer += [None] * len(ts)
+        near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
         stages = list(zip(push_buf, rho_buf, transfer))
         for (start, mid, end), i in zip(rows, steps):
             k1 = deriv(s, *stages[start])

@@ -362,6 +362,18 @@ def test_repro_manifest_sweep_counters(repro_run):
     assert len(rows) == 21
 
 
+def test_repro_manifest_regime(repro_run):
+    # the stability condition of each shipped scenario: every g_A sits below g*
+    _, _, out = repro_run
+    regime = json.loads((out / "run_manifest.json").read_text())["regime"]
+    assert {name: (r["kind"], r["g_A"]) for name, r in regime.items()} == {
+        "baseline": ("stable displacement", 0.05),
+        "rapid": ("stable displacement", 0.2),
+        "extreme": ("stable displacement", 0.4),
+    }
+    assert all(r["g_A"] < r["threshold"] == 0.4564950980392157 for r in regime.values())
+
+
 # Each subcommand renders its files through the same writer as `repro`, so at
 # the shared defaults (and seed 42) they must equal the repro goldens.
 @pytest.mark.parametrize("argv,files", [

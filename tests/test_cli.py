@@ -85,6 +85,27 @@ def test_simulate_with_config_scenario(tmp_path):
     assert (out / "trajectory_custom.csv").exists()
 
 
+@pytest.mark.parametrize("g_A,kind", [
+    (0.1, "stable displacement"),
+    (0.6, "explosive displacement"),
+    (0.0, "reinstatement-dominated"),
+])
+def test_simulate_manifest_regime(tmp_path, g_A, kind):
+    # decided from the manifest alone: the kind follows from g_A against the threshold g*
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario.custom]\ng_A_override = {g_A}\nhorizon = 2\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfg), "--scenario", "custom", "--out", str(out)) == 0
+    regime = json.loads((out / "run_manifest.json").read_text())["regime"]
+    assert list(regime) == ["custom"]
+    assert regime["custom"]["kind"] == kind
+    assert regime["custom"]["g_A"] == g_A
+    g_star = regime["custom"]["threshold"]
+    assert g_star == 0.4564950980392157   # at the default calibration, whatever g_A
+    if kind != "reinstatement-dominated":
+        assert (g_A > g_star) == (kind == "explosive displacement")
+
+
 def test_unknown_flag_is_fatal():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--not-a-flag")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrostress import dynamics
 from macrostress.dynamics import (
     _EXP_CAP,
     _STAGE_BLOCK,
@@ -35,7 +36,7 @@ from macrostress.params import (
     default_scenarios,
     with_updates,
 )
-from macrostress.policy import transfer_at
+from macrostress.policy import PolicyGrid, policy_sweep, transfer_at
 
 C = default_calibration()
 NO_POLICY = PolicySpec()
@@ -641,9 +642,10 @@ def _unequal_steps(dt, n_steps):
 
 
 def _assert_kernel_equals_reference(lanes, horizon, dt):
+    """Returns the kernel's path, one row per grid point, and its failed mask."""
     consts = lane_constants(lanes)
     failed, ref_failed = np.zeros(len(lanes), bool), np.zeros(len(lanes), bool)
-    steps = 0
+    states = []
     with np.errstate(all="ignore"):
         for (t, s), (ref_t, ref_s) in zip(
             rk4_lanes(consts, horizon, dt, failed),
@@ -651,9 +653,10 @@ def _assert_kernel_equals_reference(lanes, horizon, dt):
             strict=True,
         ):
             assert t == ref_t and np.array_equal(s, ref_s, equal_nan=True), (dt, t)
-            steps += 1
-    assert steps == round(horizon / dt) + 1
+            states.append(s)
+    assert len(states) == round(horizon / dt) + 1
     assert np.array_equal(failed, ref_failed)
+    return np.array(states), failed
 
 
 def _kernel_lanes(n, seed=7):
@@ -707,3 +710,149 @@ def test_lane_kernel_states_outlive_the_step():
     assert len(kept) == len(reference) == 301
     for (t, s), (ref_t, ref_s) in zip(kept, reference):
         assert t == ref_t and np.array_equal(s, ref_s), t
+
+
+# --- the lane kernel's edge test: one per chunk, exact by a drift bound ----------
+
+def _record_edge_tests(monkeypatch):
+    """The outcome of each chunk's edge test, in order: True where the chunk skips the
+    per-stage test because no stage input can reach 0 or 1."""
+    outcomes = []
+    clear_of_edges = dynamics._clear_of_edges
+
+    def record(*args):
+        outcomes.append(clear_of_edges(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(dynamics, "_clear_of_edges", record)
+    return outcomes
+
+
+def _n_chunks(n_lanes, n_steps):
+    return math.ceil(n_steps / max(1, _STAGE_BLOCK // (3 * n_lanes)))
+
+
+def _sweep_lanes(lags, taus):
+    """The policy sweep's lanes on `rapid` at the default calibration."""
+    rapid = next(s for s in default_scenarios() if s.name == "rapid")
+    ce = with_updates(C, g_A=rapid.g_A_override)
+    return [(ce, PolicySpec(tau=tau, lag=lag)) for lag in lags for tau in taus]
+
+
+# The 7 x 3 grid `repro` sweeps, and the span of perfbench's 78-cell sweep_grid.
+_REPRO_GRID = ((0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.03, 0.05, 0.10))
+_SWEEP_GRID = (tuple(3.0 * i / 12 for i in range(13)), tuple(0.01 + 0.022 * i for i in range(6)))
+
+
+def _falling_lane(g_A):
+    """Steep feedback and no reinstatement: from s_L0 to 0 in about 1.5 years, down
+    about 3.6 per year at the end, nearly all of it the margin term."""
+    return with_updates(C, g_A=g_A, beta_feedback=5.0, rho0=0.0, eta=0.0), NO_POLICY
+
+
+def _rising_lane(rho0):
+    """No displacement: up at rho0 per year from s_L0 = 0.56 to 1 in 1.5 to 1.7 years."""
+    return with_updates(C, g_A=0.0, rho0=rho0, eta=0.0), NO_POLICY
+
+
+_EDGE_SETS = {
+    # 17 sweep lanes and four lanes that fall to 0 in the third 65-step chunk
+    "floor": (17, [0.255, 0.2725, 0.2925, 0.31], []),
+    # 13 sweep lanes, four lanes falling to 0 and four rising to 1 in that chunk
+    "floor_and_ceiling": (13, [0.255, 0.2725, 0.2925, 0.31], [0.2575, 0.27, 0.275, 0.2975]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SETS))
+def test_lane_kernel_equals_reference_where_lanes_reach_an_edge_inside_a_chunk(monkeypatch, name):
+    # Lanes that start a chunk inside (0, 1) and reach an edge within it. A bound too
+    # small to see that (no margin term in `down`, or no factor L+1) skips the edge
+    # test in that chunk, and a crossing step then ends at 0 or 1 where the reference
+    # ends inside: each such mutation fails here.
+    n_sweep, falling, rising = _EDGE_SETS[name]
+    lanes = (
+        _sweep_lanes(*_REPRO_GRID)[:n_sweep]
+        + [_falling_lane(g) for g in falling]
+        + [_rising_lane(r) for r in rising]
+    )
+    assert len(lanes) == 21
+    chunk = _STAGE_BLOCK // (3 * 21)
+    assert chunk == 65
+    outcomes = _record_edge_tests(monkeypatch)
+    path, failed = _assert_kernel_equals_reference(lanes, 10.0, 0.01)
+    assert not failed.any()
+    edge = [0.0] * len(falling) + [1.0] * len(rising)
+    # the first grid point at the edge, and the chunk of the step that reaches it
+    reached = [int(np.argmax(path[:, n_sweep + k] == e)) for k, e in enumerate(edge)]
+    assert all(n > 0 for n in reached)
+    assert {(n - 1) // chunk for n in reached} == {2}
+    assert 0.0 < path[2 * chunk, n_sweep:].min() and path[2 * chunk, n_sweep:].max() < 1.0
+    # the chunk where they reach the edges runs the per-stage test
+    assert len(outcomes) == _n_chunks(21, 1000) == 16 and not outcomes[2]
+
+
+# Lanes whose drift bound is not finite; f_slope = 1e-9 keeps their push, and so
+# `down`, small, so the rho or transfer bound alone decides.
+_UNBOUNDED = {
+    "overflow": (with_updates(C, g_A=150.0, f_slope=1e-9), NO_POLICY),   # rho bound exp(750) = inf
+    "nan": (with_updates(C, g_A=150.0, f_slope=1e-9, eta=0.0), NO_POLICY),  # 0 * inf = NaN
+    "tau_1e308": (C, PolicySpec(tau=1e308, lag=0.5)),   # (L+1) * 2*dt * tau = inf
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNBOUNDED))
+def test_lane_kernel_equals_reference_next_to_unbounded_lanes(monkeypatch, name):
+    # an infinite or NaN drift bound fails the chunk test: every chunk runs the per-stage test
+    lanes = _sweep_lanes(*_REPRO_GRID)[:20]
+    outcomes = _record_edge_tests(monkeypatch)
+    _assert_kernel_equals_reference(lanes + [_UNBOUNDED[name]], 10.0, 0.01)
+    assert len(outcomes) == _n_chunks(21, 1000) and not any(outcomes)
+    outcomes.clear()
+    # without it the same sweep lanes skip it in every chunk
+    _assert_kernel_equals_reference(lanes, 10.0, 0.01)
+    assert len(outcomes) == _n_chunks(20, 1000) and all(outcomes)
+
+
+@pytest.mark.parametrize("grid", [_REPRO_GRID, _SWEEP_GRID], ids=["repro", "sweep_grid"])
+def test_sweep_grids_skip_the_edge_test_in_every_chunk(monkeypatch, grid):
+    # the sweep lanes stay near s_L0, so the one test per chunk always clears them
+    outcomes = _record_edge_tests(monkeypatch)
+    rapid = next(s for s in default_scenarios() if s.name == "rapid")
+    policy_sweep(PolicyGrid(lags=grid[0], taus=grid[1], base=rapid), C)
+    assert len(outcomes) == _n_chunks(len(grid[0]) * len(grid[1]), 1000) and all(outcomes)
+
+
+def test_sampled_lanes_take_both_branches_of_the_edge_test(kernel_cases, monkeypatch):
+    # sampled draws collapse to 0 part way: chunks before that skip the per-stage
+    # test, chunks after run it, so the reference comparison covers both branches
+    lanes, horizon = kernel_cases["sampled"]
+    outcomes = _record_edge_tests(monkeypatch)
+    _assert_kernel_equals_reference(lanes, horizon, 0.01)
+    assert any(outcomes) and not all(outcomes)
+
+
+_near_edge_lane = st.builds(
+    lambda s_L0, g_A, beta, rho0, kappa, t0, tau, lag: (
+        with_updates(C, s_L0=s_L0, g_A=g_A, beta_feedback=beta, rho0=rho0, kappa=kappa,
+                     t0_diffusion=t0),
+        PolicySpec(tau=tau, lag=lag),
+    ),
+    s_L0=st.one_of(
+        st.floats(min_value=1e-9, max_value=0.05), st.floats(min_value=0.95, max_value=1.0 - 1e-9),
+        st.floats(min_value=0.05, max_value=0.95),
+    ),
+    g_A=st.floats(min_value=0.0, max_value=2.0),
+    beta=st.floats(min_value=0.01, max_value=20.0),
+    rho0=st.floats(min_value=0.0, max_value=0.5),
+    kappa=st.floats(min_value=0.1, max_value=50.0),
+    t0=st.floats(min_value=0.0, max_value=3.0),
+    tau=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+    lag=st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lanes=st.lists(_near_edge_lane, min_size=1, max_size=24))
+def test_lane_kernel_equals_reference_near_the_edges(lanes):
+    # shares near 0 or 1, steep feedback and large transfers, over 2 years
+    _assert_kernel_equals_reference(lanes, 2.0, 0.01)
