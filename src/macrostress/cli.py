@@ -12,11 +12,9 @@ Given the same config and seed, the data outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -38,10 +36,11 @@ from .indicators import dashboard, default_rules, load_rules, load_series_csv
 from .params import (
     ConfigError,
     Scenario,
-    csv_number,
     default_calibration,
     default_scenarios,
+    finite,
     load_config,
+    read_csv_records,
     serialize_config,
 )
 from .policy import PolicyGrid, SweepCell, policy_sweep
@@ -137,12 +136,9 @@ class _Run:
 def _finite_float(text: str) -> float:
     """argparse type for float options: ``nan`` and ``inf`` are rejected like ``abc``."""
     try:
-        value = float(text)
+        return finite(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _seed(text: str) -> int:
@@ -329,19 +325,10 @@ def _parse_formula(formula: str) -> tuple[str, list[str]]:
 
 def _cmd_regress(args: argparse.Namespace, run: _Run) -> str:
     response, terms = _parse_formula(args.formula)
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{args.data}: empty CSV")
-        missing = [c for c in [response, *terms] if c not in reader.fieldnames]
-        if missing:
-            raise ConfigError(f"{args.data}: missing columns {missing}")
-        y_vals: list[float] = []
-        x_rows: list[list[float]] = []
-        for row in reader:
-            line = reader.line_num
-            y_vals.append(csv_number(args.data, line, response, row[response]))
-            x_rows.append([1.0] + [csv_number(args.data, line, t, row[t]) for t in terms])
+    columns = [response, *terms]
+    records = [cells for _, cells in read_csv_records(args.data, columns, columns)]
+    y_vals = [cells[response] for cells in records]
+    x_rows = [[1.0] + [cells[t] for t in terms] for cells in records]
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
     text = run.write("regression.csv", _table("term,coefficient,hc1_se", [
         f"{name},{coef:.9g},{se:.9g}"

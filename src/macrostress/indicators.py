@@ -12,11 +12,10 @@ never flip a settled one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .params import ConfigError, read_csv_rows
+from .params import ConfigError, block_value, finite, read_blocks, read_csv_rows
 
 # A series is a list of (ISO-8601 date, value) pairs sorted by date.
 Series = list[tuple[str, float]]
@@ -248,13 +247,6 @@ _RULE_KEYS = {"series", "comparator", "threshold", "window", "transform",
               "transform_param", "direction", "note"}
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
 def _periods(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -263,68 +255,42 @@ def _periods(raw: str) -> int:
 
 
 def load_rules(path: str | Path) -> list[IndicatorRule]:
-    """Read a rule set from the flat key-value format.
+    """Read a rule set from the key-value format of :func:`params.read_blocks`.
 
     Blocks are introduced by ``[rule.<id>]``; keys are series, comparator,
     threshold, window, transform, transform_param, direction, note. Errors
     name the file and line, and the key when a value does not parse.
     """
-    blocks: list[tuple[str, dict[str, tuple[str, int]]]] = []
-    current: dict[str, tuple[str, int]] | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not (line.startswith("[rule.") and line.endswith("]")):
-                raise ConfigError(
-                    f"{path}: line {lineno}: malformed section header: {raw.strip()!r}"
-                )
-            rule_id = line[len("[rule."):-1].strip()
-            current = {}
-            blocks.append((rule_id, current))
-            continue
-        if current is None or "=" not in line:
-            raise ConfigError(
-                f"{path}: line {lineno}: expected 'key = value' inside a [rule.*] block"
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _RULE_KEYS:
-            raise ConfigError(f"{path}: line {lineno}: unknown rule key '{key}'")
-        current[key] = (value.strip(), lineno)
-
-    def parsed(block: dict[str, tuple[str, int]], key: str, parse, what: str):
-        raw, lineno = block[key]
-        try:
-            return parse(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: value for '{key}' must be {what}: {raw!r}"
-            ) from None
-
+    _, blocks = read_blocks(path, "rule", (), _RULE_KEYS)
     rules = []
-    for rule_id, block in blocks:
+    for rule_id, lineno, block in blocks:
         text = {key: raw for key, (raw, _) in block.items()}
         transform = text.get("transform", "level")
         transform_param: str | int | None = text.get("transform_param")
         if transform == "yoy_pct_change" and transform_param is not None:
-            transform_param = parsed(block, "transform_param", _periods, "a whole number >= 1")
+            transform_param = block_value(
+                path, block, "transform_param", _periods, "a whole number >= 1"
+            )
         threshold = None
         if "threshold" in block:
-            threshold = parsed(block, "threshold", _finite_float, "a finite number")
-        window = parsed(block, "window", int, "a whole number") if "window" in block else 4
-        rules.append(
-            IndicatorRule(
-                id=rule_id,
-                series_name=text.get("series", ""),
-                comparator=text.get("comparator", ">="),
-                threshold=threshold,
-                window=window,
-                transform=transform,
-                transform_param=transform_param,
-                direction=text.get("direction", "falsifies"),
-                note=text.get("note", ""),
+            threshold = block_value(path, block, "threshold", finite, "a finite number")
+        window = 4
+        if "window" in block:
+            window = block_value(path, block, "window", int, "a whole number")
+        try:
+            rules.append(
+                IndicatorRule(
+                    id=rule_id,
+                    series_name=text.get("series", ""),
+                    comparator=text.get("comparator", ">="),
+                    threshold=threshold,
+                    window=window,
+                    transform=transform,
+                    transform_param=transform_param,
+                    direction=text.get("direction", "falsifies"),
+                    note=text.get("note", ""),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     return rules

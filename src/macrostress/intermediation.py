@@ -7,12 +7,11 @@ converge to infrastructure cost plus the floor premium rather than to zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .params import Calibration, ConfigError, csv_number
+from .params import Calibration, ConfigError, read_csv_records
 
 # Regulatory ordinal -> friction floor as a fraction of the pre-AI friction
 # level. Declared convention; preserves the qualitative sector ranking.
@@ -177,32 +176,15 @@ _SECTOR_NUMBERS = {"revenue_busd", "friction_share_low", "friction_share_high"}
 def load_sectors_csv(path: str | Path) -> list[SectorProfile]:
     """Read sector rows from a CSV mirroring the shipped table columns.
 
-    The header names the columns. A row that is short, a number cell that
-    does not parse or is not finite, and a row :class:`SectorProfile`
-    rejects raise :class:`ConfigError` naming the file and line, and the
-    column where there is one.
+    The header names the columns (:func:`params.read_csv_records`). A row
+    that is short, a number cell that does not parse or is not finite, and
+    a row :class:`SectorProfile` rejects raise :class:`ConfigError` naming
+    the file and line, and the column where there is one.
     """
     sectors: list[SectorProfile] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: sector CSV is empty")
-        missing = set(_SECTOR_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise ConfigError(f"{path}: sector CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            line = reader.line_num
-            cells: dict[str, object] = {}
-            for column in _SECTOR_COLUMNS:
-                raw = row[column]
-                if column in _SECTOR_NUMBERS:
-                    cells[column] = csv_number(path, line, column, raw)
-                elif raw is None:
-                    raise ConfigError(f"{path}: line {line}, column '{column}': the row is too short")
-                else:
-                    cells[column] = raw
-            try:
-                sectors.append(SectorProfile(**cells))  # type: ignore[arg-type]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {line}: {exc}") from None
+    for line, cells in read_csv_records(path, _SECTOR_COLUMNS, _SECTOR_NUMBERS):
+        try:
+            sectors.append(SectorProfile(**cells))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {line}: {exc}") from None
     return sectors

@@ -4,19 +4,20 @@ Every other module consumes numeric constants only through the
 :class:`Calibration` dataclass, so a single config file (or a single
 ``dataclasses.replace``) controls the whole engine.
 
-The config file format is flat ``key = value`` lines with ``#`` comments.
-Scenario blocks are introduced by ``[scenario.<name>]`` headers; keys inside
-a block mirror :class:`Scenario` / :class:`PolicySpec` field names. The
-data-CSV readers share :func:`read_csv_rows` and :func:`csv_number`, whose
-errors name the file, line and column.
+Every input file is read here, one reader per format: config and rule
+files by :func:`read_blocks` (``key = value`` lines, ``#`` comments,
+``[<section>.<name>]`` blocks), data CSVs by :func:`read_csv_rows`
+(optional header) or :func:`read_csv_records` (named columns). Errors
+name the file and line, and the column of a CSV cell.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -98,7 +99,6 @@ class Scenario:
     horizon: float = 10.0
     dt: float = 0.01
     policy: PolicySpec = field(default_factory=PolicySpec)
-    quintiles: str | None = None  # optional path to a quintile-profile CSV
 
 
 def default_calibration() -> Calibration:
@@ -266,17 +266,81 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 
 _CALIBRATION_KEYS = {f.name for f in dataclasses.fields(Calibration)}
-_SCENARIO_KEYS = {"g_A_override", "horizon", "dt", "tau", "lag", "start_time", "quintiles"}
+_POLICY_KEYS = {f.name for f in dataclasses.fields(PolicySpec)}
+_SCENARIO_KEYS = {"g_A_override", "horizon", "dt", *_POLICY_KEYS}
+
+Block = dict[str, tuple[str, int]]  # key -> (raw value, line number)
 
 
-def _parse_float(raw: str, key: str, lineno: int) -> float:
+def finite(raw: str) -> float:
+    """``float(raw)`` if it is finite; a ``ValueError`` saying which test failed otherwise."""
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: value for '{key}' is not a number: {raw!r}") from None
+        raise ValueError("not a number") from None
     if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: value for '{key}' must be finite: {raw!r}")
+        raise ValueError("value must be finite")
     return value
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise :class:`ConfigError` naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_blocks(
+    path: str | Path, section: str, head_keys: Collection[str], block_keys: Collection[str]
+) -> tuple[Block, list[tuple[str, int, Block]]]:
+    """The keys before the first ``[<section>.<name>]`` header, and each block as
+    (name, header line, keys), in file order. A malformed line, an unknown key
+    and a repeated key or block raise :class:`ConfigError` naming the file and line."""
+    head: Block = {}
+    blocks: list[tuple[str, int, Block]] = []
+    opened: dict[str, int] = {}
+    current, keys, where = head, head_keys, f"outside a [{section}.<name>] block"
+    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        at = f"{path}: line {lineno}"
+        if line.startswith("["):
+            if not (line.startswith(f"[{section}.") and line.endswith("]")):
+                raise ConfigError(f"{at}: malformed section header: {raw_line.strip()!r}")
+            name = line[len(section) + 2:-1].strip()
+            if name in opened:
+                raise ConfigError(
+                    f"{at}: repeated section [{section}.{name}], first at line {opened[name]}"
+                )
+            opened[name] = lineno
+            current, keys, where = {}, block_keys, f"in [{section}.{name}]"
+            blocks.append((name, lineno, current))
+            continue
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise ConfigError(f"{at}: expected 'key = value': {raw_line.strip()!r}")
+        if key not in keys:
+            raise ConfigError(f"{at}: unknown key '{key}' {where}")
+        if key in current:
+            first = current[key][1]
+            raise ConfigError(f"{at}: repeated key '{key}' {where}, first at line {first}")
+        current[key] = (value, lineno)
+    return head, blocks
+
+
+def block_value(
+    path: str | Path, block: Block, key: str, parse: Callable[[str], Any], what: str
+) -> Any:
+    """``parse`` of ``key``'s value; a ``ValueError`` becomes a :class:`ConfigError`
+    naming the file, line and key, saying the value must be ``what``."""
+    raw, lineno = block[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        message = f"value for '{key}' must be {what}: {raw!r}"
+        raise ConfigError(f"{path}: line {lineno}: {message}") from None
 
 
 def csv_number(path: str | Path, line: int, column: str, raw: str | None) -> float:
@@ -285,12 +349,9 @@ def csv_number(path: str | Path, line: int, column: str, raw: str | None) -> flo
     if raw is None:
         raise ConfigError(f"{where}: the row is too short")
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite: {raw!r}")
-    return value
+        return finite(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}: {raw!r}") from None
 
 
 def read_csv_rows(
@@ -307,96 +368,82 @@ def read_csv_rows(
     """
     rows: list[tuple[list[str], list[float]]] = []
     first = True
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            cells = row[: len(columns)] + [None] * (len(columns) - len(row))
-            if first:
-                first = False
-                try:
-                    for raw in cells[text_columns:]:
-                        if raw is not None:
-                            float(raw)
-                except ValueError:
-                    continue  # the header
-            texts = [(raw or "").strip() for raw in cells[:text_columns]]
-            numbers = [
-                csv_number(path, reader.line_num, column, raw)
-                for column, raw in zip(columns[text_columns:], cells[text_columns:])
-            ]
-            rows.append((texts, numbers))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        cells = row[: len(columns)] + [None] * (len(columns) - len(row))
+        if first:
+            first = False
+            try:
+                for raw in cells[text_columns:]:
+                    if raw is not None:
+                        float(raw)
+            except ValueError:
+                continue  # the header
+        texts = [(raw or "").strip() for raw in cells[:text_columns]]
+        numbers = [
+            csv_number(path, reader.line_num, column, raw)
+            for column, raw in zip(columns[text_columns:], cells[text_columns:])
+        ]
+        rows.append((texts, numbers))
     return rows
+
+
+def read_csv_records(
+    path: str | Path, columns: Sequence[str], numbers: Collection[str]
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """The rows of a CSV whose header names ``columns``, as (line, column -> cell).
+
+    A cell of a column in ``numbers`` is a finite number, any other its text;
+    other columns and empty rows are ignored. A missing column, a short row
+    and a bad number raise :class:`ConfigError` naming the file, line and column.
+    """
+    records = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    if records.fieldnames is None:
+        raise ConfigError(f"{path}: empty CSV")
+    missing = [column for column in columns if column not in records.fieldnames]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {missing}")
+    for row in records:
+        cells: dict[str, Any] = {}
+        for column in columns:
+            raw = row[column]
+            text = raw is not None and column not in numbers  # csv_number rejects a missing cell
+            cells[column] = raw if text else csv_number(path, records.line_num, column, raw)
+        yield records.line_num, cells
 
 
 def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:
     """Parse a config file into a calibration plus scenarios, in file order.
 
     Keys absent from the file inherit defaults. Raises :class:`ConfigError`
-    with a line number on parse problems, or naming the violated invariant
-    on validation problems.
+    naming the file, and the line on parse problems or the violated
+    invariant on validation problems.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    overrides: dict[str, float] = {}
-    scenario_blocks: list[tuple[str, dict[str, object]]] = []
-    current: dict[str, object] | None = None
+    head, blocks = read_blocks(path, "scenario", _CALIBRATION_KEYS, _SCENARIO_KEYS)
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not (line.endswith("]") and line.startswith("[scenario.")):
-                raise ConfigError(f"line {lineno}: malformed section header: {raw_line.strip()!r}")
-            name = line[len("[scenario."):-1].strip()
-            if not name:
-                raise ConfigError(f"line {lineno}: scenario section needs a name")
-            current = {}
-            scenario_blocks.append((name, current))
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value': {raw_line.strip()!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        if current is None:
-            if key not in _CALIBRATION_KEYS:
-                raise ConfigError(f"line {lineno}: unknown calibration key '{key}'")
-            overrides[key] = _parse_float(raw_value, key, lineno)
-        else:
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"line {lineno}: unknown scenario key '{key}'")
-            if key == "quintiles":
-                current[key] = raw_value
-            else:
-                current[key] = _parse_float(raw_value, key, lineno)
+    def numbers(block: Block) -> dict[str, float]:
+        return {key: block_value(path, block, key, finite, "finite") for key in block}
 
+    overrides = numbers(head)
+    scenario_values = [(name, lineno, numbers(block)) for name, lineno, block in blocks]
     calib = with_updates(default_calibration(), **overrides)
     violations = validate(calib)
     if violations:
-        raise ConfigError("; ".join(violations))
+        raise ConfigError(f"{path}: " + "; ".join(violations))
 
     scenarios: list[Scenario] = []
-    for name, block in scenario_blocks:
-        policy = PolicySpec(
-            tau=float(block.get("tau", 0.0)),
-            lag=float(block.get("lag", 0.0)),
-            start_time=float(block.get("start_time", 0.0)),
-        )
+    for name, lineno, values in scenario_values:
+        if not name:
+            raise ConfigError(f"{path}: line {lineno}: scenario section needs a name")
+        policy = PolicySpec(**{k: v for k, v in values.items() if k in _POLICY_KEYS})
         scenario = Scenario(
-            name=name,
-            g_A_override=(
-                float(block["g_A_override"]) if "g_A_override" in block else None
-            ),
-            horizon=float(block.get("horizon", 10.0)),
-            dt=float(block.get("dt", 0.01)),
-            policy=policy,
-            quintiles=block.get("quintiles"),  # type: ignore[arg-type]
+            name, policy=policy, **{k: v for k, v in values.items() if k not in _POLICY_KEYS}
         )
         s_violations = validate_scenario(scenario)
         if s_violations:
-            raise ConfigError("; ".join(s_violations))
+            raise ConfigError(f"{path}: " + "; ".join(s_violations))
         scenarios.append(scenario)
     return calib, scenarios
 
@@ -420,6 +467,4 @@ def serialize_config(c: Calibration, scenarios: list[Scenario] | None = None) ->
         lines.append(f"tau = {s.policy.tau!r}")
         lines.append(f"lag = {s.policy.lag!r}")
         lines.append(f"start_time = {s.policy.start_time!r}")
-        if s.quintiles is not None:
-            lines.append(f"quintiles = {s.quintiles}")
     return "\n".join(lines) + "\n"

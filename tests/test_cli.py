@@ -469,7 +469,7 @@ def test_manifest_environment_block(tmp_path):
 def test_indicators_bad_rule_value_exit_2(tmp_path, capsys, line, key, what):
     rules = tmp_path / "rules.cfg"
     rules.write_text(
-        "[rule.H2]\nseries = s\ntransform = yoy_pct_change\nthreshold = 1\n" + line + "\n"
+        "[rule.H2]\nseries = s\ntransform = yoy_pct_change\ncomparator = >=\n" + line + "\n"
     )
     data = tmp_path / "data"
     data.mkdir()
@@ -479,6 +479,51 @@ def test_indicators_bad_rule_value_exit_2(tmp_path, capsys, line, key, what):
     err = capsys.readouterr().err
     assert f"{rules}: line 5: value for '{key}' must be {what}" in err
     assert "Traceback" not in err
+
+
+def test_indicators_repeated_rule_exit_2(tmp_path, capsys):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("[rule.H2]\nseries = s\nthreshold = 1\n\n[rule.H2]\nseries = s\n")
+    data = tmp_path / "data"
+    data.mkdir()
+    code = run_cli("indicators", "--rules", str(rules), "--data", str(data),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{rules}: line 5: repeated section [rule.H2], first at line 1" in err
+    assert not (tmp_path / "o").exists()
+
+
+# one input of each reader, with a byte that is not UTF-8 on its second line
+@pytest.mark.parametrize("name,argv", [
+    ("c.cfg", lambda p: ["simulate", "--config", str(p)]),
+    ("rules.cfg", lambda p: ["indicators", "--rules", str(p), "--data", str(p.parent)]),
+    ("s.csv", lambda p: ["intermediation", "--sectors", str(p)]),
+    ("d.csv", lambda p: ["regress", "--data", str(p), "--formula", "y ~ x"]),
+    ("q.csv", lambda p: ["decompose", "--quintiles", str(p)]),
+    ("saas_net_retention_pct.csv", lambda p: ["indicators", "--data", str(p.parent)]),
+])
+def test_input_not_utf8_exit_2_names_the_file(tmp_path, capsys, name, argv):
+    (tmp_path / "inputs").mkdir()
+    path = tmp_path / "inputs" / name
+    path.write_bytes(b"# g_A = 0.1\n\xff\xfe = 1\n")
+    out = tmp_path / "o"
+    assert run_cli(*argv(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["intermediation", "--sectors", str(p)],
+    lambda p: ["regress", "--data", str(p), "--formula", "y ~ x"],
+])
+def test_csv_missing_column_exit_2(tmp_path, capsys, argv):
+    data = tmp_path / "d.csv"
+    data.write_text("name,y\nA,1\n")
+    assert run_cli(*argv(data), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: missing columns [" in err and "Traceback" not in err
 
 
 def test_simulate_misaligned_dt_exit_2(tmp_path, capsys):

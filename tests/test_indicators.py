@@ -249,3 +249,21 @@ def test_load_rules_unknown_key(tmp_path):
     p.write_text("[rule.H2]\nwat = 1\n")
     with pytest.raises(ConfigError, match="line 2"):
         load_rules(p)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[rule.H2]\nthreshold = 1\nwindow = 2\nthreshold = 2\n",
+     "line 4: repeated key 'threshold' in [rule.H2], first at line 2"),
+    ("[rule.H2]\nthreshold = 1\n[rule.H5]\n[rule.H2]\nthreshold = 2\n",
+     "line 4: repeated section [rule.H2], first at line 1"),
+    ("series = s\n[rule.H2]\n", "line 1: unknown key 'series' outside a [rule.<name>] block"),
+    ("[rule.H2]\nthreshold = 1\n\n[rule.H5]\nwindow = 0\n", "line 4: rule H5: window must be >= 1"),
+])
+def test_load_rules_errors_name_file_and_line(tmp_path, text, message):
+    from macrostress.params import ConfigError
+
+    p = tmp_path / "rules.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_rules(p)
+    assert str(exc.value) == f"{p}: {message}"

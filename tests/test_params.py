@@ -4,8 +4,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrostress.dynamics import simulate_path
+from macrostress.indicators import load_rules
 from macrostress.params import (
     BOUNDS,
     MAX_STEPS,
@@ -271,11 +274,69 @@ horizon = 5
     assert scenarios[1].horizon == 5.0
 
 
-def test_load_config_scenario_quintiles_reference(tmp_path):
+@pytest.mark.parametrize("text,line,first", [
+    ("g_A = 0.1\nkappa = 2\ng_A = 0.2\n", 3, 1),
+    ("[scenario.x]\nhorizon = 5\n\nhorizon = 6\n", 4, 2),
+])
+def test_load_config_rejects_repeated_key(tmp_path, text, line, first):
+    path = tmp_path / "r.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"{path}: line {line}: repeated key")
+    assert f"first at line {first}" in str(exc.value)
+
+
+def test_load_config_rejects_repeated_scenario(tmp_path):
+    path = tmp_path / "r.cfg"
+    path.write_text("[scenario.x]\nhorizon = 5\n[scenario.y]\n[scenario.x]\nhorizon = 6\n")
+    with pytest.raises(ConfigError, match=r"line 4: repeated section \[scenario.x\], first at line 1"):
+        load_config(path)
+
+
+def test_load_config_rejects_quintiles_key(tmp_path):
     path = tmp_path / "s.cfg"
-    path.write_text("[scenario.q]\nquintiles = profiles/top_heavy.csv\n")
-    _, scenarios = load_config(path)
-    assert scenarios[0].quintiles == "profiles/top_heavy.csv"
+    path.write_text("[scenario.q]\nquintiles = nope.csv\n")
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'quintiles' in \[scenario.q\]"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ["mpc_labor = 0.4\n", "[scenario.x]\ndt = 0.5\n"])
+def test_load_config_validation_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "v.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+_KEY_VALUE_LINES = st.one_of(
+    st.text(max_size=24),
+    st.sampled_from(["", "# note", "[scenario.a]", "[rule.H2]", "[scenario.]", "[rule.",
+                     "[other.x]", "="]),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(["g_A", "dt", "horizon", "tau", "mpc_labor", "series", "threshold",
+                         "window", "transform", "transform_param", "comparator", "quintiles"]),
+        st.one_of(st.sampled_from(["0.01", "2", "0", "-1", "nan", "1e400", "yoy_pct_change",
+                                   "gap_vs", ">=", "!="]), st.text(max_size=6)),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.one_of(
+    st.lists(_KEY_VALUE_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=48),
+))
+def test_key_value_readers_return_or_name_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.cfg"
+    path.write_bytes(data)
+    for load in (load_config, load_rules):
+        try:
+            load(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 def test_load_config_rejects_oversized_dt(tmp_path):
