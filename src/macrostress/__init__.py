@@ -20,7 +20,6 @@ from .dynamics import (
     Trajectory,
     TrajectoryPoint,
     capability,
-    ai_cost,
     classify_regime,
     diffusion,
     explosive_threshold,
@@ -30,7 +29,6 @@ from .dynamics import (
     simulate_path,
 )
 from .monetary import (
-    GhostReading,
     QuintileProfile,
     amplifier_lower_bound,
     consumption_ratio,
@@ -38,7 +36,6 @@ from .monetary import (
     cumulative_consumption_decline,
     default_quintiles,
     demand_shortfall,
-    ghost_gdp,
     velocity,
     velocity_decline_rate,
 )
@@ -48,12 +45,10 @@ from .intermediation import (
     friction,
     margin,
     margin_compression_rate,
-    revenue_at_risk,
     sector_report,
 )
 from .credit import (
     BorrowerState,
-    convexity_check,
     default_probability,
     dscr_sensitivity,
     shocked_default_probability,

@@ -2,14 +2,8 @@
 
 A borrower with coverage ratio r defaults when log income shocks push the
 ratio below 1; with lognormal income volatility sigma_r the annual default
-probability is Phi(-ln(r)/sigma_r).
-
-The standard normal CDF is implemented from scratch on top of Cody's
-rational Chebyshev approximations for erf/erfc (W. J. Cody, "Rational
-Chebyshev approximation for the error function", Math. Comp. 23, 1969; the
-scheme used by netlib SPECFUN). Absolute error is below 1e-15 across the
-working range, and outputs are bit-stable across platforms, which keeps the
-worked sensitivity numbers reproducible.
+probability is Phi(-ln(r)/sigma_r), with Phi from the standard library's
+``math.erfc``.
 """
 
 from __future__ import annotations
@@ -17,109 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Cody/SPECFUN coefficient sets.
-_A = (
-    3.16112374387056560e00, 1.13864154151050156e02,
-    3.77485237685302021e02, 3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_B = (
-    2.36012909523441209e01, 2.44024637934444173e02,
-    1.28261652607737228e03, 2.84423683343917062e03,
-)
-_C = (
-    5.64188496988670089e-1, 8.88314979438837594e00,
-    6.61191906371416295e01, 2.98635138197400131e02,
-    8.81952221241769090e02, 1.71204761263407058e03,
-    2.05107837782607147e03, 1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_D = (
-    1.57449261107098347e01, 1.17693950891312499e02,
-    5.37181101862009858e02, 1.62138957456669019e03,
-    3.29079923573345963e03, 4.36261909014324716e03,
-    3.43936767414372164e03, 1.23033935480374942e03,
-)
-_P = (
-    3.05326634961232344e-1, 3.60344899949804439e-1,
-    1.25781726111229246e-1, 1.60837851487422766e-2,
-    6.58749161529837803e-4, 1.63153871373020978e-2,
-)
-_Q = (
-    2.56852019228982242e00, 1.87295284992346047e00,
-    5.27905102951428412e-1, 6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
-_THRESH = 0.46875
 _SQRT1_2 = 0.7071067811865475244  # 1/sqrt(2)
 
 
-def _erf_small(x: float) -> float:
-    # |x| <= 0.46875
-    z = x * x
-    num = _A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _A[i]) * z
-        den = (den + _B[i]) * z
-    return x * (num + _A[3]) / (den + _B[3])
-
-
-def _erfc_mid(y: float) -> float:
-    # 0.46875 < y <= 4
-    num = _C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _C[i]) * y
-        den = (den + _D[i]) * y
-    result = (num + _C[7]) / (den + _D[7])
-    # exp(-y^2) split for accuracy: y_sq rounded to 1/16 keeps the squared
-    # term exact, the remainder stays well-conditioned.
-    ysq = math.floor(y * 16.0) / 16.0
-    return math.exp(-ysq * ysq) * math.exp(-(y - ysq) * (y + ysq)) * result
-
-
-def _erfc_large(y: float) -> float:
-    # y > 4
-    if y * y > 708.0:  # exp underflow: erfc indistinguishable from 0
-        return 0.0
-    z = 1.0 / (y * y)
-    num = _P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _P[i]) * z
-        den = (den + _Q[i]) * z
-    r = z * (num + _P[4]) / (den + _Q[4])
-    ysq = math.floor(y * 16.0) / 16.0
-    return (
-        math.exp(-ysq * ysq)
-        * math.exp(-(y - ysq) * (y + ysq))
-        * (_SQRPI - r)
-        / y
-    )
-
-
-def _erfc(x: float) -> float:
-    """Complementary error function for any finite x."""
-    y = abs(x)
-    if y <= _THRESH:
-        value = 1.0 - _erf_small(x)
-        return value
-    value = _erfc_mid(y) if y <= 4.0 else _erfc_large(y)
-    if x < 0.0:
-        return 2.0 - value
-    return value
-
-
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x); Phi(0) = 0.5 exactly, Phi(-x) = 1 - Phi(x)."""
+    """Standard normal CDF Phi(x); Phi(0) = 0.5 exactly.
+
+    Below about x = -37.63, where ``(x/sqrt(2))**2 > 708`` and Phi is a
+    subnormal under 3.6e-310, it returns 0, as the credit tables always have.
+    """
     if not math.isfinite(x):
         raise ValueError("std_normal_cdf requires a finite argument")
     u = x * _SQRT1_2
-    if u <= 0.0:
-        return 0.5 * _erfc(-u)
-    return 1.0 - 0.5 * _erfc(u)
+    if u < 0.0 and u * u > 708.0:
+        return 0.0
+    return 0.5 * math.erfc(-u)
 
 
 @dataclass(frozen=True)
@@ -158,54 +64,3 @@ def dscr_sensitivity(
         (d, b.dscr * (1.0 - d), shocked_default_probability(b, d))
         for d in deltas
     ]
-
-
-def convexity_floor(sigma_r: float) -> float:
-    """Lowest post-shock coverage at which the default curve is still convex.
-
-    d2P/ddelta2 = pdf(z) * z'^2 * (1 - z/sigma) with z = -ln(r)/sigma, so
-    the sign flips exactly at z = sigma, i.e. at coverage exp(-sigma^2).
-    Below that the CDF saturates and the curve turns concave; above it,
-    including all performing borrowers, the curve is convex in the shock.
-    """
-    return math.exp(-sigma_r * sigma_r)
-
-
-@dataclass(frozen=True)
-class ConvexityPoint:
-    delta: float
-    dscr_post: float
-    second_difference: float
-    in_claimed_region: bool
-    convex: bool
-
-
-def convexity_check(b: BorrowerState, delta_grid: list[float]) -> list[ConvexityPoint]:
-    """Central second differences of the default probability along a shock grid.
-
-    Convexity is asserted only above :func:`convexity_floor`; below it the
-    sign claim does not hold.
-    """
-    if len(delta_grid) < 3:
-        raise ValueError("convexity check needs at least 3 grid points")
-    if list(delta_grid) != sorted(delta_grid):
-        raise ValueError("delta grid must be ascending")
-    pds = [shocked_default_probability(b, d) for d in delta_grid]
-    points: list[ConvexityPoint] = []
-    lo = convexity_floor(b.sigma_r)
-    for i in range(1, len(delta_grid) - 1):
-        second = (pds[i + 1] - pds[i]) - (pds[i] - pds[i - 1])
-        dscr_post = b.dscr * (1.0 - delta_grid[i])
-        # The discrete stencil spans [delta_{i-1}, delta_{i+1}]; the sign
-        # claim needs the whole span above the analytic floor.
-        stencil_lo = b.dscr * (1.0 - delta_grid[i + 1])
-        points.append(
-            ConvexityPoint(
-                delta=delta_grid[i],
-                dscr_post=dscr_post,
-                second_difference=second,
-                in_claimed_region=stencil_lo >= lo,
-                convex=second >= 0.0,
-            )
-        )
-    return points

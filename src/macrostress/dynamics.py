@@ -57,11 +57,6 @@ def capability(t: float, c: Calibration) -> float:
     return c.A0 * math.exp(x)
 
 
-def ai_cost(t: float, c: Calibration) -> float:
-    """Deployment cost index exp(-g_c * t), normalized to 1 at t = 0."""
-    return math.exp(-c.g_c * t)
-
-
 def diffusion(t: float, c: Calibration) -> float:
     """Logistic adoption fraction d_bar / (1 + exp(-kappa * (t - t0)))."""
     e = -c.kappa * (t - c.t0_diffusion)
@@ -555,7 +550,15 @@ class Regime:
 
 
 def classify_regime(c: Calibration) -> Regime:
-    """Classify at the adoption ceiling (worst case) using rho evaluated at A0."""
+    """The paper's reduced stability condition, with rho at A0 and adoption at its ceiling.
+
+    It compares ``rho(A0)`` with ``d_bar * f_slope * g_A`` and ``g_A`` with
+    :func:`explosive_threshold`. It makes no claim about the level path or
+    collapse: the full ODE's margin term amplifies a downward perturbation
+    wherever it is active, so a calibration labelled stable displacement can
+    still collapse within the horizon (at the shipped defaults, the
+    ``extreme`` scenario does, at t = 8.06).
+    """
     rho = reinstatement_rate(c.A0, c)
     threshold = explosive_threshold(rho, c)
     if rho > c.d_bar * c.f_slope * c.g_A:

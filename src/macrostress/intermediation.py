@@ -88,17 +88,6 @@ def margin_compression_rate(A: float, c: Calibration) -> float:
     return -c.gamma_m * c.gamma_phi * c.phi0 * math.exp(-c.gamma_phi * A) * c.g_A * A
 
 
-def revenue_at_risk(Q: float, A: float, c: Calibration) -> float:
-    """Annual intermediary revenue exposed at capability A on volume Q.
-
-    The friction premium already eliminated, ``gamma_m * (phi0 - phi(A)) * Q``;
-    capped by the floor at ``gamma_m * (phi0 - phi_min) * Q``.
-    """
-    if Q < 0.0:
-        raise ValueError("transaction volume must be >= 0")
-    return c.gamma_m * (c.phi0 - friction(A, c)) * Q
-
-
 @dataclass(frozen=True)
 class SectorReportRow:
     rank: int

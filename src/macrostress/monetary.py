@@ -1,4 +1,4 @@
-"""Consumption function, velocity law, output-income wedge, quintile amplifier.
+"""Consumption function, velocity law, quintile amplifier.
 
 The consumption-to-output ratio is affine in the labor share because the two
 income types carry different spending propensities. Velocity is anchored so
@@ -23,11 +23,6 @@ def consumption_ratio(s_L: float, c: Calibration) -> float:
     return c.mpc_labor * s_L + (1.0 - c.mpc_labor) * (1.0 - s_L)
 
 
-def velocity_scale(c: Calibration) -> float:
-    """Velocity normalization: observed velocity over the baseline consumption ratio."""
-    return c.V_obs / consumption_ratio(c.s_L0, c)
-
-
 def velocity(s_L: float, tau: float, c: Calibration) -> float:
     """Monetary velocity V0 * (consumption_ratio + tau).
 
@@ -45,20 +40,6 @@ def velocity_decline_rate(s_L: float, ds_L: float, c: Calibration) -> float:
     """
     two_c_minus_1 = 2.0 * c.mpc_labor - 1.0
     return two_c_minus_1 * ds_L / (s_L * two_c_minus_1 + (1.0 - c.mpc_labor))
-
-
-@dataclass(frozen=True)
-class GhostReading:
-    """Gap between output growth and labor-income growth."""
-
-    gY: float
-    gW: float
-    ghost: float
-
-
-def ghost_gdp(gY: float, gW: float) -> GhostReading:
-    """Positive exactly when output growth outruns labor-income growth."""
-    return GhostReading(gY=gY, gW=gW, ghost=gY - gW)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import dataclasses
 import io
 import math
 from collections.abc import Callable, Collection, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -48,19 +49,17 @@ class Calibration:
     the README; all are plain config keys.
 
     Each field's accepted interval is given by its rows of :data:`BOUNDS`.
-    The config format stores ``mpc_capital`` and ``sbar_eff``; :func:`derive`
-    sets them.
     """
 
     # Labor market
     s_L0: float = 0.56          # initial labor share of income
     mpc_labor: float = 0.85     # marginal propensity to consume, labor income
-    mpc_capital: float = 0.15000000000000002  # derived: 1 - mpc_labor
     # Consumption concentration
-    chi_top: float = 0.59       # top-quintile consumption share
+    # top-quintile consumption share; no engine path reads it, but the Monte
+    # Carlo draws it, and dropping that draw would shift every later variate
+    chi_top: float = 0.59
     # AI capability / adoption
     g_A: float = 0.05           # capability growth rate, per year
-    g_c: float = 0.30           # deployment cost decline rate, per year
     d_bar: float = 0.80         # adoption ceiling
     kappa: float = 2.0          # adoption speed
     t0_diffusion: float = 2.8   # adoption inflection year; frozen against the scenario bands
@@ -82,12 +81,6 @@ class Calibration:
     phi_min: float = 0.1         # regulatory/institutional friction floor
     # Credit
     sigma_r: float = 0.20        # borrower income volatility
-    # Task automation ceiling
-    sbar: float = 0.60           # long-run automatable task share
-    sbar_eff: float = 0.48       # effective ceiling, derived: d_bar * sbar
-    # CES elasticity; stored for config completeness, not consumed by the
-    # reduced-form dynamics.
-    sigma_ces: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -115,20 +108,9 @@ def default_scenarios() -> list[Scenario]:
     ]
 
 
-def derive(c: Calibration, overrides: dict) -> dict:
-    """``overrides`` plus ``mpc_capital = 1 - mpc_labor`` and ``sbar_eff = d_bar * sbar``,
-    each where ``overrides`` moves it and does not pin it; values may be arrays."""
-    out = dict(overrides)
-    if "mpc_labor" in overrides and "mpc_capital" not in overrides:
-        out["mpc_capital"] = 1.0 - overrides["mpc_labor"]
-    if ("d_bar" in overrides or "sbar" in overrides) and "sbar_eff" not in overrides:
-        out["sbar_eff"] = overrides.get("d_bar", c.d_bar) * overrides.get("sbar", c.sbar)
-    return out
-
-
 def with_updates(c: Calibration, **overrides: float) -> Calibration:
-    """Replace fields on a calibration, recomputing the derived fields (:func:`derive`)."""
-    return dataclasses.replace(c, **derive(c, overrides))
+    """``c`` with the fields in ``overrides`` replaced."""
+    return dataclasses.replace(c, **overrides)
 
 
 @dataclass(frozen=True)
@@ -168,12 +150,9 @@ BOUNDS: tuple[Bound, ...] = (
     _row("s_L0", "(0, 1)", "s_L0 must be in (0, 1)"),
     _row("mpc_labor", "(0.5, inf)", "mpc_labor must exceed 0.5"),
     _row("mpc_labor", "(-inf, 1)", "mpc_labor must be below 1"),
-    _row("mpc_capital", "[1, 1]", "mpc_labor + mpc_capital must equal 1 exactly",
-         lambda c: c.mpc_labor + c.mpc_capital),
     _row("chi_top", "[0, 1]", "chi_top must be in [0, 1]"),
     _row("d_bar", "(0, 1]", "d_bar must be in (0, 1]"),
     _row("g_A", "[0, inf)", "g_A must be >= 0"),
-    _row("g_c", "[0, inf)", "g_c must be >= 0"),
     _row("kappa", "(0, inf)", "kappa must be positive"),
     _row("t0_diffusion", "(-inf, inf)", "t0_diffusion must be finite"),
     _row("rho0", "[0, inf)", "rho0 must be >= 0"),
@@ -192,10 +171,6 @@ BOUNDS: tuple[Bound, ...] = (
     _row("gamma_m", "[0, inf)", "gamma_m must be >= 0"),
     _row("gamma_phi", "[0, inf)", "gamma_phi must be >= 0"),
     _row("sigma_r", "(0, inf)", "sigma_r must be positive"),
-    _row("sbar", "[0, 1]", "sbar must be in [0, 1]"),
-    _row("sbar_eff", "[-1e-12, 1e-12]", "sbar_eff must equal d_bar * sbar within 1e-12",
-         lambda c: c.sbar_eff - c.d_bar * c.sbar),
-    _row("sigma_ces", "(0, inf)", "sigma_ces must be positive"),
 )
 
 
@@ -310,6 +285,8 @@ def read_blocks(
             if not (line.startswith(f"[{section}.") and line.endswith("]")):
                 raise ConfigError(f"{at}: malformed section header: {raw_line.strip()!r}")
             name = line[len(section) + 2:-1].strip()
+            if not name:
+                raise ConfigError(f"{at}: {section} section needs a name")
             if name in opened:
                 raise ConfigError(
                     f"{at}: repeated section [{section}.{name}], first at line {opened[name]}"
@@ -354,6 +331,16 @@ def csv_number(path: str | Path, line: int, column: str, raw: str | None) -> flo
         raise ConfigError(f"{where}: {exc}: {raw!r}") from None
 
 
+@contextmanager
+def _csv_errors(path: str | Path, reader: Any) -> Iterator[None]:
+    """A ``csv.Error`` from ``reader``, such as a field over the csv module's size
+    limit, becomes a :class:`ConfigError` naming the file and line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_csv_rows(
     path: str | Path, columns: Sequence[str], text_columns: int = 0
 ) -> list[tuple[list[str], list[float]]]:
@@ -369,24 +356,25 @@ def read_csv_rows(
     rows: list[tuple[list[str], list[float]]] = []
     first = True
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    for row in reader:
-        if not any(cell.strip() for cell in row):
-            continue
-        cells = row[: len(columns)] + [None] * (len(columns) - len(row))
-        if first:
-            first = False
-            try:
-                for raw in cells[text_columns:]:
-                    if raw is not None:
-                        float(raw)
-            except ValueError:
-                continue  # the header
-        texts = [(raw or "").strip() for raw in cells[:text_columns]]
-        numbers = [
-            csv_number(path, reader.line_num, column, raw)
-            for column, raw in zip(columns[text_columns:], cells[text_columns:])
-        ]
-        rows.append((texts, numbers))
+    with _csv_errors(path, reader):
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            cells = row[: len(columns)] + [None] * (len(columns) - len(row))
+            if first:
+                first = False
+                try:
+                    for raw in cells[text_columns:]:
+                        if raw is not None:
+                            float(raw)
+                except ValueError:
+                    continue  # the header
+            texts = [(raw or "").strip() for raw in cells[:text_columns]]
+            numbers = [
+                csv_number(path, reader.line_num, column, raw)
+                for column, raw in zip(columns[text_columns:], cells[text_columns:])
+            ]
+            rows.append((texts, numbers))
     return rows
 
 
@@ -400,18 +388,19 @@ def read_csv_records(
     and a bad number raise :class:`ConfigError` naming the file, line and column.
     """
     records = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    if records.fieldnames is None:
-        raise ConfigError(f"{path}: empty CSV")
-    missing = [column for column in columns if column not in records.fieldnames]
-    if missing:
-        raise ConfigError(f"{path}: missing columns {missing}")
-    for row in records:
-        cells: dict[str, Any] = {}
-        for column in columns:
-            raw = row[column]
-            text = raw is not None and column not in numbers  # csv_number rejects a missing cell
-            cells[column] = raw if text else csv_number(path, records.line_num, column, raw)
-        yield records.line_num, cells
+    with _csv_errors(path, records.reader):  # DictReader.line_num lags a failed row
+        if records.fieldnames is None:
+            raise ConfigError(f"{path}: empty CSV")
+        missing = [column for column in columns if column not in records.fieldnames]
+        if missing:
+            raise ConfigError(f"{path}: missing columns {missing}")
+        for row in records:
+            cells: dict[str, Any] = {}
+            for column in columns:
+                raw = row[column]
+                text = raw is not None and column not in numbers  # csv_number rejects a missing cell
+                cells[column] = raw if text else csv_number(path, records.line_num, column, raw)
+            yield records.line_num, cells
 
 
 def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:
@@ -434,9 +423,7 @@ def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:
         raise ConfigError(f"{path}: " + "; ".join(violations))
 
     scenarios: list[Scenario] = []
-    for name, lineno, values in scenario_values:
-        if not name:
-            raise ConfigError(f"{path}: line {lineno}: scenario section needs a name")
+    for name, _, values in scenario_values:
         policy = PolicySpec(**{k: v for k, v in values.items() if k in _POLICY_KEYS})
         scenario = Scenario(
             name, policy=policy, **{k: v for k, v in values.items() if k not in _POLICY_KEYS}

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import monetary
 from .dynamics import column_lane_constants, integrate_lanes
-from .params import Calibration, PolicySpec, derive, field_admits, valid, validate, with_updates
+from .params import Calibration, PolicySpec, field_admits, valid, validate, with_updates
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
@@ -238,8 +238,8 @@ def sample_columns(
 
 def _by_column(base: Calibration, columns: dict[str, np.ndarray]) -> SimpleNamespace:
     """``with_updates(base, **columns)`` stored by column: a field per attribute,
-    an array for the sampled and derived fields."""
-    return SimpleNamespace(**{**vars(base), **derive(base, columns)})
+    an array for each sampled field."""
+    return SimpleNamespace(**{**vars(base), **columns})
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,28 @@ def test_credit_worked_rows(tmp_path, capsys):
     assert pds[2] == pytest.approx(0.403, abs=0.002)
 
 
+# sha256 of credit_sensitivity.csv, recorded while Phi was a port of Cody's erfc
+# (CPython 3.11, glibc's libm). The first grid's z = -ln(dscr_post)/sigma
+# crosses +-0.663 and 5.657, where that port switched approximations; the
+# second reaches the deep tail, where Phi is 0 below about z = -37.63.
+CREDIT_SHA256 = {
+    ("1.5", "0.2", "0,0.2,0.22,0.25,0.3,0.4,0.45,0.5,0.6,0.9,0.99"):
+        "035741eedd65b1b5c6251322fc0829cbac2a91bddd32d8bfa03cd2c540df8dfe",
+    ("5000", "0.2", "0,0.6,0.62,0.64,0.8,0.96,0.996,0.9996"):
+        "ccc4d5aa2a4b5b94b0a3145bb7d870e7d057785536f2b2250a7c07614addf8d2",
+}
+
+
+@pytest.mark.parametrize("dscr,sigma,deltas", sorted(CREDIT_SHA256))
+def test_credit_table_byte_identical_to_golden(tmp_path, dscr, sigma, deltas):
+    out = tmp_path / "o"
+    assert run_cli(
+        "credit", "--dscr", dscr, "--sigma", sigma, "--deltas", deltas, "--out", str(out),
+    ) == 0
+    digest = hashlib.sha256((out / "credit_sensitivity.csv").read_bytes()).hexdigest()
+    assert digest == CREDIT_SHA256[dscr, sigma, deltas]
+
+
 # --- decompose ---------------------------------------------------------------
 
 def test_decompose_total(tmp_path, capsys):
@@ -400,16 +422,15 @@ def test_negative_g_A_config_exit_2(tmp_path, capsys):
     assert "g_A must be >= 0" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("line,message", [
-    ("g_c = -1", "g_c must be >= 0"),
-    ("sigma_ces = 0", "sigma_ces must be positive"),
-])
-def test_unchecked_field_config_exit_2(tmp_path, capsys, line, message):
+# calibration fields that no engine path read, removed from the config format
+@pytest.mark.parametrize("key", ["g_c", "sigma_ces", "sbar", "sbar_eff", "mpc_capital"])
+def test_removed_calibration_key_config_exit_2(tmp_path, capsys, key):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text(f"g_A = 0.1\n{key} = 0.5\n")
     assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert f"{cfg}: line 2: unknown key '{key}' outside a [scenario.<name>] block" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -524,6 +545,24 @@ def test_csv_missing_column_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv(data), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert f"{data}: missing columns [" in err and "Traceback" not in err
+
+
+# a cell over the csv module's field size limit (131072 characters), on line 2
+@pytest.mark.parametrize("name,header,argv", [
+    ("d.csv", "y,x", lambda p: ["regress", "--data", str(p), "--formula", "y ~ x"]),
+    ("saas_net_retention_pct.csv", "date,value", lambda p: ["indicators", "--data", str(p.parent)]),
+    ("s.csv", "name,revenue_busd,friction_share_low,friction_share_high,switching,regulatory,"
+     "net_exposure", lambda p: ["intermediation", "--sectors", str(p)]),
+])
+def test_csv_field_over_size_limit_exit_2(tmp_path, capsys, name, header, argv):
+    (tmp_path / "inputs").mkdir()
+    path = tmp_path / "inputs" / name
+    path.write_text(f"{header}\n1,{'9' * 200_000}\n")
+    out = tmp_path / "o"
+    assert run_cli(*argv(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: field larger than field limit" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_misaligned_dt_exit_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from macrostress.credit import (
     BorrowerState,
-    convexity_check,
     default_probability,
     dscr_sensitivity,
     shocked_default_probability,
@@ -162,35 +161,45 @@ def test_shock_derivative_matches_finite_difference():
 
 
 # --- convexity ---------------------------------------------------------------
+# d2P/ddelta2 = pdf(z) * z'^2 * (1 - z/sigma) with z = -ln(r)/sigma changes sign
+# at z = sigma, i.e. at post-shock coverage exp(-sigma^2): above it the default
+# curve is convex in the shock, below it the CDF saturates and turns concave.
+
+def _second_differences(b, grid):
+    """(lowest post-shock coverage of the stencil, second difference of the
+    default probability) at each interior point of an ascending shock grid."""
+    pds = [shocked_default_probability(b, d) for d in grid]
+    return [
+        (b.dscr * (1.0 - grid[i + 1]), (pds[i + 1] - pds[i]) - (pds[i] - pds[i - 1]))
+        for i in range(1, len(grid) - 1)
+    ]
+
 
 def test_convexity_on_worked_grid():
     b = BorrowerState(dscr=1.5, sigma_r=0.20)
-    points = convexity_check(b, [0.0, 0.20, 0.30])
+    [(stencil_lo, second)] = _second_differences(b, [0.0, 0.20, 0.30])
     # uneven grid still shows the dominance of the second leg
     assert (0.403 - 0.181) > (0.181 - 0.021)
-    [p] = points
-    assert p.in_claimed_region  # post-shock coverage 1.2 lies in the band
-    assert p.convex and p.second_difference > 0.0
+    assert stencil_lo >= math.exp(-0.20**2)  # the stencil lies in the convex band
+    assert second > 0.0
 
 
 def test_convexity_on_uniform_grid_near_threshold():
     b = BorrowerState(dscr=1.4, sigma_r=0.20)
     grid = [i * 0.05 for i in range(11)]  # coverage from 1.4 down to 0.7
-    points = convexity_check(b, grid)
-    in_region = [p for p in points if p.in_claimed_region]
-    out_region = [p for p in points if not p.in_claimed_region]
+    points = _second_differences(b, grid)
+    floor = math.exp(-0.20**2)
+    in_region = [second for stencil_lo, second in points if stencil_lo >= floor]
+    out_region = [second for stencil_lo, second in points if stencil_lo < floor]
     assert in_region and out_region  # the grid straddles the analytic floor
-    for p in in_region:
-        assert p.second_difference >= 0.0
+    assert all(second >= 0.0 for second in in_region)
     # beyond the floor the curve saturates and turns concave
-    assert any(p.second_difference < 0.0 for p in out_region)
+    assert any(second < 0.0 for second in out_region)
 
 
 def test_convexity_floor_matches_numeric_sign_change():
-    from macrostress.credit import convexity_floor
-
     b = BorrowerState(dscr=1.4, sigma_r=0.20)
-    floor = convexity_floor(0.20)
+    floor = math.exp(-0.20**2)
     h = 1e-4
 
     def second(delta):
@@ -208,10 +217,5 @@ def test_convexity_floor_matches_numeric_sign_change():
 def test_convexity_flat_limit():
     # at enormous volatility the CDF is locally flat: second difference ~ 0
     b = BorrowerState(dscr=1.0, sigma_r=1e6)
-    points = convexity_check(b, [0.0, 0.1, 0.2])
-    assert abs(points[0].second_difference) < 1e-6
-
-
-def test_convexity_grid_too_short():
-    with pytest.raises(ValueError):
-        convexity_check(BorrowerState(1.5, 0.2), [0.0, 0.1])
+    [(_, second)] = _second_differences(b, [0.0, 0.1, 0.2])
+    assert abs(second) < 1e-6

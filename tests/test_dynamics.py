@@ -14,7 +14,6 @@ from macrostress.dynamics import (
     IntegrationError,
     RegimeKind,
     S_FLOOR,
-    ai_cost,
     capability,
     classify_regime,
     diffusion,
@@ -57,14 +56,6 @@ def test_capability_constant_when_growth_zero():
     c = with_updates(C, g_A=0.0)
     for t in (0.0, 3.0, 50.0):
         assert capability(t, c) == C.A0
-
-
-def test_ai_cost_examples():
-    assert ai_cost(0.0, C) == 1.0
-    c = with_updates(C, g_c=0.30)
-    assert ai_cost(1.0, c) == pytest.approx(math.exp(-0.3), rel=1e-15)
-    c0 = with_updates(C, g_c=0.0)
-    assert ai_cost(7.7, c0) == 1.0
 
 
 # --- diffusion ---------------------------------------------------------------

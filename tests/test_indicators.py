@@ -258,6 +258,7 @@ def test_load_rules_unknown_key(tmp_path):
      "line 4: repeated section [rule.H2], first at line 1"),
     ("series = s\n[rule.H2]\n", "line 1: unknown key 'series' outside a [rule.<name>] block"),
     ("[rule.H2]\nthreshold = 1\n\n[rule.H5]\nwindow = 0\n", "line 4: rule H5: window must be >= 1"),
+    ("[rule.H2]\nthreshold = 1\n[rule. ]\nthreshold = 2\n", "line 3: rule section needs a name"),
 ])
 def test_load_rules_errors_name_file_and_line(tmp_path, text, message):
     from macrostress.params import ConfigError

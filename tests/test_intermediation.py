@@ -10,7 +10,6 @@ from macrostress.intermediation import (
     margin,
     margin_compression_rate,
     report_to_csv,
-    revenue_at_risk,
     sector_report,
 )
 from macrostress.params import default_calibration, with_updates
@@ -75,20 +74,11 @@ def test_compression_rate_matches_finite_difference():
         assert margin_compression_rate(A, C) == pytest.approx(fd, rel=1e-6)
 
 
-def test_revenue_at_risk_examples():
-    assert revenue_at_risk(100.0, 0.0, C) == 0.0
-    expected = 0.5 * (1.0 - math.exp(-1.0)) * 100.0
-    assert revenue_at_risk(100.0, 2.0, C) == pytest.approx(expected, rel=1e-12)
-    cap = C.gamma_m * (C.phi0 - C.phi_min) * 100.0
-    assert revenue_at_risk(100.0, 1e4, C) == pytest.approx(cap, rel=1e-12)
-    assert revenue_at_risk(100.0, 3.0, C) <= cap
-
-
 def test_accounting_identity():
-    # revenue at risk + retained margin = gamma_m*phi0*Q + m0*Q
+    # friction premium eliminated + retained margin = gamma_m*phi0*Q + m0*Q
     for A in (0.0, 0.7, 2.0, 9.0):
         Q = 250.0
-        lhs = revenue_at_risk(Q, A, C) + margin(friction(A, C), C) * Q
+        lhs = C.gamma_m * (C.phi0 - friction(A, C)) * Q + margin(friction(A, C), C) * Q
         rhs = C.gamma_m * C.phi0 * Q + C.m0 * Q
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

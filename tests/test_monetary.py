@@ -5,7 +5,6 @@ import pytest
 
 from macrostress.dynamics import simulate_path
 from macrostress.monetary import (
-    GhostReading,
     QuintileProfile,
     amplifier_lower_bound,
     consumption_ratio,
@@ -13,11 +12,9 @@ from macrostress.monetary import (
     cumulative_consumption_decline,
     default_quintiles,
     demand_shortfall,
-    ghost_gdp,
     load_quintiles_csv,
     velocity,
     velocity_decline_rate,
-    velocity_scale,
 )
 from macrostress.params import Scenario, default_calibration, with_updates
 
@@ -50,12 +47,10 @@ def test_velocity_anchored_exactly_at_baseline():
     assert velocity(C.s_L0, 0.0, C) == 1.41
 
 
-def test_velocity_scale_value():
-    assert velocity_scale(C) == pytest.approx(1.41 / 0.542, rel=1e-12)
-
-
 def test_velocity_linear_in_transfers():
-    expected = 1.41 + velocity_scale(C) * 0.05
+    scale = C.V_obs / consumption_ratio(C.s_L0, C)  # observed velocity per unit ratio
+    assert scale == pytest.approx(1.41 / 0.542, rel=1e-12)
+    expected = 1.41 + scale * 0.05
     assert velocity(C.s_L0, 0.05, C) == pytest.approx(expected, rel=1e-12)
 
 
@@ -88,16 +83,6 @@ def test_velocity_decline_rate_matches_finite_difference():
         v = velocity(s, 0.0, C)
         fd = (velocity(s + h, 0.0, C) - velocity(s - h, 0.0, C)) / (2 * h) * ds / v
         assert closed == pytest.approx(fd, rel=1e-6)
-
-
-# --- output-income wedge -----------------------------------------------------
-
-def test_ghost_gdp_examples():
-    assert ghost_gdp(0.03, 0.01).ghost == pytest.approx(0.02, rel=1e-15)
-    assert ghost_gdp(0.025, 0.025).ghost == 0.0
-    reading = ghost_gdp(0.02, 0.04)
-    assert reading.ghost == pytest.approx(-0.02, rel=1e-15)
-    assert reading == GhostReading(gY=0.02, gW=0.04, ghost=reading.ghost)
 
 
 # --- quintile profile --------------------------------------------------------

@@ -32,7 +32,6 @@ def test_default_values():
     assert c.mpc_labor == 0.85
     assert c.chi_top == 0.59
     assert c.g_A == 0.05
-    assert c.g_c == 0.30
     assert c.d_bar == 0.80
     assert c.kappa == 2.0
     assert c.rho0 == 0.002
@@ -41,20 +40,7 @@ def test_default_values():
     assert c.beta_feedback == 0.30
     assert c.f_slope == 0.15
     assert c.V_obs == 1.41
-    assert c.sbar == 0.60
     assert c.sigma_r == 0.20
-
-
-def test_mpc_capital_complement_is_exact():
-    c = default_calibration()
-    assert c.mpc_capital == pytest.approx(0.15, abs=1e-15)
-    assert c.mpc_labor + c.mpc_capital == 1.0
-
-
-def test_effective_ceiling():
-    c = default_calibration()
-    assert c.sbar_eff == pytest.approx(0.48, abs=1e-12)
-    assert abs(c.sbar_eff - c.d_bar * c.sbar) <= 1e-12
 
 
 def test_default_calibration_validates_clean():
@@ -98,15 +84,14 @@ def test_validate_flags_low_mpc():
 
 def test_validate_keeps_its_messages_and_their_order():
     every_fault = dataclasses.replace(
-        default_calibration(), s_L0=1.0, mpc_labor=1.0, mpc_capital=0.5, chi_top=-0.1,
+        default_calibration(), s_L0=1.0, mpc_labor=1.0, chi_top=-0.1,
         d_bar=0.0, g_A=-1.0, kappa=0.0, rho0=-1e-9, eta=-1.0, alpha_rho=1.0,
         beta_feedback=0.0, f_slope=-2.0, A0=0.0, V_obs=0.0, phi0=0.5, phi_min=-1.0,
-        m0=-1.0, gamma_m=-1.0, gamma_phi=-1.0, sigma_r=0.0, sbar=1.5, sbar_eff=0.48,
+        m0=-1.0, gamma_m=-1.0, gamma_phi=-1.0, sigma_r=0.0,
     )
     assert validate(every_fault) == [
         "s_L0 must be in (0, 1)",
         "mpc_labor must be below 1",
-        "mpc_labor + mpc_capital must equal 1 exactly",
         "chi_top must be in [0, 1]",
         "d_bar must be in (0, 1]",
         "g_A must be >= 0",
@@ -123,13 +108,10 @@ def test_validate_keeps_its_messages_and_their_order():
         "gamma_m must be >= 0",
         "gamma_phi must be >= 0",
         "sigma_r must be positive",
-        "sbar must be in [0, 1]",
-        "sbar_eff must equal d_bar * sbar within 1e-12",
     ]
     c = dataclasses.replace(default_calibration(), mpc_labor=0.5, phi_min=2.0)
     assert validate(c) == [
         "mpc_labor must exceed 0.5",
-        "mpc_labor + mpc_capital must equal 1 exactly",
         "phi_min must not exceed phi0",
     ]
 
@@ -148,8 +130,6 @@ def test_simulate_path_rejects_nan_V_obs():
 
 
 @pytest.mark.parametrize("name,value,message", [
-    ("g_c", -1.0, "g_c must be >= 0"),
-    ("sigma_ces", 0.0, "sigma_ces must be positive"),
     ("t0_diffusion", -math.inf, "t0_diffusion must be finite"),
     ("phi0", math.inf, "phi0 must be finite"),
 ])
@@ -174,40 +154,6 @@ def test_readme_states_every_fields_interval():
         rows = [row for row in BOUNDS if row.field == f.name and row.of is None]
         cell = _interval(rows) if rows else ""
         assert f"| `{f.name}` | {cell}" in readme, f.name
-
-
-def test_with_updates_recomputes_derived_fields():
-    c = with_updates(default_calibration(), mpc_labor=0.8, d_bar=0.7)
-    assert c.mpc_labor + c.mpc_capital == 1.0
-    assert abs(c.sbar_eff - 0.7 * 0.6) <= 1e-12
-    assert validate(c) == []
-
-
-def _three_replace_with_updates(c, **overrides):
-    """``with_updates`` as a replace of the overrides, then one per derived field."""
-    out = dataclasses.replace(c, **overrides)
-    if "mpc_labor" in overrides and "mpc_capital" not in overrides:
-        out = dataclasses.replace(out, mpc_capital=1.0 - out.mpc_labor)
-    if ("d_bar" in overrides or "sbar" in overrides) and "sbar_eff" not in overrides:
-        out = dataclasses.replace(out, sbar_eff=out.d_bar * out.sbar)
-    return out
-
-
-@pytest.mark.parametrize("overrides", [
-    {"mpc_labor": 0.8123},
-    {"d_bar": 0.7321},
-    {"sbar": 0.4567},
-    {"d_bar": 0.7321, "sbar": 0.4567},
-    {"mpc_labor": 0.8123, "mpc_capital": 0.25},          # pinned mpc_capital
-    {"d_bar": 0.7321, "sbar_eff": 0.3},                  # pinned sbar_eff
-    {},
-    {"g_A": 0.3, "kappa": 3.1, "mpc_labor": 0.77, "d_bar": 0.61, "f_slope": 0.13},
-])
-def test_with_updates_equals_three_replace_reference(overrides):
-    for base in (default_calibration(), Calibration(d_bar=0.9, sbar=0.7, sbar_eff=0.63)):
-        out = with_updates(base, **overrides)
-        # repr shows every field with its type and the sign of a zero
-        assert repr(out) == repr(_three_replace_with_updates(base, **overrides))
 
 
 def test_load_config_empty_file(tmp_path):
@@ -294,6 +240,14 @@ def test_load_config_rejects_repeated_scenario(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_unnamed_scenario(tmp_path):
+    path = tmp_path / "u.cfg"
+    path.write_text("g_A = 0.1\n[scenario.]\nhorizon = 5\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: line 2: scenario section needs a name"
+
+
 def test_load_config_rejects_quintiles_key(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("[scenario.q]\nquintiles = nope.csv\n")
@@ -364,12 +318,6 @@ def test_default_scenarios_cover_three_rates():
     assert rates == {"baseline": 0.05, "rapid": 0.20, "extreme": 0.40}
     for s in default_scenarios():
         assert validate_scenario(s) == []
-
-
-def test_ces_elasticity_is_stored_but_unused():
-    # kept for config compatibility; the reduced-form dynamics never read it
-    c = default_calibration()
-    assert c.sigma_ces == 1.0
 
 
 def test_scenario_guard_dt_vs_horizon():

@@ -138,14 +138,11 @@ def test_sampler_bounds_reject_what_validate_rejects(name):
 
 @pytest.mark.parametrize("draws", [
     [{"mpc_labor": v} for v in (0.3, 0.4, 0.45, 0.5, 0.75, 0.92, 0.99)],
-    [{"mpc_labor": 0.85, "mpc_capital": c} for c in (0.15, BASE.mpc_capital, 0.25, math.nan)],
     [{"phi_min": lo, "phi0": hi} for lo, hi in [
         (1.0, 1.0), (math.nextafter(1.0, 2.0), 1.0), (0.0, 0.0), (0.5, math.nan),
         (-1e308, 1e308), (1e308, -1e308), (0.1, -0.0), (5e-324, 0.0),
     ]],
-    [{"d_bar": d, "sbar": s} for d, s in [(0.7, 0.9), (1.0, 1.0), (1e-300, 1e-300), (0.9, math.inf)]],
-    [{"sbar_eff": BASE.d_bar * BASE.sbar + e} for e in (0.0, 1e-12, -1e-12, 1.1e-12, -1.1e-12, 1.0)],
-], ids=["mpc_labor", "mpc_capital", "phi_min-phi0", "d_bar-sbar", "sbar_eff"])
+], ids=["mpc_labor", "phi_min-phi0"])
 def test_columnar_mask_agrees_with_validate_across_fields(draws):
     _mask_agrees_with_validate(draws)
 
