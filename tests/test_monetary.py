@@ -47,9 +47,14 @@ def test_velocity_anchored_exactly_at_baseline():
     assert velocity(C.s_L0, 0.0, C) == 1.41
 
 
+def test_velocity_scale_value():
+    # V0, the velocity added per unit of transfers: V_obs / consumption_ratio(s_L0)
+    scale = velocity(C.s_L0, 1.0, C) - velocity(C.s_L0, 0.0, C)
+    assert scale == pytest.approx(1.41 / 0.542, rel=1e-12)
+
+
 def test_velocity_linear_in_transfers():
     scale = C.V_obs / consumption_ratio(C.s_L0, C)  # observed velocity per unit ratio
-    assert scale == pytest.approx(1.41 / 0.542, rel=1e-12)
     expected = 1.41 + scale * 0.05
     assert velocity(C.s_L0, 0.05, C) == pytest.approx(expected, rel=1e-12)
 
