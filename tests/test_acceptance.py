@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import macrostress as ms
+from macrostress import credit
 from macrostress.credit import BorrowerState, default_probability, shocked_default_probability
 from macrostress.dynamics import (
     explosive_threshold,
@@ -273,7 +273,7 @@ def test_criterion_12_normal_cdf_accuracy():
     worst = 0.0
     for i in range(1601):
         x = -8.0 + i * 0.01
-        worst = max(worst, abs(ms.std_normal_cdf(x) - float(mpmath.ncdf(x))))
+        worst = max(worst, abs(credit.std_normal_cdf(x) - float(mpmath.ncdf(x))))
     ok = worst <= 1e-9
     _report(12, f"max |Phi - oracle| = {worst:.3e} over 1,601-point grid", ok)
 
@@ -374,14 +374,17 @@ def test_repro_manifest_regime(repro_run):
     assert all(r["g_A"] < r["threshold"] == 0.4564950980392157 for r in regime.values())
 
 
-# Each subcommand renders its files through the same writer as `repro`, so at
-# the shared defaults (and seed 42) they must equal the repro goldens.
+# `repro` runs each subcommand at its own defaults, so at those defaults (and
+# seed 42) every subcommand's files must equal the repro goldens.
 @pytest.mark.parametrize("argv,files", [
     (["sweep"], ["sweep.csv"]),
     (["credit"], ["credit_sensitivity.csv"]),
     (["decompose"], ["decomposition.csv"]),
     (["intermediation"], ["sector_report.csv"]),
     (["montecarlo", "--n", "2000", "--seed", "42"], ["mc_summary.txt", "mc_histogram.csv"]),
+    *((["simulate", "--scenario", name, "--svg"], [f"trajectory_{name}.csv", f"trajectory_{name}.svg"])
+      for name in ("baseline", "rapid", "extreme")),
+    (["sweep", "--svg"], ["sweep.csv", "sweep.svg"]),
 ])
 def test_subcommand_files_equal_repro_goldens(tmp_path, argv, files):
     from macrostress.cli import main

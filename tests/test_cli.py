@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrostress.cli import main
 from macrostress.stochastics import MAX_DRAWS
@@ -593,3 +600,136 @@ def test_regress_bad_row_exit_2(tmp_path, capsys, body, column, what):
     err = capsys.readouterr().err
     assert str(data) in err and "line 8" in err and f"column '{column}'" in err and what in err
     assert "Traceback" not in err
+
+
+# --- repro is the subcommands at their defaults -------------------------------
+
+def test_credit_sigma_defaults_to_calibration_sigma_r(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("sigma_r = 0.35\n")
+    credit, repro = tmp_path / "credit", tmp_path / "repro"
+    assert run_cli("credit", "--config", str(cfg), "--out", str(credit)) == 0
+    assert run_cli("repro", "--config", str(cfg), "--n", "5", "--out", str(repro)) == 0
+    table = (credit / "credit_sensitivity.csv").read_text()
+    assert table == (repro / "credit_sensitivity.csv").read_text()
+    # Phi(-ln(1.5) / 0.35) at delta = 0, not the 0.0213 of sigma_r = 0.20
+    assert float(table.splitlines()[1].split(",")[2]) == pytest.approx(0.1233, abs=1e-4)
+
+
+def test_repro_takes_its_scenarios_by_name(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[scenario.rapid]\ng_A_override = 0.3\n")
+    simulate, sweep, repro = tmp_path / "simulate", tmp_path / "sweep", tmp_path / "repro"
+    assert run_cli("simulate", "--config", str(cfg), "--scenario", "rapid",
+                   "--out", str(simulate)) == 0
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(sweep)) == 0
+    assert run_cli("repro", "--config", str(cfg), "--n", "5", "--out", str(repro)) == 0
+    assert ((repro / "trajectory_rapid.csv").read_bytes()
+            == (simulate / "trajectory_rapid.csv").read_bytes())
+    assert (repro / "sweep.csv").read_bytes() == (sweep / "sweep.csv").read_bytes()
+    # the sweep's base is the config's rapid, and so is the manifest's regime
+    assert json.loads((repro / "run_manifest.json").read_text())["regime"]["rapid"]["g_A"] == 0.3
+
+
+@pytest.mark.parametrize("command,inputs", [
+    ("simulate", lambda p: []),
+    ("sweep", lambda p: ["--lags", "0,1", "--taus", "0.05"]),
+    ("montecarlo", lambda p: ["--n", "5"]),
+    ("credit", lambda p: []),
+    ("intermediation", lambda p: []),
+    ("decompose", lambda p: []),
+    ("regress", lambda p: ["--data", str(_regress_data(p, "")), "--formula", "y ~ x"]),
+    ("indicators", lambda p: ["--data", str(p)]),
+])
+def test_subcommand_manifest_phases(tmp_path, command, inputs):
+    out = tmp_path / "o"
+    assert run_cli(command, *inputs(tmp_path), "--out", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    phases = manifest["phases"]
+    assert [p["name"] for p in phases] == [command, "write", "manifest"]
+    assert all(p["seconds"] >= 0.0 for p in phases)
+    assert sum(p["seconds"] for p in phases) <= manifest["wall_time_s"]
+
+
+# Option text: one of the usual values, a finite number in [lo, hi], or one that is not finite.
+def _number(lo, hi, *usual):
+    return st.one_of(st.sampled_from(usual or (repr(lo),)), st.floats(lo, hi).map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+
+
+def _numbers(lo, hi, *usual):
+    return st.lists(_number(lo, hi, *usual), max_size=3).map(",".join)
+
+
+def _whole(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _argv(*parts):
+    """A strategy for argv: each part is fixed text or a strategy of text."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+
+# Each subcommand's options, and the values in the files it reads. Sizes stay
+# small (no dt in (0, 0.004), at most 3 x 3 sweep cells, 12 draws) to keep the
+# run short. {in} is a directory that holds the input files.
+_FUZZ = {
+    "simulate": _argv("--scenario", st.sampled_from(["baseline", "rapid", "extreme"]),
+                      "--dt", st.one_of(_number(0.004, 1.0, "0.01", "0.02", "0.05"), _number(-0.1, 0.0)),
+                      "--svg"),
+    "sweep": _argv("--lags", _numbers(-1.0, 12.0, "0", "1"), "--taus", _numbers(-0.1, 1.0, "0.05"),
+                   "--svg"),
+    "montecarlo": _argv("--n", _whole(-1, 12), "--seed", _whole(-1, 2**64),
+                        "--threshold", _number(-1.0, 2.0, "0.3")),
+    "credit": _argv("--dscr", _number(-1.0, 1e6, "1.5"), "--sigma", _number(-1.0, 10.0, "0.2"),
+                    "--deltas", _numbers(-0.5, 1.5, "0", "0.3")),
+    "decompose": _argv("--shock", _number(-2.0, 2.0, "0.1")),
+    "intermediation": _argv("--sectors", "{in}/s.csv", _argv(
+        "name,revenue_busd,friction_share_low,friction_share_high,switching,regulatory,"
+        "net_exposure\nA,", _number(-1.0, 1e4, "10"), ",", _number(-0.5, 1.5, "0.1"), ",",
+        _number(-0.5, 1.5, "0.2"), ",Low,Low,High\n").map("".join)),
+    "regress": _argv("--data", "{in}/d.csv", "--formula", "y ~ x", st.lists(
+        st.tuples(_number(-1e6, 1e6), _number(-1e6, 1e6)).map(",".join), min_size=3, max_size=6,
+    ).map(lambda rows: "y,x\n" + "\n".join(rows) + "\n")),
+    "indicators": _argv("--data", "{in}", st.lists(
+        _number(-1e3, 1e3), min_size=1, max_size=8,
+    ).map(lambda values: "".join(f"2026-{i + 1:02d}-01,{v}\n" for i, v in enumerate(values)))),
+    "repro": _argv("--n", _whole(-1, 6), "--seed", _whole(0, 2**64 - 1)),
+}
+# these two run the 1000-step lane kernel, about 0.06 and 0.15 s an example
+_FUZZ_EXAMPLES = {"montecarlo": 5, "repro": 3}
+_INPUT_FILES = {"intermediation": "s.csv", "regress": "d.csv",
+                "indicators": "saas_net_retention_pct.csv"}
+_NOT_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+def test_fuzzed_options_exit_cleanly(command):
+    # every subcommand, on finite and non-finite option values: a documented exit
+    # code, no traceback, no nan or inf written, and no files from a failed run
+    @settings(max_examples=_FUZZ_EXAMPLES.get(command, 10), deadline=None)
+    @given(argv=_FUZZ[command])
+    def check(argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, out = Path(tmp) / "in", Path(tmp) / "o"
+            inputs.mkdir()
+            if command in _INPUT_FILES:
+                *argv, body = argv
+                (inputs / _INPUT_FILES[command]).write_text(body)
+            argv = [a.replace("{in}", str(inputs)) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, *argv, "--out", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3, 4), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                for path in out.iterdir():
+                    if path.name != "run_manifest.json":
+                        assert not _NOT_FINITE.search(path.read_text()), (path.name, argv)
+            else:
+                assert not out.exists()
+
+    check()
