@@ -31,6 +31,7 @@ from .dynamics import (
     IntegrationError,
     _effective_calibration,
     classify_regime,
+    feedback_rate,
     simulate_path,
 )
 from .indicators import dashboard, default_rules, load_rules, load_series_csv
@@ -196,6 +197,10 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> str:
     run.manifest.setdefault("collapse_time", {})[scenario.name] = traj.collapse_time
     run.manifest.setdefault("regime", {})[scenario.name] = {
         "kind": regime.kind.value, "threshold": regime.threshold, "g_A": calib.g_A,
+        "feedback_rate": feedback_rate(calib),
+    }
+    run.manifest.setdefault("simulate", {})[scenario.name] = {
+        "rows": len(traj.t), "rk4_steps": len(traj.t) - 1,
     }
     name = f"trajectory_{scenario.name}"
     run.stage(f"{name}.csv", traj.to_csv())

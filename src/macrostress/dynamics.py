@@ -32,7 +32,8 @@ import enum
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -115,6 +116,8 @@ class TrajectoryPoint(NamedTuple):
     tau_effective: float
 
 
+# TrajectoryPoint._make without its Python frame: the call stays in C for every row
+_make_point = partial(tuple.__new__, TrajectoryPoint)
 _CSV_ROW = ",".join(["%.9g"] * len(TrajectoryPoint._fields))  # the bytes of f"{v:.9g}" per value
 
 
@@ -151,7 +154,7 @@ class Trajectory:
     @cached_property
     def points(self) -> tuple[TrajectoryPoint, ...]:
         """One :class:`TrajectoryPoint` per grid time."""
-        return tuple(map(TrajectoryPoint._make, self._rows()))
+        return tuple(map(_make_point, self._rows()))
 
     def to_csv(self) -> str:
         return "\n".join([self.CSV_HEADER, *(_CSV_ROW % row for row in self._rows())]) + "\n"
@@ -191,13 +194,14 @@ def integrate_labor_share(
     p: PolicySpec,
     horizon: float,
     dt: float,
-    record: list[tuple[float, float]] | None = None,
+    record: list[float] | None = None,
     s_init: float | None = None,
 ) -> tuple[float, float | None]:
     """RK4-integrate the labor share from (0, s_init or s_L0) to the horizon.
 
     Returns (final labor share, collapse time or None). When ``record`` is
-    given, (t, s_L) pairs are appended at every grid point including t = 0.
+    given, the labor share is appended at every grid point including t = 0;
+    grid point ``i`` lies at ``i * dt``.
     ``s_init`` supports perturbation experiments; the feedback stays anchored
     at the calibration's s_L0. The inner loop inlines the derivative for
     speed; it must stay numerically equivalent to
@@ -238,7 +242,7 @@ def integrate_labor_share(
     t = 0.0
     collapse: float | None = 0.0 if s <= S_FLOOR else None
     if record is not None:
-        record.append((0.0, s))
+        record.append(s)
     half = dt / 2.0
     sixth = dt / 6.0
     for i in range(n_steps):
@@ -261,7 +265,7 @@ def integrate_labor_share(
         if collapse is None and s <= S_FLOOR:
             collapse = t
         if record is not None:
-            record.append((t, s))
+            record.append(s)
     return s, collapse
 
 
@@ -484,6 +488,14 @@ def rk4_lanes(
         carry = times[-1], len(times) - 1, transfer[-1]
 
 
+def _map_column(fn, *columns: object) -> np.ndarray:
+    """``fn`` applied element by element through ``map``, as a float64 column.
+
+    Python scalars in, Python floats out: ``math.exp`` and ``pow`` give the
+    scalar functions' bits, which ``np.exp`` and ``np.power`` do not always."""
+    return np.fromiter(map(fn, *columns), dtype=np.float64)
+
+
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     """Integrate a scenario and record the full per-step state, one column per field.
 
@@ -491,20 +503,33 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     index, reinstatement rate, margin pressure, velocity, consumption ratio
     and the transfer actually flowing at each step. The columns repeat the
     scalar functions of this module and :mod:`monetary` value for value:
-    the exponential and power terms call them element by element, and the
-    rest are whole-array expressions in the same operation order, which
-    IEEE arithmetic makes bit-identical. Raises :class:`IntegrationError`
-    at the first grid time whose capability index overflows.
+    the exponentials and powers go through ``math.exp`` and ``pow`` element
+    by element, and the rest are whole-array expressions in the same
+    operation order, which IEEE arithmetic makes bit-identical; branches
+    become masks. Raises :class:`IntegrationError` at the first grid time
+    whose capability index overflows, with :func:`capability`'s message.
     """
     problems = validate(c) + validate_scenario(s)
     if problems:
         raise ValueError("; ".join(problems))
     ce = _effective_calibration(s, c)
-    raw: list[tuple[float, float]] = []
-    _, collapse = integrate_labor_share(ce, s.policy, s.horizon, s.dt, record=raw)
-    ts, shares = zip(*raw)
-    A_t = [capability(t, ce) for t in ts]
-    t, s_L = np.array(ts), np.array(shares)
+    states: list[float] = []
+    _, collapse = integrate_labor_share(ce, s.policy, s.horizon, s.dt, record=states)
+    s_L = np.array(states)
+    t = np.arange(s_L.size) * s.dt  # the integrator's grid times (i + 1) * dt, bit for bit
+    # capability: A0 * exp(g_A * t), overflow checked at the first grid time past the cap
+    x = ce.g_A * t
+    past_cap = np.flatnonzero(x > _EXP_CAP)
+    if past_cap.size:
+        capability(float(t[past_cap[0]]), ce)  # raises
+    # diffusion: the argument is clipped so that exp cannot overflow; its tails are masks
+    e = -ce.kappa * (t - ce.t0_diffusion)
+    d_t = ce.d_bar / (1.0 + _map_column(math.exp, np.clip(e, -41.0, 41.0).tolist()))
+    d_t = np.where(e > 40.0, 0.0, np.where(e < -40.0, ce.d_bar, d_t))
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf and nan, silently
+        A_t = ce.A0 * _map_column(math.exp, x.tolist())
+        # reinstatement_rate
+        rho_t = ce.rho0 + ce.eta * _map_column(pow, A_t.tolist(), repeat(ce.alpha_rho))
     # margin_pressure, with its `shortfall <= 0` branch as a mask
     shortfall = (2.0 * ce.mpc_labor - 1.0) * (ce.s_L0 - s_L)
     norm = ce.mpc_labor * ce.s_L0 + (1.0 - ce.mpc_labor) * (1.0 - ce.s_L0)
@@ -515,9 +540,9 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
         collapse_time=collapse,
         t=t,
         s_L=s_L,
-        d_t=np.array([diffusion(x, ce) for x in ts]),
-        A_t=np.array(A_t),
-        rho_t=np.array([reinstatement_rate(a, ce) for a in A_t]),
+        d_t=d_t,
+        A_t=A_t,
+        rho_t=rho_t,
         pi_t=np.where(shortfall > 0.0, shortfall / norm, 0.0),
         velocity=monetary.velocity(s_L, tau_eff, ce),
         consumption_ratio=monetary.consumption_ratio(s_L, ce),
@@ -535,6 +560,17 @@ def explosive_threshold(rho: float, c: Calibration) -> float:
     bc = c.beta_feedback * c.mpc_labor
     g_star_0 = (1.0 - bc) / bc * c.f_slope
     return g_star_0 * (1.0 + rho / (c.d_bar * c.f_slope))
+
+
+def feedback_rate(c: Calibration) -> float:
+    """``beta_feedback * k_pi``, with ``k_pi`` the margin pressure per unit of decline.
+
+    Below ``s_L0`` the drift falls by this much per unit fall of the labor
+    share, whatever ``g_A``: the local rate, per year, at which the demand
+    feedback amplifies a downward perturbation.
+    """
+    *_, beta, _, k_pi = _drift_constants(c)
+    return beta * k_pi
 
 
 class RegimeKind(enum.Enum):

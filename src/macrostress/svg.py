@@ -99,9 +99,17 @@ def write_line_chart(
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" '
         f'stroke="#000000" stroke-width="1.5"/>'
     )
+    # A polyline is "%.2f,%.2f" per (x, y) point, paired up to the shorter column. Its x
+    # text is formatted once for a run of series with equal x columns, into a template
+    # that holds "%.2f" in place of each y; each series then fills in its y values.
+    x_column, template = np.empty(0), ""
     for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join("%.2f,%.2f" % xy for xy in zip(px(xs).tolist(), py(ys).tolist()))
+        n = min(xs.size, ys.size)
+        if not np.array_equal(xs[:n], x_column):
+            x_column = xs[:n]
+            template = " ".join(["%.2f,%%.2f"] * n) % tuple(px(x_column).tolist())
+        pts = template % tuple(py(ys[:n]).tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
         )

@@ -39,6 +39,30 @@ def test_simulate_baseline_writes_csv(tmp_path):
     assert manifest["collapse_time"] == {"baseline": None}
 
 
+@pytest.mark.parametrize("dt,rows", [(None, 1001), ("0.02", 501)])
+def test_simulate_manifest_counts_its_work(tmp_path, dt, rows):
+    out = tmp_path / "o"
+    argv = ["simulate", "--scenario", "rapid", "--out", str(out)] + (["--dt", dt] if dt else [])
+    assert run_cli(*argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["simulate"] == {"rapid": {"rows": rows, "rk4_steps": rows - 1}}
+    assert len((out / "trajectory_rapid.csv").read_text().splitlines()) == rows + 1
+
+
+def test_manifest_regime_feedback_rate(tmp_path):
+    # beta_feedback * (2 * mpc_labor - 1) / (mpc_labor * s_L0 + (1 - mpc_labor) * (1 - s_L0))
+    expected = 0.30 * (2 * 0.85 - 1) / (0.85 * 0.56 + 0.15 * 0.44)
+    out = tmp_path / "o"
+    assert run_cli("repro", "--n", "20", "--out", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    rates = {name: block["feedback_rate"] for name, block in manifest["regime"].items()}
+    assert rates == pytest.approx({"baseline": expected, "rapid": expected, "extreme": expected},
+                                  rel=1e-15)
+    assert round(expected, 4) == 0.3875
+    assert manifest["simulate"] == {name: {"rows": 1001, "rk4_steps": 1000}
+                                    for name in ("baseline", "rapid", "extreme")}
+
+
 def test_simulate_unknown_scenario_exit_2(tmp_path, capsys):
     code = run_cli("simulate", "--scenario", "nope", "--out", str(tmp_path))
     assert code == 2

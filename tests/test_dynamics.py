@@ -246,18 +246,35 @@ def _scalar_rows(traj, s, c):
     return rows
 
 
-@pytest.mark.parametrize("scenario", [
-    Scenario(name="baseline", g_A_override=0.05),
-    Scenario(name="extreme", g_A_override=0.40),   # collapses: pi_t > 0, s_L at the floor
+# kappa = 40: the logistic argument -40 * (t - 2.8) is above 40 before t = 1.8 (d = 0)
+# and below -40 after t = 3.8 (d = d_bar), so the path crosses both of its tails.
+C_TAILS = with_updates(C, kappa=40.0)
+
+
+def test_tails_calibration_reaches_both_logistic_tails():
+    d_t = simulate_path(Scenario(name="tails", g_A_override=0.20), C_TAILS).d_t
+    assert d_t[0] == 0.0 and d_t[-1] == C_TAILS.d_bar
+    assert ((d_t > 0.0) & (d_t < C_TAILS.d_bar)).any()
+
+
+@pytest.mark.parametrize("scenario,calib", [
+    pytest.param(Scenario(name="baseline", g_A_override=0.05), C, id="scenario0"),
+    # collapses: pi_t > 0, s_L at the floor
+    pytest.param(Scenario(name="extreme", g_A_override=0.40), C, id="scenario1"),
     # transfers start on the grid time 3.0, below baseline, and later lift s_L above it
-    Scenario(name="managed", g_A_override=0.40, policy=PolicySpec(tau=0.06, lag=2.5, start_time=0.5)),
+    pytest.param(Scenario(name="managed", g_A_override=0.40,
+                          policy=PolicySpec(tau=0.06, lag=2.5, start_time=0.5)), C, id="scenario2"),
     # s_L starts at s_L0 and rises: no pressure, and the active transfer never flows
-    Scenario(name="above", g_A_override=0.0, policy=PolicySpec(tau=0.05)),
+    pytest.param(Scenario(name="above", g_A_override=0.0, policy=PolicySpec(tau=0.05)), C,
+                 id="scenario3"),
+    pytest.param(Scenario(name="tails", g_A_override=0.20), C_TAILS, id="logistic-tails"),
+    pytest.param(Scenario(name="tails", g_A_override=0.0), C_TAILS, id="logistic-tails-no-growth"),
 ])
-def test_columns_equal_scalar_functions(scenario):
-    traj = simulate_path(scenario, C)
+def test_columns_equal_scalar_functions(scenario, calib):
+    traj = simulate_path(scenario, calib)
     assert all(col.dtype == np.float64 for col in (traj.t, traj.d_t, traj.tau_effective))
-    assert list(traj.points) == _scalar_rows(traj, scenario, C)
+    assert traj.t.tolist() == [i * scenario.dt for i in range(len(traj.t))]
+    assert list(traj.points) == _scalar_rows(traj, scenario, calib)
     assert all(type(v) is float for v in traj.points[-1])
     assert traj.points is traj.points  # built once
     with pytest.raises(ValueError):
@@ -316,9 +333,9 @@ def test_labor_share_stays_in_unit_interval(g_A, kappa, t0, rho0, eta, beta, mpc
         C, g_A=g_A, kappa=kappa, t0_diffusion=t0, rho0=rho0, eta=eta,
         beta_feedback=beta, mpc_labor=mpc,
     )
-    rec: list[tuple[float, float]] = []
+    rec: list[float] = []
     integrate_labor_share(c, PolicySpec(tau=tau, lag=lag), 10.0, 0.02, record=rec)
-    assert all(0.0 <= s <= 1.0 for _, s in rec)
+    assert all(0.0 <= s <= 1.0 for s in rec)
 
 
 # --- threshold / regimes -----------------------------------------------------

@@ -19,6 +19,8 @@ from macrostress.params import (
     default_calibration,
     default_scenarios,
     load_config,
+    read_csv_records,
+    read_csv_rows,
     serialize_config,
     validate,
     validate_scenario,
@@ -291,6 +293,42 @@ def test_key_value_readers_return_or_name_the_file(tmp_path_factory, data):
             load(path)
         except ConfigError as exc:
             assert str(exc).startswith(f"{path}: ")
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["a", "b", "c", "x", "1", "-2.5", " 3 ", "1e400", "nan", "", " ", "1,2",
+                     '"1"', '"a,b"', '"2\n3"', '"q""q"', '"open', 'mid"quote', "\x00"]),
+    st.text(max_size=5),
+)
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_CELLS, max_size=5).map(",".join),   # ragged rows, header or data
+    st.sampled_from(["", "  ", "a,b,c", "b,a", "c,c,a,b", '"a","b","c"', "a,,b"]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.one_of(
+    st.tuples(st.lists(_CSV_LINES, max_size=7), st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda lines_newline: lines_newline[1].join(lines_newline[0]).encode()),
+    st.binary(max_size=48),
+))
+def test_csv_readers_return_or_name_the_file(tmp_path_factory, data):
+    """Headers, quoting, ragged rows and blank lines: each CSV reader returns rows of the
+    promised shape, or raises a ConfigError that starts with the path."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_bytes(data)
+    try:
+        for texts, numbers in read_csv_rows(path, ["a", "b", "c"], text_columns=1):
+            assert len(texts) == 1 and isinstance(texts[0], str)
+            assert len(numbers) == 2 and all(math.isfinite(v) for v in numbers)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    try:
+        for line, cells in read_csv_records(path, ["a", "b"], {"b"}):
+            assert line >= 2 and list(cells) == ["a", "b"]
+            assert isinstance(cells["a"], str) and math.isfinite(cells["b"])
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 def test_load_config_rejects_oversized_dt(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from macrostress import svg
 from macrostress.svg import write_line_chart
 
 
@@ -26,3 +27,50 @@ def test_series_pairs_points_up_to_the_shorter_sequence(tmp_path):
 def test_nothing_to_plot(tmp_path, series):
     with pytest.raises(ValueError, match="nothing to plot"):
         write_line_chart(tmp_path / "e.svg", "t", "x", "y", series)
+
+
+def _polylines(path):
+    return [line.split('points="')[1].split('"')[0]
+            for line in path.read_text().splitlines() if line.startswith("<polyline")]
+
+
+def _reference_points(series):
+    """Each series' points as "%.2f,%.2f" per point, the pixel transform in scalar arithmetic."""
+    xs_all = [float(x) for _, xs, _ in series for x in xs]
+    ys_all = [float(y) for _, _, ys in series for y in ys]
+    x_lo, x_hi, y_lo, y_hi = min(xs_all), max(xs_all), min(ys_all), max(ys_all)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w, plot_h = svg._W - svg._ML - svg._MR, svg._H - svg._MT - svg._MB
+    return [
+        " ".join(
+            "%.2f,%.2f" % (svg._ML + (x - x_lo) / (x_hi - x_lo) * plot_w,
+                           svg._MT + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h)
+            for x, y in zip(map(float, xs), map(float, ys))
+        )
+        for _, xs, ys in series
+    ]
+
+
+_XS = [0.0, 0.137, 0.5, 1.25, 2.718, 3.0]
+_OTHER_XS = [0.3, 0.9, 1.4, 2.0, 2.2, 2.9]
+
+
+@pytest.mark.parametrize("series", [
+    pytest.param([("a", _XS, [0.31, 0.27, 0.4, 0.1, 0.9, 0.5]),
+                  ("b", _XS, [1.0, 0.3, 0.77, 0.12, 0.5, 0.05]),
+                  ("c", _XS, [0.6, 0.6, 0.2, 0.33, 0.41, 0.8])], id="one-shared-x-object"),
+    pytest.param([("a", _XS, [0.31, 0.27, 0.4, 0.1, 0.9, 0.5]),
+                  ("b", list(_XS), [1.0, 0.3, 0.77, 0.12, 0.5, 0.05]),
+                  ("c", np.array(_XS), [0.6, 0.6, 0.2, 0.33, 0.41, 0.8])], id="equal-x-values"),
+    pytest.param([("a", _XS, [0.31, 0.27, 0.4, 0.1, 0.9, 0.5]),
+                  ("b", _OTHER_XS, [1.0, 0.3, 0.77, 0.12, 0.5, 0.05]),
+                  ("c", _XS, [0.6, 0.6, 0.2, 0.33, 0.41, 0.8])], id="middle-x-differs"),
+    pytest.param([("a", _XS, [0.31, 0.27]),
+                  ("b", _XS, [1.0, 0.3, 0.77, 0.12, 0.5, 0.05]),
+                  ("c", _XS[:4], [0.6, 0.6, 0.2, 0.33, 0.41, 0.8]),
+                  ("d", _XS, [0.2, 0.9, 0.4])], id="unequal-lengths"),
+])
+def test_polyline_points_match_per_point_formatting(tmp_path, series):
+    write_line_chart(tmp_path / "p.svg", "t", "x", "y", series)
+    assert _polylines(tmp_path / "p.svg") == _reference_points(series)
