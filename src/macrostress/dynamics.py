@@ -39,7 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
-from .policy import transfer_at
 from . import monetary
 
 S_FLOOR = 0.01   # collapse sentinel: labor share below 1% is outside the model's domain
@@ -84,6 +83,18 @@ def margin_pressure(s_L: float, c: Calibration) -> float:
         return 0.0
     norm = c.mpc_labor * c.s_L0 + (1.0 - c.mpc_labor) * (1.0 - c.s_L0)
     return shortfall / norm
+
+
+def transfer_at(t: float, p: PolicySpec) -> float:
+    """Effective transfer rate at time ``t``: 0 before activation, ``tau`` after.
+
+    Activation is ``start_time + lag``: transfers respond to conditions
+    observed ``lag`` years earlier, so a program started at ``start_time``
+    only reaches households after the implementation lag.
+    """
+    if t < p.start_time + p.lag:
+        return 0.0
+    return p.tau
 
 
 def labor_share_derivative(t: float, s_L: float, c: Calibration, p: PolicySpec) -> float:
@@ -307,8 +318,8 @@ def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.n
     of :func:`integrate_labor_share` operation for operation, with numpy's
     ``exp`` in place of ``math.exp``, so a lane matches the scalar result
     to within an ulp-level difference of the two exponentials. Lanes are
-    integrated in fixed blocks of per-step vectors; no lane x step matrix
-    is built.
+    integrated in fixed blocks, one chunk of steps at a time; no lane x step
+    matrix of the whole run is built.
     """
     n = consts.shape[1]
     s_final = np.empty(n)
@@ -316,9 +327,9 @@ def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.n
     with np.errstate(all="ignore"):
         for lo in range(0, n, _LANE_BLOCK):
             hi = min(lo + _LANE_BLOCK, n)
-            for _, s in rk4_lanes(consts[:, lo:hi], horizon, dt, failed[lo:hi]):
+            for _, path in rk4_lanes(consts[:, lo:hi], horizon, dt, failed[lo:hi]):
                 pass
-            s_final[lo:hi] = s
+            s_final[lo:hi] = path[-1]
     s_final[failed] = np.nan
     return s_final, failed
 
@@ -338,8 +349,13 @@ def _clear_of_edges(s: np.ndarray, lo_edge: float, hi_edge: float) -> bool:
 
 def rk4_lanes(
     consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray
-) -> Iterator[tuple[float, np.ndarray]]:
-    """The lane kernel: yields (t, labor share per lane) at every grid point, t = 0 included.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The lane kernel: yields ``(ts, path)`` for each chunk of steps; ``horizon > dt / 2``.
+
+    ``path`` is a fresh ``(steps + 1, lanes)`` array of labor shares, never
+    written after it is yielded; row 0 repeats the previous chunk's last row
+    (the state at t = 0 in the first chunk). ``ts`` is the column of its grid times
+    ``i * dt``, the floats :func:`integrate_labor_share` forms.
 
     ``consts`` comes from :func:`lane_constants`. Failed lanes are marked in
     ``failed`` in place and keep being integrated: a lane whose
@@ -350,15 +366,16 @@ def rk4_lanes(
 
     The time-only terms (``-d * disp_scale``, rho and the transfer) are
     computed for a chunk of steps at once, at most ``_STAGE_BLOCK`` entries,
-    into buffers reused across chunks, so no lane x step matrix is built.
+    into buffers reused across chunks, so no stage-time x lane matrix of the
+    whole run is built.
     They are computed once per distinct stage time: where a step's end time
     ``i*dt + dt`` equals the next step's start time ``(i+1)*dt`` bit for bit
     (765 of the 1000 steps at ``dt = 0.01``), the next step reuses that row,
     also across a chunk boundary. The same times go through the same
     operations, so reuse changes no bit. The per-lane drift terms, stage
     inputs and states are fresh arrays: writing them in place with ``out=``
-    costs more per call than it saves at 21-78 lanes. A yielded state is
-    never written afterwards.
+    costs more per call than it saves at 21-78 lanes; only the clamp writes
+    each step's state straight into its row of the path.
 
     Every lane that does not fail yields the values of
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
@@ -444,8 +461,7 @@ def rk4_lanes(
                 raw = np.where((s >= 1.0) & (raw > 0.0), 0.0, raw)
         return raw
 
-    s = s0.copy()
-    yield 0.0, s
+    s = s0
     # the previous chunk's last end stage: its time, buffer row and transfer
     carry: tuple[float, int, np.ndarray | None] | None = None
     for lo in range(0, n_steps, chunk):
@@ -476,15 +492,17 @@ def rk4_lanes(
             transfer += [None] * len(ts)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
         stages = list(zip(push_buf, rho_buf, transfer))
-        for (start, mid, end), i in zip(rows, steps):
+        path = np.empty((len(steps) + 1, s0.size))
+        path[0] = s
+        for j, (start, mid, end) in enumerate(rows, 1):
             k1 = deriv(s, *stages[start])
             k2 = deriv(s + half_dt * k1, *stages[mid])
             k3 = deriv(s + half_dt * k2, *stages[mid])
             k4 = deriv(s + full_dt * k3, *stages[end])
             s = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
             failed |= ~np.isfinite(s)
-            s = np.minimum(np.maximum(s, zero), one)
-            yield (i + 1) * dt, s
+            s = np.minimum(np.maximum(s, zero), one, out=path[j])
+        yield (np.arange(lo, lo + len(path)) * dt).reshape(-1, 1), path
         carry = times[-1], len(times) - 1, transfer[-1]
 
 

@@ -411,6 +411,9 @@ def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:
     invariant on validation problems.
     """
     head, blocks = read_blocks(path, "scenario", _CALIBRATION_KEYS, _SCENARIO_KEYS)
+    for name, lineno, _ in blocks:
+        if "/" in name:  # the name becomes part of output file names
+            raise ConfigError(f"{path}: line {lineno}: scenario name {name!r} must not contain '/'")
 
     def numbers(block: Block) -> dict[str, float]:
         return {key: block_value(path, block, key, finite, "finite") for key in block}

@@ -1,7 +1,8 @@
-"""Lagged fiscal transfers, crisis depth, and the policy-response sweep.
+"""Crisis depth and the policy-response sweep over lagged fiscal transfers.
 
 The sweep integrates all of its (lag, tau) cells together as lanes of the
-RK4 lane kernel in :mod:`macrostress.dynamics`, in one process.
+RK4 lane kernel in :mod:`macrostress.dynamics`, in one process, and folds
+each chunk of steps the kernel yields into its per-cell reductions.
 """
 
 from __future__ import annotations
@@ -12,22 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monetary
+from .dynamics import (
+    IntegrationError, Trajectory, _effective_calibration, lane_constants, rk4_lanes, transfer_at,
+)
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 
 
-def transfer_at(t: float, p: PolicySpec) -> float:
-    """Effective transfer rate at time ``t``: 0 before activation, ``tau`` after.
-
-    Activation is ``start_time + lag``: transfers respond to conditions
-    observed ``lag`` years earlier, so a program started at ``start_time``
-    only reaches households after the implementation lag.
-    """
-    if t < p.start_time + p.lag:
-        return 0.0
-    return p.tau
-
-
-def crisis_depth(traj: "Trajectory", p: PolicySpec) -> float:  # noqa: F821
+def crisis_depth(traj: Trajectory, p: PolicySpec) -> float:
     """Maximal unmitigated labor-share decline over a trajectory.
 
     ``max_t max(0, (s_L0 - s_L(t)) - transfer_at(t))``: zero exactly when
@@ -72,26 +64,20 @@ class SweepCell:
     consumption_decline_pct: float
 
 
-_SWEEP_BLOCK = 64  # steps whose states the sweep buffers before folding them into its reductions
-
-
 def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
     """Integrate every (lag, tau) cell, in deterministic row-major order.
 
     The cells run as lanes of one pass of the RK4 lane kernel in this
-    process, under the base scenario's effective calibration. The steps are
-    folded, ``_SWEEP_BLOCK`` at a time, into per-cell running reductions that
+    process, under the base scenario's effective calibration. Each chunk of
+    steps the kernel yields is folded into per-cell running reductions that
     repeat :func:`crisis_depth` and
     :func:`monetary.cumulative_consumption_decline` on the recorded path
-    operation for operation, additions in step order, so no path is stored.
-    Each step's ``failed`` is checked as it comes, so an overflow names the
-    first cell that fails at the first failing step. No worker process
-    is started: ``jobs`` is accepted for call compatibility and ignored,
-    and the cells never depend on it.
+    operation for operation, additions in step order, so no whole path is
+    stored and the chunk length changes no bit. ``failed`` is checked before
+    each chunk is folded, so an overflow names the first failed cell at the
+    end of the first chunk with a failure. No worker process is started:
+    ``jobs`` is accepted for call compatibility and ignored.
     """
-    # dynamics imports this module, so its names are looked up at call time
-    from .dynamics import IntegrationError, _effective_calibration, lane_constants, rk4_lanes
-
     base = grid.base
     cells = [(lag, tau) for lag in grid.lags for tau in grid.taus]
     start = base.policy.start_time
@@ -107,48 +93,32 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     consts = lane_constants((ce, p) for p in policies)
     taus, activation = consts[-2:]
     failed = np.zeros(len(cells), dtype=bool)
-    # the states of the steps not yet folded; row 0 repeats the last step already folded
-    block = np.empty((_SWEEP_BLOCK + 1, len(cells)))
-    times: list[float] = []
     depth = np.zeros(len(cells))
     area = np.zeros(len(cells))
-
-    def fold() -> None:
-        """Fold the buffered steps into the running reductions, in the loop's order."""
-        ts = np.array(times).reshape(-1, 1)
-        states = block[: len(times)]
-        gap = (ce.s_L0 - states) - np.where(ts >= activation, taus, 0.0)
-        # gap is never -0.0 or NaN here, so the order of the maxima changes no bit
-        np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
-        cr = monetary.consumption_ratio(states, ce)
-        # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
-        steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
-        area[...] = np.add.accumulate(np.vstack((area, steps)))[-1]
-        block[0] = states[-1]
-        del times[:-1]
-
     with np.errstate(all="ignore"):
-        for t, s in rk4_lanes(consts, base.horizon, base.dt, failed):
+        for ts, path in rk4_lanes(consts, base.horizon, base.dt, failed):
             if failed.any():
                 lag, tau = cells[int(np.argmax(failed))]
                 raise IntegrationError(
                     f"policy sweep cell lag={lag:g}, tau={tau:g}: the reinstatement term "
                     f"overflows or the labor share turns non-finite before t={base.horizon:g}"
                 )
-            block[len(times)] = s
-            times.append(t)
-            if len(times) == len(block):
-                fold()
-        if len(times) > 1:
-            fold()
-        # the path spans [0, t] once the loop ends
-        decline = 1.0 - (area / t) / monetary.consumption_ratio(c.s_L0, c)
+            # row 0, the state folded last, changes no maximum and starts the area's first step;
+            # gap is never -0.0 or NaN here, so the order of the maxima changes no bit
+            gap = (ce.s_L0 - path) - np.where(ts >= activation, taus, 0.0)
+            np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
+            cr = monetary.consumption_ratio(path, ce)
+            # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
+            steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
+            area[...] = np.add.accumulate(np.vstack((area, steps)))[-1]
+        # the path spans [0, ts[-1]] once the loop ends
+        decline = 1.0 - (area / ts[-1]) / monetary.consumption_ratio(c.s_L0, c)
     return [
         SweepCell(
             lag=lag,
             tau=tau,
             depth=float(depth[i]),
-            s_L_final=float(s[i]),
+            s_L_final=float(path[-1, i]),
             consumption_decline_pct=100.0 * float(decline[i]),
         )
         for i, (lag, tau) in enumerate(cells)

@@ -352,7 +352,8 @@ def ols_hc1(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     """Least squares with heteroskedasticity-robust (HC1) standard errors.
 
     X must include the intercept column and have full column rank; the HC1
-    sandwich applies the n/(n-k) small-sample scaling.
+    sandwich applies the n/(n-k) small-sample scaling. Data whose squares overflow
+    raise :class:`ArithmeticError` naming the first result that is not finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -366,16 +367,20 @@ def ols_hc1(X: np.ndarray, y: np.ndarray) -> RegressionResult:
             if int(np.linalg.matrix_rank(X[:, :j])) < j:
                 raise ValueError(f"design matrix is rank deficient: column {j - 1} is dependent")
         raise ValueError("design matrix is rank deficient")
-    xtx = X.T @ X
-    beta = np.linalg.solve(xtx, X.T @ y)
-    resid = y - X @ beta
-    xtx_inv = np.linalg.inv(xtx)
-    meat = (X * (resid ** 2)[:, None]).T @ X
-    cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
-    se = np.sqrt(np.diag(cov))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    ssr = float(np.sum(resid ** 2))
-    r2 = 0.0 if sst == 0.0 else 1.0 - ssr / sst
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite result below
+        xtx = X.T @ X
+        beta = np.linalg.solve(xtx, X.T @ y)
+        resid = y - X @ beta
+        xtx_inv = np.linalg.inv(xtx)
+        meat = (X * (resid ** 2)[:, None]).T @ X
+        cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+        se = np.sqrt(np.diag(cov))
+        sst = float(np.sum((y - y.mean()) ** 2))
+        ssr = float(np.sum(resid ** 2))
+        r2 = 0.0 if sst == 0.0 else 1.0 - ssr / sst
+    for name, value in (("coefficients", beta), ("hc1_se", se), ("r_squared", r2)):
+        if not np.isfinite(value).all():
+            raise ArithmeticError(f"regression {name} is not finite: the data overflow float64")
     return RegressionResult(
         coefficients=tuple(float(b) for b in beta),
         hc1_se=tuple(float(s) for s in se),

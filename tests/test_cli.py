@@ -387,6 +387,18 @@ def test_regress_bad_formula_exit_2(tmp_path):
     assert run_cli("regress", "--data", str(data), "--formula", "nonsense") == 2
 
 
+def test_regress_overflowing_squares_exit_3(tmp_path, capfd):
+    # finite data whose squares overflow: no NaN table, no numpy warning
+    data = tmp_path / "d.csv"
+    data.write_text("y,x\n1e200,1\n2e200,2\n3e200,3\n5e200,4\n")
+    out = tmp_path / "o"
+    code = run_cli("regress", "--data", str(data), "--formula", "y ~ x", "--out", str(out))
+    assert code == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numeric error: regression hc1_se is not finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- indicators --------------------------------------------------------------
 
 def test_indicators_command(tmp_path, capsys):

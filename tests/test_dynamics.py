@@ -568,6 +568,13 @@ def _reference_rk4_lanes(consts, horizon, dt, failed):
             yield (i + 1) * dt, s
 
 
+def _steps(chunks):
+    """The kernel's chunks as one (t, state) pair per grid point, t = 0 first: the
+    row 0 that every chunk after the first repeats is left out."""
+    for k, (ts, path) in enumerate(chunks):
+        yield from zip(ts[min(k, 1):, 0].tolist(), path[min(k, 1):])
+
+
 _POLICY = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
 
 
@@ -623,7 +630,7 @@ def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
     steps = 0
     with np.errstate(all="ignore"):
         for (t, s), (ref_t, ref_s) in zip(
-            rk4_lanes(consts, horizon, 0.01, failed),
+            _steps(rk4_lanes(consts, horizon, 0.01, failed)),
             _reference_rk4_lanes(consts, horizon, 0.01, ref_failed),
             strict=True,
         ):
@@ -656,7 +663,7 @@ def _assert_kernel_equals_reference(lanes, horizon, dt):
     states = []
     with np.errstate(all="ignore"):
         for (t, s), (ref_t, ref_s) in zip(
-            rk4_lanes(consts, horizon, dt, failed),
+            _steps(rk4_lanes(consts, horizon, dt, failed)),
             _reference_rk4_lanes(consts, horizon, dt, ref_failed),
             strict=True,
         ):
@@ -709,11 +716,11 @@ def test_lane_kernel_equals_reference_across_chunk_boundaries():
 
 
 def test_lane_kernel_states_outlive_the_step():
-    # each yielded state is its own array: no later step writes into it
+    # each yielded path is its own array: no later chunk writes into it
     consts = lane_constants(_kernel_lanes(50))
     failed, ref_failed = np.zeros(50, bool), np.zeros(50, bool)
     with np.errstate(all="ignore"):
-        kept = list(rk4_lanes(consts, 3.0, 0.01, failed))
+        kept = list(_steps(list(rk4_lanes(consts, 3.0, 0.01, failed))))
         reference = [(t, s.copy()) for t, s in _reference_rk4_lanes(consts, 3.0, 0.01, ref_failed)]
     assert len(kept) == len(reference) == 301
     for (t, s), (ref_t, ref_s) in zip(kept, reference):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrostress.cli import main
 from macrostress.dynamics import simulate_path
 from macrostress.indicators import load_rules
 from macrostress.params import (
@@ -248,6 +249,20 @@ def test_load_config_rejects_unnamed_scenario(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert str(exc.value) == f"{path}: line 2: scenario section needs a name"
+
+
+def test_load_config_rejects_slash_in_scenario_name(tmp_path, capsys):
+    # the name becomes part of output file names: trajectory_a/b.csv has no directory a
+    path = tmp_path / "n.cfg"
+    path.write_text("g_A = 0.1\n\n[scenario.a/b]\nhorizon = 5\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: line 3: scenario name 'a/b' must not contain '/'"
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(path), "--scenario", "a/b", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
 
 
 def test_load_config_rejects_quintiles_key(tmp_path):

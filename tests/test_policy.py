@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from macrostress import dynamics, policy
 from macrostress.cli import main
-from macrostress.dynamics import IntegrationError, simulate_path
+from macrostress.dynamics import IntegrationError, lane_constants, simulate_path
 from macrostress.monetary import cumulative_consumption_decline
 from macrostress.params import PolicySpec, Scenario, default_calibration, with_updates
 from macrostress.policy import PolicyGrid, SweepCell, crisis_depth, policy_sweep, transfer_at
@@ -175,12 +176,47 @@ def test_lane_sweep_equals_reference(lags, taus, base):
     assert all(type(v) is float for cell in cells for v in dataclasses.astuple(cell))
 
 
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 128])
+# the 7 x 3 grid `repro` sweeps: 21 lanes, which the kernel integrates 65 steps per chunk
+_REPRO_LAGS, _REPRO_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.03, 0.05, 0.10)
+_REPRO_CHUNK = dynamics._STAGE_BLOCK // (3 * len(_REPRO_LAGS) * len(_REPRO_TAUS))
+
+
+@pytest.mark.parametrize("steps", [
+    1, _REPRO_CHUNK - 1, _REPRO_CHUNK, _REPRO_CHUNK + 1, 2 * _REPRO_CHUNK,
+])
 def test_lane_sweep_equals_reference_at_block_edges(steps):
-    # the sweep folds its steps 64 at a time: a path of any length is folded whole
+    # the sweep folds each chunk the kernel yields: a path that ends on either
+    # side of a chunk edge is folded whole
+    assert _REPRO_CHUNK == 65
     base = dataclasses.replace(_RAPID, horizon=steps * 0.02)
-    grid = PolicyGrid(lags=(0.0, 0.5), taus=(0.03, 0.10), base=base)
+    grid = PolicyGrid(lags=_REPRO_LAGS, taus=_REPRO_TAUS, base=base)
     assert policy_sweep(grid, C) == _reference_cells(grid, C)
+
+
+@pytest.mark.parametrize("chunk", ["one_step", "default", "whole_horizon"])
+def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
+    # the fold's granularity changes no bit: one step per chunk, the shipped
+    # chunk length (151 steps for 9 lanes), and all 500 steps in one chunk
+    grid = PolicyGrid(lags=(0.0, 1.0, 12.0), taus=(0.0, 0.03, 0.10), base=_RAPID)
+    lanes, n_steps = 9, 500
+    stage_block = {
+        "one_step": 3 * lanes,
+        "default": dynamics._STAGE_BLOCK,
+        "whole_horizon": 3 * lanes * n_steps,
+    }[chunk]
+    monkeypatch.setattr(dynamics, "_STAGE_BLOCK", stage_block)
+    counted = []
+    rk4_lanes = dynamics.rk4_lanes
+
+    def count_chunks(*args):
+        for ts, path in rk4_lanes(*args):
+            counted.append(len(path) - 1)
+            yield ts, path
+
+    monkeypatch.setattr(policy, "rk4_lanes", count_chunks)
+    assert policy_sweep(grid, C) == _reference_cells(grid, C)
+    assert sum(counted) == n_steps
+    assert max(counted) == {"one_step": 1, "default": 151, "whole_horizon": n_steps}[chunk]
 
 
 def test_lane_sweep_grids_reach_the_absorbing_edges():
@@ -195,6 +231,29 @@ def test_lane_sweep_overflow_names_a_cell():
     base = Scenario(name="blowup", g_A_override=150.0, horizon=10.0, dt=0.02)
     with pytest.raises(IntegrationError, match=r"lag=0, tau=0\.03"):
         policy_sweep(PolicyGrid(lags=(0.0, 1.0), taus=(0.03,), base=base), C)
+
+
+def test_lane_sweep_mid_run_non_finite_names_a_cell():
+    # the reinstatement flow overflows to inf inside a step: alpha_rho * g_A * t stays
+    # under the exponent cap, so no lane is marked before the first step
+    c = with_updates(C, eta=1e308)
+    base = Scenario(name="boom", g_A_override=1.0, horizon=10.0, dt=0.02)
+    grid = PolicyGrid(lags=(0.0, 1.0), taus=(0.03, 0.10), base=base)
+    rho_exp = lane_constants([(with_updates(c, g_A=1.0), PolicySpec())])[6, 0]
+    assert rho_exp * base.horizon < dynamics._EXP_CAP
+    with pytest.raises(IntegrationError, match=r"lag=0, tau=0\.03"):
+        policy_sweep(grid, c)
+
+
+def test_lane_sweep_mid_run_non_finite_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eta = 1e308\n\n[scenario.boom]\ng_A_override = 1.0\n")
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(cfg), "--scenario", "boom", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "lag=0, tau=0.03" in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_lane_sweep_overflow_exit_3(tmp_path, capsys):
