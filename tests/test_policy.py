@@ -182,7 +182,8 @@ _REPRO_CHUNK = dynamics._STAGE_BLOCK // (3 * len(_REPRO_LAGS) * len(_REPRO_TAUS)
 
 
 @pytest.mark.parametrize("steps", [
-    1, _REPRO_CHUNK - 1, _REPRO_CHUNK, _REPRO_CHUNK + 1, 2 * _REPRO_CHUNK,
+    1, _REPRO_CHUNK - 2, _REPRO_CHUNK - 1, _REPRO_CHUNK, _REPRO_CHUNK + 1,
+    2 * _REPRO_CHUNK,
 ])
 def test_lane_sweep_equals_reference_at_block_edges(steps):
     # the sweep folds each chunk the kernel yields: a path that ends on either
