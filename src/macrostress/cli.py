@@ -303,6 +303,7 @@ def _cmd_regress(args: argparse.Namespace, run: _Run) -> str:
     y_vals = [cells[response] for cells in records]
     x_rows = [[1.0] + [cells[t] for t in terms] for cells in records]
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
+    run.manifest["regress"] = {"n": result.n, "regressors": 1 + len(terms)}  # with the intercept
     text = run.stage("regression.csv", _table("term,coefficient,hc1_se", [
         f"{name},{coef:.9g},{se:.9g}"
         for name, coef, se in zip(["intercept", *terms], result.coefficients, result.hc1_se)

@@ -351,7 +351,9 @@ class RegressionResult:
 def ols_hc1(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     """Least squares with heteroskedasticity-robust (HC1) standard errors.
 
-    X must include the intercept column and have full column rank; the HC1
+    X must include the intercept column and have full column rank, judged on
+    the columns scaled to a largest absolute entry of 1, so a regressor's scale
+    alone never makes it dependent; the HC1
     sandwich applies the n/(n-k) small-sample scaling. Data whose squares overflow
     raise :class:`ArithmeticError` naming the first result that is not finite.
     """
@@ -360,11 +362,16 @@ def ols_hc1(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more observations than regressors (n={n}, k={k})")
-    rank = int(np.linalg.matrix_rank(X))
+    # The rank tests see each column divided by its largest absolute entry (an all-zero
+    # column stays zero): matrix_rank's tolerance scales with the largest singular
+    # value, so one column on a large scale would drown the others.
+    peak = np.abs(X).max(axis=0)
+    unit = X / np.where(peak > 0.0, peak, 1.0)
+    rank = int(np.linalg.matrix_rank(unit))
     if rank < k:
         # Name the first column that adds no rank.
         for j in range(1, k + 1):
-            if int(np.linalg.matrix_rank(X[:, :j])) < j:
+            if int(np.linalg.matrix_rank(unit[:, :j])) < j:
                 raise ValueError(f"design matrix is rank deficient: column {j - 1} is dependent")
         raise ValueError("design matrix is rank deficient")
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite result below

@@ -49,6 +49,17 @@ def test_simulate_manifest_counts_its_work(tmp_path, dt, rows):
     assert len((out / "trajectory_rapid.csv").read_text().splitlines()) == rows + 1
 
 
+def test_regress_manifest_counts_its_work(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1,x2\n1,1,0\n2,2,1\n3,3,1\n5,5,0\n4,4.5,1\n")
+    out = tmp_path / "o"
+    assert run_cli("regress", "--data", str(data), "--formula", "y ~ x1 + x2", "--out", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    # the intercept counts as a regressor
+    assert manifest["regress"] == {"n": 5, "regressors": 3}
+    assert manifest["outputs"] == ["regression.csv"]
+
+
 def test_manifest_regime_feedback_rate(tmp_path):
     # beta_feedback * (2 * mpc_labor - 1) / (mpc_labor * s_L0 + (1 - mpc_labor) * (1 - s_L0))
     expected = 0.30 * (2 * 0.85 - 1) / (0.85 * 0.56 + 0.15 * 0.44)
@@ -397,6 +408,45 @@ def test_regress_overflowing_squares_exit_3(tmp_path, capfd):
     err = capfd.readouterr().err
     assert err.startswith("numeric error: regression hc1_se is not finite") and err.count("\n") == 1
     assert not out.exists()
+
+
+_SCALE_Y, _SCALE_X = "1,2,3,5,4,7".split(","), [1.0, 2.0, 3.0, 5.0, 4.5, 6.0]
+
+
+def _regress_scaled(tmp_path, scale):
+    data = tmp_path / f"d{scale:g}.csv"
+    data.write_text("y,x\n" + "".join(f"{y},{x * scale!r}\n" for y, x in zip(_SCALE_Y, _SCALE_X)))
+    out = tmp_path / f"o{scale:g}"
+    code = run_cli("regress", "--data", str(data), "--formula", "y ~ x", "--out", str(out))
+    if code:
+        return code, None
+    rows = (out / "regression.csv").read_text().strip().split("\n")[1:]
+    return code, [[float(v) for v in row.split(",")[1:]] for row in rows]
+
+
+def test_regress_large_regressor_scale_is_not_dependent(tmp_path):
+    # matrix_rank's tolerance follows the largest singular value: unscaled, x * 1e100
+    # drowned the intercept column and was reported as dependent (exit 2)
+    code, fit = _regress_scaled(tmp_path, 1.0)
+    assert code == 0
+    code, scaled = _regress_scaled(tmp_path, 1e100)
+    assert code == 0
+    (a, a_se), (b, b_se) = scaled
+    assert [a, a_se, b * 1e100, b_se * 1e100] == pytest.approx(fit[0] + fit[1], rel=1e-9)
+
+
+def test_regress_regressor_whose_cross_products_overflow_exit_3(tmp_path, capfd):
+    # the rank test passes at 1e160, and X'X overflows in the solve
+    assert _regress_scaled(tmp_path, 1e160)[0] == 3
+    assert capfd.readouterr().err.startswith("numeric error: regression coefficients is not finite")
+
+
+def test_regress_collinear_regressor_still_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1,x2\n1,1,2e100\n2,2,4e100\n3,3,6e100\n5,5,1e101\n4,4.5,9e100\n")
+    assert run_cli("regress", "--data", str(data), "--formula", "y ~ x1 + x2",
+                   "--out", str(tmp_path / "o")) == 2
+    assert "design matrix is rank deficient: column 2 is dependent" in capsys.readouterr().err
 
 
 # --- indicators --------------------------------------------------------------

@@ -11,6 +11,7 @@ from macrostress import dynamics
 from macrostress.dynamics import (
     _EXP_CAP,
     _STAGE_BLOCK,
+    _drift_constants,
     IntegrationError,
     RegimeKind,
     S_FLOOR,
@@ -29,6 +30,7 @@ from macrostress.dynamics import (
 )
 from macrostress.monetary import consumption_ratio, velocity
 from macrostress.params import (
+    Calibration,
     PolicySpec,
     Scenario,
     default_calibration,
@@ -523,6 +525,181 @@ def test_lanes_empty_input():
     assert s_final.shape == failed.shape == (0,)
 
 
+# --- the scalar integrator against its previous form ------------------------------
+
+def _reference_integrate_labor_share(
+    c: Calibration,
+    p: PolicySpec,
+    horizon: float,
+    dt: float,
+    record: list[float] | None = None,
+    s_init: float | None = None,
+) -> tuple[float, float | None]:
+    """The scalar integrator before its time-only terms were precomputed, kept
+    verbatim as the per-step reference."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = (
+        _drift_constants(c)
+    )
+    tau, activation = p.tau, p.start_time + p.lag
+    exp = math.exp
+
+    def deriv(t: float, s: float) -> float:
+        e = neg_kappa * (t - t0)
+        if e > 40.0:
+            d = 0.0
+        elif e < -40.0:
+            d = d_bar
+        else:
+            d = d_bar / (1.0 + exp(e))
+        x = rho_exp * t
+        if x > _EXP_CAP:
+            raise IntegrationError(
+                f"reinstatement term overflows at t={t:g} (alpha_rho*g_A*t={x:g})"
+            )
+        rho = rho0 + rho_scale * exp(x)
+        gap = s0 - s
+        pi = k_pi * gap if gap > 0.0 else 0.0
+        stab = tau if (s < s0 and t >= activation) else 0.0
+        raw = -d * disp_scale - beta * pi + rho + stab
+        if s <= 0.0 and raw < 0.0:
+            return 0.0
+        if s >= 1.0 and raw > 0.0:
+            return 0.0
+        return raw
+
+    n_steps = round(horizon / dt)
+    s = s0 if s_init is None else s_init
+    t = 0.0
+    collapse: float | None = 0.0 if s <= S_FLOOR else None
+    if record is not None:
+        record.append(s)
+    half = dt / 2.0
+    sixth = dt / 6.0
+    for i in range(n_steps):
+        t = i * dt
+        k1 = deriv(t, s)
+        k2 = deriv(t + half, s + half * k1)
+        k3 = deriv(t + half, s + half * k2)
+        k4 = deriv(t + dt, s + dt * k3)
+        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(s):
+            raise IntegrationError(
+                f"labor share became non-finite at t={t + dt:g}; "
+                f"stage derivatives k1={k1:g} k2={k2:g} k3={k3:g} k4={k4:g}"
+            )
+        if s < 0.0:
+            s = 0.0
+        elif s > 1.0:
+            s = 1.0
+        t = (i + 1) * dt
+        if collapse is None and s <= S_FLOOR:
+            collapse = t
+        if record is not None:
+            record.append(s)
+    return s, collapse
+
+
+def _outcome(integrate, c, p, horizon, dt, s_init=None):
+    """Every bit an integration shows: final state, collapse time and recorded
+    states as float.hex, or the exception's type and message and the partial record."""
+    record = []
+    try:
+        s, collapse = integrate(c, p, horizon, dt, record=record, s_init=s_init)
+    except Exception as exc:
+        return type(exc), str(exc), [v.hex() for v in record]
+    return s.hex(), None if collapse is None else collapse.hex(), [v.hex() for v in record]
+
+
+_POLICY = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
+_CHUNK = _STAGE_BLOCK // 3  # steps whose time-only terms are computed at once
+_RAPID_C = with_updates(C, g_A=0.4)   # collapses at t = 8.06: below s_L0 from the first steps
+
+# 41 * 0.01 + 0.01 != 42 * 0.01: step 42 starts one ulp of time away from step 41's
+# end, where a logistic this steep moves d by about 1e-13
+_UNSHARED_START = 42 * 0.01
+
+_SCALAR_CASES = {
+    "default": (C, NO_POLICY, 10.0, 0.01, None),
+    "logistic_tails": (with_updates(C_TAILS, g_A=0.2), _POLICY, 10.0, 0.01, None),
+    # d = 0 early on, which only a share near 0 can tell from d_bar / (1 + e^41)
+    "logistic_tail_at_tiny_share": (
+        with_updates(C, kappa=30.0, g_A=0.3, s_L0=1e-300, rho0=0.0, eta=0.0), NO_POLICY, 10.0, 0.01, None
+    ),
+    "steep_adoption_at_unshared_start": (
+        with_updates(C, kappa=1000.0, t0_diffusion=_UNSHARED_START, f_slope=1.0, g_A=1.0, eta=0.0),
+        NO_POLICY, 10.0, 0.01, None,
+    ),
+    "collapse": (_RAPID_C, NO_POLICY, 10.0, 0.01, None),
+    "ceiling": (with_updates(C, g_A=2.0), PolicySpec(tau=0.1), 10.0, 0.01, None),
+    "transfer_lifts_above_baseline": (_RAPID_C, PolicySpec(tau=0.5, lag=2.0), 10.0, 0.01, None),
+    # the reinstatement exponent first passes the cap at this stage time
+    "overflow_at_mid": (with_updates(C, g_A=200.0), NO_POLICY, 10.0, 0.01, None),
+    "overflow_at_end": (with_updates(C, g_A=141.0), NO_POLICY, 10.0, 0.01, None),
+    "overflow_at_last_step_of_first_chunk": (with_updates(C, g_A=102.58), NO_POLICY, 20.0, 0.01, None),
+    "overflow_at_first_step_of_second_chunk": (with_updates(C, g_A=102.55), NO_POLICY, 20.0, 0.01, None),
+    "overflow_in_third_chunk": (with_updates(C, g_A=51.28), NO_POLICY, 30.0, 0.01, None),
+    "non_finite": (with_updates(C, g_A=1.0, eta=1e308), NO_POLICY, 10.0, 0.01, None),
+    "s_init_0": (C, _POLICY, 10.0, 0.01, 0.0),
+    "s_init_1": (C, _POLICY, 10.0, 0.01, 1.0),
+    "s_init_at_floor": (_RAPID_C, NO_POLICY, 10.0, 0.01, S_FLOOR),
+    "s_init_below_floor": (_RAPID_C, _POLICY, 10.0, 0.01, 0.005),
+    "dt_0.03_not_dividing": (_RAPID_C, _POLICY, 10.0, 0.03, None),
+    "dt_0.0007_not_dividing": (C_TAILS, _POLICY, 10.0, 0.0007, None),
+    "one_step": (_RAPID_C, _POLICY, 0.01, 0.01, None),
+    "one_chunk": (_RAPID_C, _POLICY, _CHUNK * 0.001, 0.001, None),
+    "one_chunk_and_a_step": (_RAPID_C, _POLICY, (_CHUNK + 1) * 0.001, 0.001, None),
+    # the transfer switches on between a step's start and mid, at its mid, and between mid and end
+    "activation_before_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.003), 10.0, 0.01, None),
+    "activation_at_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.005), 10.0, 0.01, None),
+    "activation_after_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.007), 10.0, 0.01, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_CASES))
+def test_scalar_integrator_equals_reference_bit_for_bit(case):
+    args = _SCALAR_CASES[case]
+    assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+
+
+def test_scalar_integrator_equals_reference_on_sampled_draws():
+    # Monte Carlo draws: some collapse to 0, some rise, under a lagged transfer
+    for c in _sampled_calibrations(40, seed=11):
+        for p in (NO_POLICY, _POLICY):
+            assert _outcome(integrate_labor_share, c, p, 10.0, 0.01) == _outcome(
+                _reference_integrate_labor_share, c, p, 10.0, 0.01
+            )
+
+
+@pytest.mark.parametrize("case,message,steps", [
+    ("overflow_at_mid", "overflows at t=7.005 ", 700),
+    ("overflow_at_end", "overflows at t=9.93 ", 992),
+    ("overflow_at_last_step_of_first_chunk", "overflows at t=13.65 ", _CHUNK - 1),
+    ("overflow_at_first_step_of_second_chunk", "overflows at t=13.655 ", _CHUNK),
+    ("overflow_in_third_chunk", "overflows at t=27.305 ", 2 * _CHUNK),
+    ("non_finite", "non-finite at t=0.01;", 0),
+])
+def test_scalar_cases_raise_where_named(case, message, steps):
+    # the reference cases above reach the stage, step and chunk their names say
+    kind, text, record = _outcome(_reference_integrate_labor_share, *_SCALAR_CASES[case])
+    assert kind is IntegrationError and message in text
+    assert len(record) == steps + 1
+
+
+def test_scalar_cases_reach_what_their_names_say():
+    def final(case):
+        return _outcome(_reference_integrate_labor_share, *_SCALAR_CASES[case])
+
+    assert final("collapse")[0] == (0.0).hex() and final("ceiling")[0] == (1.0).hex()
+    # an activation time inside a step is seen at the stage times at or after it
+    activations = [final(f"activation_{w}")[0] for w in ("before_mid", "at_mid", "after_mid")]
+    assert len(set(activations)) == 2 and activations[0] == activations[1]
+    assert round(_SCALAR_CASES["one_chunk"][2] / 0.001) == _CHUNK
+    assert 41 * 0.01 + 0.01 != _UNSHARED_START
+    tiny = _SCALAR_CASES["logistic_tail_at_tiny_share"][0]
+    assert -tiny.kappa * (0.0 - tiny.t0_diffusion) > 40.0
+    assert round(10.0 / 0.03) * 0.03 != 10.0 and round(10.0 / 0.0007) * 0.0007 != 10.0
+
+
 # --- the lane kernel against its previous form --------------------------------
 
 def _reference_rk4_lanes(consts, horizon, dt, failed):
@@ -573,9 +750,6 @@ def _steps(chunks):
     row 0 that every chunk after the first repeats is left out."""
     for k, (ts, path) in enumerate(chunks):
         yield from zip(ts[min(k, 1):, 0].tolist(), path[min(k, 1):])
-
-
-_POLICY = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
 
 
 def _kernel_cases():
