@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,6 +45,7 @@ from .params import (
     load_config,
     read_csv_records,
     serialize_config,
+    table_text,
 )
 from .policy import PolicyGrid, policy_sweep
 from .stochastics import default_ranges, monte_carlo, ols_hc1
@@ -179,10 +181,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a comma-separated list of numbers: {text!r}") from None
 
 
-def _table(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
 # --- subcommands: each computes, stages its files and manifest blocks, and returns its stdout
 
 def _cmd_simulate(args: argparse.Namespace, run: _Run) -> str:
@@ -219,10 +217,8 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> str:
                       base=base)
     cells = policy_sweep(grid, run.calib)
     run.manifest["sweep"] = grid.counters()
-    run.stage("sweep.csv", _table("lag,tau,depth,s_L_final,consumption_decline_pct", [
-        f"{c.lag:.9g},{c.tau:.9g},{c.depth:.9g},{c.s_L_final:.9g},{c.consumption_decline_pct:.9g}"
-        for c in cells
-    ]))
+    run.stage("sweep.csv", table_text("lag,tau,depth,s_L_final,consumption_decline_pct",
+                                      map(dataclasses.astuple, cells)))
     if args.svg:
         run.chart("sweep.svg", f"Crisis depth vs policy lag ({base.name})", "policy lag, years",
                   "crisis depth", [
@@ -251,9 +247,8 @@ def _cmd_credit(args: argparse.Namespace, run: _Run) -> str:
     sigma = run.calib.sigma_r if args.sigma is None else args.sigma
     table = dscr_sensitivity(BorrowerState(dscr=args.dscr, sigma_r=sigma),
                              list(_parse_float_list(args.deltas)))
-    return run.stage("credit_sensitivity.csv", _table("delta,dscr_post,pd", [
-        f"{delta:.9g},{dscr_post:.9g},{pd:.9g}" for delta, dscr_post, pd in table
-    ]))
+    run.manifest["credit"] = {"deltas": len(table)}
+    return run.stage("credit_sensitivity.csv", table_text("delta,dscr_post,pd", table))
 
 
 def _cmd_intermediation(args: argparse.Namespace, run: _Run) -> str:
@@ -263,6 +258,7 @@ def _cmd_intermediation(args: argparse.Namespace, run: _Run) -> str:
         else intermediation.default_sectors()
     )
     report = intermediation.sector_report(sectors)
+    run.manifest["intermediation"] = {"sectors": len(report)}
     run.stage("sector_report.csv", intermediation.report_to_csv(report))
     return f"wrote {run.out / 'sector_report.csv'}\n"
 
@@ -274,14 +270,11 @@ def _cmd_decompose(args: argparse.Namespace, run: _Run) -> str:
         else monetary.default_quintiles()
     )
     total, per_quintile = monetary.consumption_shock(profile, args.shock)
-    rows = [
-        f"{i + 1},{profile.consumption_shares[i]:.9g},{profile.mpcs[i]:.9g},"
-        f"{profile.exposures[i]:.9g},{per_quintile[i]:.9g}"
-        for i in range(5)
-    ]
-    rows.append(f"total,,,,{total:.9g}")
+    rows = [*zip(range(1, 6), profile.consumption_shares, profile.mpcs, profile.exposures,
+                 per_quintile), ("total", None, None, None, total)]
+    run.manifest["decompose"] = {"quintiles": len(per_quintile)}
     run.stage("decomposition.csv",
-              _table("quintile,consumption_share,mpc,exposure,contribution_pp", rows))
+              table_text("quintile,consumption_share,mpc,exposure,contribution_pp", rows))
     return f"total consumption decline: {total:.4g} pp\n"
 
 
@@ -304,10 +297,9 @@ def _cmd_regress(args: argparse.Namespace, run: _Run) -> str:
     x_rows = [[1.0] + [cells[t] for t in terms] for cells in records]
     result = ols_hc1(np.array(x_rows), np.array(y_vals))
     run.manifest["regress"] = {"n": result.n, "regressors": 1 + len(terms)}  # with the intercept
-    text = run.stage("regression.csv", _table("term,coefficient,hc1_se", [
-        f"{name},{coef:.9g},{se:.9g}"
-        for name, coef, se in zip(["intercept", *terms], result.coefficients, result.hc1_se)
-    ]))
+    text = run.stage("regression.csv", table_text("term,coefficient,hc1_se", zip(
+        ["intercept", *terms], result.coefficients, result.hc1_se
+    )))
     return text + f"r_squared = {result.r_squared:.6g}\nn = {result.n}\n"
 
 
@@ -318,6 +310,8 @@ def _cmd_indicators(args: argparse.Namespace, run: _Run) -> str:
         raise ConfigError(f"--data must name a directory of <series>.csv files: {data_dir}")
     data = {p.stem: load_series_csv(p) for p in sorted(data_dir.glob("*.csv"))}
     report = dashboard(rules, data)
+    signals = dict(Counter(row.signal.kind for row in report.rows))  # in order of first signal
+    run.manifest["indicators"] = {"rules": len(rules), "series": len(data), "signals": signals}
     run.stage("indicators_report.csv", report.to_csv())
     return report.to_text()
 

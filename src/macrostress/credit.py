@@ -44,14 +44,20 @@ class BorrowerState:
 
 def default_probability(b: BorrowerState) -> float:
     """Annual default probability Phi(-ln(dscr)/sigma_r); 0.5 at dscr = 1."""
-    return std_normal_cdf(-math.log(b.dscr) / b.sigma_r)
+    return shocked_default_probability(b, 0.0)
 
 
 def shocked_default_probability(b: BorrowerState, delta: float) -> float:
-    """Default probability after a permanent income reduction of ``delta``."""
+    """Default probability after a permanent income reduction of ``delta``; a non-finite
+    ``-ln(dscr)/sigma_r`` raises a ``ValueError`` naming ``dscr``, ``sigma_r`` and ``delta``."""
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must be in [0, 1); full income destruction is outside the model")
-    return default_probability(BorrowerState(dscr=b.dscr * (1.0 - delta), sigma_r=b.sigma_r))
+    shocked = BorrowerState(dscr=b.dscr * (1.0 - delta), sigma_r=b.sigma_r)
+    z = -math.log(shocked.dscr) / shocked.sigma_r
+    if not math.isfinite(z):
+        raise ValueError(f"-ln(dscr * (1 - delta)) / sigma_r is not finite at dscr = {b.dscr!r}, "
+                         f"sigma_r = {b.sigma_r!r}, delta = {delta!r}")
+    return std_normal_cdf(z)
 
 
 def dscr_sensitivity(

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
+from .params import NUMBER, Calibration, PolicySpec, Scenario, validate, validate_scenario
 from . import monetary
 
 S_FLOOR = 0.01   # collapse sentinel: labor share below 1% is outside the model's domain
@@ -129,7 +129,7 @@ class TrajectoryPoint(NamedTuple):
 
 # TrajectoryPoint._make without its Python frame: the call stays in C for every row
 _make_point = partial(tuple.__new__, TrajectoryPoint)
-_CSV_ROW = ",".join(["%.9g"] * len(TrajectoryPoint._fields))  # the bytes of f"{v:.9g}" per value
+_CSV_ROW = ",".join([NUMBER] * len(TrajectoryPoint._fields))  # table_text's bytes, one % per row
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: an array comparison has no truth value
@@ -254,9 +254,7 @@ def integrate_labor_share(
 
     def terms(ts: np.ndarray) -> np.ndarray:
         """Rows -d * disp_scale, rho and the transfer at the stage times ``ts``."""
-        e = neg_kappa * (ts - t0)
-        d = d_bar / (1.0 + _map_column(math.exp, memoryview(np.clip(e, -41.0, 41.0))))
-        d = np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d))
+        d = _adoption(ts, d_bar, neg_kappa, t0)
         with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
             rho = rho0 + rho_scale * _map_column(math.exp, memoryview(rho_exp * ts))
         return np.array([-d * disp_scale, rho, np.where(ts >= activation, tau, 0.0)])
@@ -580,6 +578,14 @@ def _map_column(fn, *columns: object) -> np.ndarray:
     return np.fromiter(map(fn, *columns), dtype=np.float64)
 
 
+def _adoption(ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float) -> np.ndarray:
+    """:func:`diffusion` at the times ``ts``, by ``math.exp`` of ``e`` clipped to +-41."""
+    with np.errstate(over="ignore"):  # an infinite e is a tail, as in diffusion()
+        e = neg_kappa * (ts - t0)
+    d = d_bar / (1.0 + _map_column(math.exp, memoryview(np.clip(e, -41.0, 41.0))))
+    return np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d))
+
+
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     """Integrate a scenario and record the full per-step state, one column per field.
 
@@ -606,10 +612,7 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     past_cap = np.flatnonzero(x > _EXP_CAP)
     if past_cap.size:
         capability(float(t[past_cap[0]]), ce)  # raises
-    # diffusion: the argument is clipped so that exp cannot overflow; its tails are masks
-    e = -ce.kappa * (t - ce.t0_diffusion)
-    d_t = ce.d_bar / (1.0 + _map_column(math.exp, np.clip(e, -41.0, 41.0).tolist()))
-    d_t = np.where(e > 40.0, 0.0, np.where(e < -40.0, ce.d_bar, d_t))
+    d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf and nan, silently
         A_t = ce.A0 * _map_column(math.exp, x.tolist())
         # reinstatement_rate

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .params import ConfigError, block_value, finite, read_blocks, read_csv_rows
+from .params import ConfigError, block_value, finite, read_blocks, read_csv_rows, table_text
 
 # A series is a list of (ISO-8601 date, value) pairs sorted by date.
 Series = list[tuple[str, float]]
@@ -172,15 +172,11 @@ class DashboardReport:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def to_csv(self) -> str:
-        lines = ["id,series,comparator,threshold,window,direction,signal,reason"]
-        for row in self.rows:
-            r = row.rule
-            thr = "" if r.threshold is None else f"{r.threshold:.9g}"
-            lines.append(
-                f"{r.id},{r.series_name},{r.comparator},{thr},{r.window},"
-                f"{r.direction},{row.signal.kind},{row.signal.reason}"
-            )
-        return "\n".join(lines) + "\n"
+        return table_text("id,series,comparator,threshold,window,direction,signal,reason", [
+            (row.rule.id, row.rule.series_name, row.rule.comparator, row.rule.threshold,
+             row.rule.window, row.rule.direction, row.signal.kind, row.signal.reason)
+            for row in self.rows
+        ])
 
     def to_text(self) -> str:
         width = max(len(r.rule.series_name) for r in self.rows)

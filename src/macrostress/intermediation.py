@@ -8,10 +8,10 @@ converge to infrastructure cost plus the floor premium rather than to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .params import Calibration, ConfigError, read_csv_records
+from .params import Calibration, ConfigError, read_csv_records, table_text
 
 # Regulatory ordinal -> friction floor as a fraction of the pre-AI friction
 # level. Declared convention; preserves the qualitative sector ranking.
@@ -138,21 +138,9 @@ def sector_report(sectors: list[SectorProfile]) -> list[SectorReportRow]:
     ]
 
 
-REPORT_CSV_HEADER = (
-    "rank,sector,revenue_busd,friction_share_mid,floor_fraction,"
-    "revenue_at_risk_busd,exposure_score,net_exposure"
-)
-
-
 def report_to_csv(rows: list[SectorReportRow]) -> str:
-    out = [REPORT_CSV_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.rank},{r.name},{r.revenue_busd:.9g},{r.friction_share_mid:.9g},"
-            f"{r.floor_fraction:.9g},{r.revenue_at_risk_busd:.9g},"
-            f"{r.exposure_score:.9g},{r.net_exposure}"
-        )
-    return "\n".join(out) + "\n"
+    return table_text("rank,sector,revenue_busd,friction_share_mid,floor_fraction,"
+                      "revenue_at_risk_busd,exposure_score,net_exposure", map(astuple, rows))
 
 
 _SECTOR_COLUMNS = (

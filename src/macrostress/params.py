@@ -8,7 +8,8 @@ Every input file is read here, one reader per format: config and rule
 files by :func:`read_blocks` (``key = value`` lines, ``#`` comments,
 ``[<section>.<name>]`` blocks), data CSVs by :func:`read_csv_rows`
 (optional header) or :func:`read_csv_records` (named columns). Errors
-name the file and line, and the column of a CSV cell.
+name the file and line, and the column of a CSV cell. Every data table is
+written by :func:`table_text`, its floats in the :data:`NUMBER` format.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import csv
 import dataclasses
 import io
 import math
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -401,6 +402,20 @@ def read_csv_records(
                 text = raw is not None and column not in numbers  # csv_number rejects a missing cell
                 cells[column] = raw if text else csv_number(path, records.line_num, column, raw)
             yield records.line_num, cells
+
+
+NUMBER = "%.9g"  # the format of every float in a data file
+
+
+def table_text(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """A data table: ``header``, one comma-joined line per row, and a final newline. A
+    float cell (numpy's float64 too) is written with :data:`NUMBER`, ``None`` as an empty
+    cell and any other cell with ``str``, so an int stays whole at any size."""
+
+    def cell(v: object) -> str:
+        return NUMBER % v if isinstance(v, float) else "" if v is None else str(v)
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def load_config(path: str | Path) -> tuple[Calibration, list[Scenario]]:

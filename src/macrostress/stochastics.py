@@ -29,7 +29,8 @@ import numpy as np
 
 from . import monetary
 from .dynamics import column_lane_constants, integrate_lanes
-from .params import Calibration, PolicySpec, field_admits, valid, validate, with_updates
+from .params import (NUMBER, Calibration, PolicySpec, field_admits, table_text, valid, validate,
+                     with_updates)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
@@ -264,18 +265,15 @@ class McSummary:
         lines = [
             f"n_draws = {self.n_draws}",
             f"seed = {self.seed}",
-            f"threshold = {self.threshold:.9g}",
-            f"median_shortfall = {self.median_shortfall:.9g}",
-            f"tail_prob = {self.tail_prob:.9g}",
+            f"threshold = {NUMBER % self.threshold}",
+            f"median_shortfall = {NUMBER % self.median_shortfall}",
+            f"tail_prob = {NUMBER % self.tail_prob}",
             f"n_failures = {self.n_failures}",
         ]
         return "\n".join(lines) + "\n"
 
     def histogram_csv(self) -> str:
-        rows = ["bin_lo,bin_hi,count"]
-        for lo, hi, count in self.histogram:
-            rows.append(f"{lo:.9g},{hi:.9g},{count}")
-        return "\n".join(rows) + "\n"
+        return table_text("bin_lo,bin_hi,count", self.histogram)
 
     def counters(self) -> dict[str, object]:
         return {
@@ -325,9 +323,7 @@ def monte_carlo(
     if shortfalls.size == 0:
         raise RuntimeError("all Monte Carlo draws failed to integrate")
     counts, edges = np.histogram(shortfalls, bins=_HIST_BINS, range=_HIST_RANGE)
-    histogram = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(_HIST_BINS)
-    )
+    histogram = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     return McSummary(
         n_draws=n,
         median_shortfall=float(np.median(shortfalls)),

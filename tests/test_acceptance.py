@@ -362,6 +362,17 @@ def test_repro_manifest_sweep_counters(repro_run):
     assert len(rows) == 21
 
 
+def test_repro_manifest_table_counters(repro_run):
+    # one credit row per delta, and the shipped quintiles and sectors
+    _, _, out = repro_run
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    deltas = len((out / "credit_sensitivity.csv").read_text().splitlines()) - 1
+    assert {block: manifest[block] for block in ("credit", "decompose", "intermediation")} == {
+        "credit": {"deltas": deltas}, "decompose": {"quintiles": 5}, "intermediation": {"sectors": 7},
+    }
+    assert deltas == 3
+
+
 def test_repro_manifest_regime(repro_run):
     # the stability condition of each shipped scenario: every g_A sits below g*
     _, _, out = repro_run

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,19 @@ def test_capability_overflow_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o" / "trajectory_x.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["kappa = 1e308", "t0_diffusion = 1e308", "t0_diffusion = -1e308"])
+def test_adoption_argument_past_float_range_warns_nothing(tmp_path, capsys, line):
+    # -kappa * (t - t0) overflows to +-inf: a tail of the logistic, as a finite e past 40 is
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
 def test_integration_failure_exit_3(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     # growth this extreme overflows the reinstatement exponential mid-run
@@ -212,6 +226,30 @@ def test_credit_table_byte_identical_to_golden(tmp_path, dscr, sigma, deltas):
     ) == 0
     digest = hashlib.sha256((out / "credit_sensitivity.csv").read_bytes()).hexdigest()
     assert digest == CREDIT_SHA256[dscr, sigma, deltas]
+
+
+def test_credit_non_finite_z_names_its_inputs_exit_2(tmp_path, capsys):
+    # -ln(1e308) / 1e-308 overflows to -inf
+    out = tmp_path / "o"
+    assert run_cli("credit", "--dscr", "1e308", "--sigma", "1e-308", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "dscr = 1e+308" in err and "sigma_r = 1e-308" in err and "delta = 0.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,block,table,count", [
+    (["credit", "--deltas", "0,0.1,0.2,0.3"], "credit", "credit_sensitivity.csv", "deltas"),
+    (["decompose"], "decompose", "decomposition.csv", "quintiles"),
+    (["intermediation"], "intermediation", "sector_report.csv", "sectors"),
+])
+def test_table_command_manifest_counts_its_work(tmp_path, argv, block, table, count):
+    # decided from the run's own table: one row per delta, quintile or sector
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    rows = [r for r in (out / table).read_text().splitlines()[1:] if not r.startswith("total,")]
+    assert json.loads((out / "run_manifest.json").read_text())[block] == {count: len(rows)}
+    assert len(rows) == {"deltas": 4, "quintiles": 5, "sectors": 7}[count]
 
 
 # --- decompose ---------------------------------------------------------------
@@ -392,6 +430,32 @@ def test_regress_fixture(tmp_path, capsys):
     assert "r_squared = 1" in capsys.readouterr().out
 
 
+# A fit whose every coefficient needs all 9 significant digits, and the sha256
+# of its regression.csv (CPython 3.11, numpy 2.4).
+_REGRESS_NINE_DIGITS = (
+    "y,x1,x2\n1.3,0.2,3.1\n2.9,1.7,2.2\n4.1,2.3,0.7\n6.2,3.9,1.9\n7.7,5.1,0.4\n9.4,6.6,2.8\n"
+)
+REGRESSION_SHA256 = "0092902e37f6819e62e82e54c14af7434ad9940c956600c56ad971fec2291495"
+
+
+def _significant_digits(cell):
+    mantissa = cell.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_regression_table_byte_identical_to_golden(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text(_REGRESS_NINE_DIGITS)
+    out = tmp_path / "o"
+    assert run_cli(
+        "regress", "--data", str(data), "--formula", "y ~ x1 + x2", "--out", str(out)
+    ) == 0
+    text = (out / "regression.csv").read_text()
+    coefficients = [row.split(",")[1] for row in text.splitlines()[1:]]
+    assert len(coefficients) == 3 and all(_significant_digits(c) == 9 for c in coefficients)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGRESSION_SHA256
+
+
 def test_regress_bad_formula_exit_2(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("y,x\n1,2\n")
@@ -461,6 +525,103 @@ def test_indicators_command(tmp_path, capsys):
     assert run_cli("indicators", "--data", str(data_dir), "--out", str(out)) == 0
     text = (out / "indicators_report.csv").read_text()
     assert "H2" in text and "Falsified" in text
+
+
+# Every signal kind and reason, a 10-digit window (written as a whole number),
+# a rule without a threshold (an empty cell) and thresholds that need 9 digits
+# or an exponent; and the sha256 of the indicators_report.csv they give.
+_INDICATOR_RULES = """\
+[rule.falsified]
+series = rising
+comparator = >=
+threshold = 1.23456789012
+window = 3
+
+[rule.triggered]
+series = rising
+comparator = <
+threshold = 0.000123456789012
+window = 2
+
+[rule.triggers]
+series = rising
+comparator = >
+threshold = -1e-9
+direction = triggers
+
+[rule.mixed]
+series = rising
+comparator = >=
+threshold = 4
+
+[rule.long_window]
+series = rising
+comparator = >=
+threshold = 1
+window = 1234567890
+
+[rule.qualitative]
+series = flat
+comparator = <=
+note = an analyst supplies the threshold
+
+[rule.yoy]
+series = rising
+comparator = >
+threshold = 123456789012.5
+window = 2
+transform = yoy_pct_change
+transform_param = 1
+
+[rule.gap]
+series = rising
+comparator = >=
+threshold = -0.5
+transform = gap_vs
+transform_param = flat
+
+[rule.absent]
+series = absent
+comparator = <
+threshold = 0
+"""
+_INDICATOR_SERIES = {
+    "rising": "date,value\n2024-01-01,1.25\n2024-04-01,2.5\n2024-07-01,3.75\n"
+              "2024-10-01,5\n2025-01-01,6.25\n",
+    "flat": "2024-01-01,1\n2024-04-01,1\n2024-07-01,1\n2024-10-01,1\n2025-01-01,1\n",
+}
+INDICATORS_REPORT_SHA256 = "bc19ac73338a3d7e9aae2971a4026c938d481ffce87209f814d24780617376e4"
+
+
+def _indicator_inputs(tmp_path):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(_INDICATOR_RULES)
+    data_dir = tmp_path / "series"
+    data_dir.mkdir()
+    for name, body in _INDICATOR_SERIES.items():
+        (data_dir / f"{name}.csv").write_text(body)
+    return ["--rules", str(rules), "--data", str(data_dir)]
+
+
+def test_indicators_report_byte_identical_to_golden(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("indicators", *_indicator_inputs(tmp_path), "--out", str(out)) == 0
+    text = (out / "indicators_report.csv").read_text()
+    assert {row.split(",")[6] + row.split(",")[7] for row in text.splitlines()[1:]} == {
+        "Falsified", "Triggered", "Indeterminatemixed data",
+        "Indeterminateinsufficient data", "Indeterminatequalitative rule",
+    }
+    assert ",,1234567890," not in text and ",1234567890,falsifies," in text
+    assert "qualitative,flat,<=,,4," in text
+    assert hashlib.sha256(text.encode()).hexdigest() == INDICATORS_REPORT_SHA256
+
+
+def test_indicators_manifest_counts_its_work(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("indicators", *_indicator_inputs(tmp_path), "--out", str(out)) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["indicators"] == {
+        "rules": 9, "series": 2, "signals": {"Falsified": 2, "Triggered": 3, "Indeterminate": 4},
+    }
 
 
 @pytest.mark.parametrize("body,line,what", [

@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from macrostress.params import (
     read_csv_records,
     read_csv_rows,
     serialize_config,
+    table_text,
     validate,
     validate_scenario,
     with_updates,
@@ -444,3 +446,12 @@ def test_load_config_rejects_non_finite_values(tmp_path, raw):
     path.write_text(f"[scenario.s]\nhorizon = 10\ntau = {raw}\n")
     with pytest.raises(ConfigError, match=f"line 3: value for 'tau' must be finite"):
         load_config(path)
+
+
+def test_table_text_formats_floats_only():
+    # a float, numpy's float64 included, takes NUMBER; an int stays whole, None is empty
+    rows = [(0.1 + 0.2, np.float64(2.0) / 3.0, 1234567890, None, "a b"), (-0.0, 1e-10, 0, "", 5)]
+    assert table_text("f,g,i,n,s", rows) == (
+        "f,g,i,n,s\n0.3,0.666666667,1234567890,,a b\n-0,1e-10,0,,5\n"
+    )
+    assert table_text("h", []) == "h\n"
