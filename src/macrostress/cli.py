@@ -31,6 +31,7 @@ from .credit import BorrowerState, dscr_sensitivity
 from .dynamics import (
     IntegrationError,
     _effective_calibration,
+    amplification,
     classify_regime,
     feedback_rate,
     simulate_path,
@@ -196,6 +197,7 @@ def _cmd_simulate(args: argparse.Namespace, run: _Run) -> str:
     run.manifest.setdefault("regime", {})[scenario.name] = {
         "kind": regime.kind.value, "threshold": regime.threshold, "g_A": calib.g_A,
         "feedback_rate": feedback_rate(calib),
+        "amplification": amplification(traj.s_L, scenario.dt, calib),
     }
     run.manifest.setdefault("simulate", {})[scenario.name] = {
         "rows": len(traj.t), "rk4_steps": len(traj.t) - 1,
@@ -310,8 +312,14 @@ def _cmd_indicators(args: argparse.Namespace, run: _Run) -> str:
         raise ConfigError(f"--data must name a directory of <series>.csv files: {data_dir}")
     data = {p.stem: load_series_csv(p) for p in sorted(data_dir.glob("*.csv"))}
     report = dashboard(rules, data)
+    for m in report.missing:
+        print(f"warning: rule {m.rule}: {m.role} series {m.series!r} has no file "
+              f"{data_dir / m.series}.csv; the rule reads insufficient data", file=sys.stderr)
     signals = dict(Counter(row.signal.kind for row in report.rows))  # in order of first signal
-    run.manifest["indicators"] = {"rules": len(rules), "series": len(data), "signals": signals}
+    run.manifest["indicators"] = {
+        "rules": len(rules), "series": len(data), "signals": signals,
+        "missing_series": [dataclasses.asdict(m) for m in report.missing],
+    }
     run.stage("indicators_report.csv", report.to_csv())
     return report.to_text()
 

@@ -205,6 +205,39 @@ def _drift_constants(c: Calibration) -> tuple[float, ...]:
 _STAGE_BLOCK = 1 << 12
 
 
+def _time_only_steps(
+    s: float | np.ndarray, s0: float | np.ndarray, k1: np.ndarray, k2: np.ndarray, k4: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 steps from state ``s`` while the drift depends on time alone, one row per step.
+
+    ``k1``, ``k2`` and ``k4`` are each step's stage drifts at zero margin
+    pressure; ``k3 == k2``. Returns the states, ``s`` first, and a mask of
+    the steps that match the per-step RK4. The states are one sequential
+    ``np.add.accumulate`` of the increments ``sixth * (k1 + 2*k2 + 2*k2 + k4)``:
+    the per-step additions, in step order. A step holds where its stage
+    inputs lie in ``[s0, 1)``, so no margin pressure, transfer or edge test
+    acts, and its new state in ``(S_FLOOR, 1]``, so neither the clamp nor the
+    collapse sentinel acts; every comparison is False on NaN. Two bounds
+    need no comparison of their own:
+
+    - the third input ``s + half * k2`` lies between ``s`` and the fourth,
+      ``s + dt * k2``: ``half * k2`` is ``dt * k2`` halved exactly, and
+      rounding is monotone;
+    - a state at or above 1 with ``k1 > 0`` puts the second input at or
+      above 1, and the edge test leaves a ``k1 <= 0`` alone.
+
+    Callers run it under ``np.errstate``, because a failing state overflows.
+    """
+    two_k2 = 2.0 * k2
+    path = np.add.accumulate(np.concatenate(([s], dt / 6.0 * (k1 + two_k2 + two_k2 + k4))))
+    start, new = path[:-1], path[1:]
+    ok = (start >= s0) & (new > S_FLOOR) & (new <= 1.0)
+    for u in (start + dt / 2.0 * k1, start + dt * k2):
+        ok &= (u >= s0) & (u < 1.0)
+    return path, ok
+
+
 def integrate_labor_share(
     c: Calibration,
     p: PolicySpec,
@@ -233,6 +266,13 @@ def integrate_labor_share(
     tests pin the agreement, and a frozen copy of the per-stage form pins
     every bit). They stay inline: a helper called per stage measured 17-24%
     slower on 10000-step paths.
+
+    A chunk that starts at or above ``s_L0`` first runs as array arithmetic
+    (:func:`_time_only_steps`): there the else branches below apply, with
+    the drift ``push - beta * 0.0 + rho + 0.0`` of time alone and
+    ``k3 == k2``. The chunk keeps the leading steps whose stage inputs and
+    new states that function verifies, and runs the rest per step from the
+    first step it refuses. ``baseline`` takes every step that way.
 
     Raises :class:`IntegrationError` in the order the per-stage form did:
     at the first step whose state turns non-finite, or at the first stage
@@ -280,9 +320,20 @@ def integrate_labor_share(
         at_start[:, 1:] = at_end[:, :-1]
         fresh = np.flatnonzero(start != np.append(last_end, end[:-1]))
         at_start[:, fresh] = terms(start[fresh])
+        taken = 0  # the chunk's leading steps taken as array arithmetic
+        if s >= s0:
+            with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
+                path, ok = _time_only_steps(
+                    s, s0, *(push - no_pi + rho + 0.0 for push, rho, _ in (at_start, at_mid, at_end)), dt
+                )
+            taken = len(ok) if ok.all() else int(ok.argmin())
+            if taken:
+                s = float(path[taken])
+                if record is not None:
+                    record += path[1 : taken + 1].tolist()
         # a memoryview yields each entry as a Python float, without a list of them all
         for i, push1, rho1, on1, push2, rho2, on2, push4, rho4, on4 in zip(
-            range(lo, hi), *map(memoryview, (*at_start, *at_mid, *at_end))
+            range(lo + taken, hi), *(memoryview(row[taken:]) for row in (*at_start, *at_mid, *at_end))
         ):
             gap = s0 - s
             if gap > 0.0:
@@ -443,13 +494,24 @@ def rk4_lanes(
 
     Every lane that does not fail yields the values of
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
-    Three terms run only when they can change a value:
+    Four terms run only when they can change a value:
 
     - the logistic tails (``d = 0`` for ``e > 40``, ``d = d_bar`` for
       ``e < -40``), when some lane has ``|e| > 40`` at the first or the last
       stage time; ``e`` is monotone in t, so no stage time between goes further;
     - the transfer, at stage times at or after the earliest activation
       among lanes with a non-zero ``tau``: where some lane's transfer is non-zero;
+    - the per-step loop, only in a chunk of more than one step that cannot
+      run as array arithmetic. Where every lane starts at or above ``s0``,
+      the chunk's drifts are ``push - no_pi + rho`` with
+      ``no_pi = beta * (k_pi * 0.0)``, the margin term at zero pressure, and
+      ``k3 == k2``; :func:`_time_only_steps` forms its states and checks every
+      lane at every step, and the chunk is taken whole or not at all. Its
+      states are the per-step loop's: the loop's margin term is then that
+      same ``no_pi``, the transfer ``transfer * False`` adds a zero, and no
+      edge test or clamp acts. Without the transfer's zero a drift can differ
+      only in the sign of a zero, which no state sees (below). The Monte
+      Carlo's 2000 lanes run one step per chunk and never try it;
     - the absorbing edges, only in a chunk whose states do not all start
       clear of the edges, and there when some stage state is ``<= 0`` or
       ``>= 1``. While every stage input is inside (0, 1), each lane's drift
@@ -492,6 +554,7 @@ def rk4_lanes(
     rho_buf = np.empty_like(push_buf)
     # numpy converts a Python float operand on every call, a 0-d array it takes as is
     zero, one, two, half_dt, full_dt, sixth_dt = map(np.array, (0.0, 1.0, 2.0, half, dt, sixth))
+    no_pi = beta * (k_pi * zero)  # beta * pi where the margin pressure is zero
 
     def drive(ts: np.ndarray, lo: int) -> None:
         """The state-free terms at the stage times in column ``ts``, written to rows
@@ -555,17 +618,25 @@ def rk4_lanes(
         else:
             transfer += [None] * len(ts)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
-        stages = list(zip(push_buf, rho_buf, transfer))
-        path = np.empty((len(steps) + 1, s0.size))
-        path[0] = s
-        for j, (start, mid, end) in enumerate(rows, 1):
-            k1 = deriv(s, *stages[start])
-            k2 = deriv(s + half_dt * k1, *stages[mid])
-            k3 = deriv(s + half_dt * k2, *stages[mid])
-            k4 = deriv(s + full_dt * k3, *stages[end])
-            s = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
-            failed |= ~np.isfinite(s)
-            s = np.minimum(np.maximum(s, zero), one, out=path[j])
+        taken = False  # whether the chunk runs as array arithmetic
+        if chunk > 1 and (s >= s0).all():
+            drift = push_buf[: len(times)] - no_pi + rho_buf[: len(times)]
+            path, ok = _time_only_steps(s, s0, *drift[np.array(rows).T], dt)
+            taken = ok.all()
+        if taken:
+            s = path[-1]
+        else:
+            stages = list(zip(push_buf, rho_buf, transfer))
+            path = np.empty((len(steps) + 1, s0.size))
+            path[0] = s
+            for j, (start, mid, end) in enumerate(rows, 1):
+                k1 = deriv(s, *stages[start])
+                k2 = deriv(s + half_dt * k1, *stages[mid])
+                k3 = deriv(s + half_dt * k2, *stages[mid])
+                k4 = deriv(s + full_dt * k3, *stages[end])
+                s = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
+                failed |= ~np.isfinite(s)
+                s = np.minimum(np.maximum(s, zero), one, out=path[j])
         yield (np.arange(lo, lo + len(path)) * dt).reshape(-1, 1), path
         carry = times[-1], len(times) - 1, transfer[-1]
 
@@ -658,6 +729,25 @@ def feedback_rate(c: Calibration) -> float:
     """
     *_, beta, _, k_pi = _drift_constants(c)
     return beta * k_pi
+
+
+def amplification(s_L: np.ndarray, dt: float, c: Calibration) -> float:
+    """The linearised growth factor of a small downward perturbation along the recorded
+    path ``s_L`` (grid step ``dt``): ``exp(feedback_rate * dt * k)``.
+
+    ``k`` counts the steps that start strictly inside ``(0, s_L0)``, where the
+    drift's slope in ``s_L`` is ``-feedback_rate``. At or above ``s_L0`` the
+    drift depends on time alone, and at 0 the edge absorbs, so a step from
+    there leaves the perturbation as it is. Past the float range it is ``inf``.
+    """
+    starts = s_L[:-1]
+    k = int(np.count_nonzero((starts > 0.0) & (starts < c.s_L0)))
+    if k == 0:  # also where feedback_rate overflows, and inf * 0 would be NaN
+        return 1.0
+    try:
+        return math.exp(feedback_rate(c) * dt * k)
+    except OverflowError:
+        return math.inf
 
 
 class RegimeKind(enum.Enum):

@@ -165,11 +165,22 @@ class DashboardRow:
 
 
 @dataclass(frozen=True)
+class MissingSeries:
+    """A series a rule with a threshold reads but the data lack: that rule reads
+    ``Indeterminate(insufficient data)``. ``role`` is ``primary`` or ``reference``."""
+
+    rule: str
+    series: str
+    role: str
+
+
+@dataclass(frozen=True)
 class DashboardReport:
     rows: tuple[DashboardRow, ...]
     crisis_triggered: int
     competing_falsified: int
     flags: tuple[str, ...] = field(default_factory=tuple)
+    missing: tuple[MissingSeries, ...] = field(default_factory=tuple)
 
     def to_csv(self) -> str:
         return table_text("id,series,comparator,threshold,window,direction,signal,reason", [
@@ -192,10 +203,20 @@ class DashboardReport:
 
 
 def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardReport:
-    """Evaluate every rule and summarize crisis vs. competing-mechanism signals."""
+    """Evaluate every rule and summarize crisis vs. competing-mechanism signals.
+
+    The report lists every series a rule with a threshold reads that ``data``
+    lacks, its primary series or a ``gap_vs`` reference, in rule order.
+    """
     rows = []
     signals: dict[str, Signal] = {}
+    missing = []
     for rule in rules:
+        if rule.threshold is not None:  # a qualitative rule reads no series
+            wanted = [(rule.series_name, "primary")]
+            if rule.transform == "gap_vs":
+                wanted.append((str(rule.transform_param), "reference"))
+            missing += [MissingSeries(rule.id, name, role) for name, role in wanted if name not in data]
         series = data.get(rule.series_name, [])
         try:
             signal = evaluate_rule(series, rule, data)
@@ -223,6 +244,7 @@ def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardR
         crisis_triggered=crisis_triggered,
         competing_falsified=competing_falsified,
         flags=tuple(flags),
+        missing=tuple(missing),
     )
 
 

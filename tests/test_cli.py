@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -73,6 +74,20 @@ def test_manifest_regime_feedback_rate(tmp_path):
     assert round(expected, 4) == 0.3875
     assert manifest["simulate"] == {name: {"rows": 1001, "rk4_steps": 1000}
                                     for name in ("baseline", "rapid", "extreme")}
+
+
+@pytest.mark.parametrize("scenario,expected", [
+    ("baseline", 1.0),     # never below s_L0: no step under the feedback
+    ("rapid", 12.3136),    # 648 steps start below s_L0, from t = 3.52 on
+    ("extreme", 7.7350),   # 528 steps, from t = 2.82 until the share reaches 0 at t = 8.1
+])
+def test_simulate_manifest_regime_amplification(tmp_path, scenario, expected):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(out)) == 0
+    regime = json.loads((out / "run_manifest.json").read_text())["regime"][scenario]
+    steps = round(math.log(regime["amplification"]) / (regime["feedback_rate"] * 0.01))
+    assert regime["amplification"] == math.exp(regime["feedback_rate"] * 0.01 * steps)
+    assert regime["amplification"] == pytest.approx(expected, abs=1e-4)
 
 
 def test_simulate_unknown_scenario_exit_2(tmp_path, capsys):
@@ -621,7 +636,30 @@ def test_indicators_manifest_counts_its_work(tmp_path):
     assert run_cli("indicators", *_indicator_inputs(tmp_path), "--out", str(out)) == 0
     assert json.loads((out / "run_manifest.json").read_text())["indicators"] == {
         "rules": 9, "series": 2, "signals": {"Falsified": 2, "Triggered": 3, "Indeterminate": 4},
+        "missing_series": [{"rule": "absent", "series": "absent", "role": "primary"}],
     }
+
+
+def test_indicators_names_each_missing_series(tmp_path, capsys):
+    # a gap_vs reference with a typo and an absent primary series: each is named on
+    # stderr and in the manifest, and the rule still reads insufficient data, exit 0
+    rules, data = _indicator_inputs(tmp_path)[1], tmp_path / "series"
+    Path(rules).write_text(_INDICATOR_RULES.replace("transform_param = flat", "transform_param = flatt"))
+    out = tmp_path / "o"
+    assert run_cli("indicators", "--rules", rules, "--data", str(data), "--out", str(out)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: rule gap: reference series 'flatt' has no file {data / 'flatt'}.csv; "
+        "the rule reads insufficient data",
+        f"warning: rule absent: primary series 'absent' has no file {data / 'absent'}.csv; "
+        "the rule reads insufficient data",
+    ]
+    assert json.loads((out / "run_manifest.json").read_text())["indicators"]["missing_series"] == [
+        {"rule": "gap", "series": "flatt", "role": "reference"},
+        {"rule": "absent", "series": "absent", "role": "primary"},
+    ]
+    assert "gap,rising,>=,-0.5,4,falsifies,Indeterminate,insufficient data" in (
+        out / "indicators_report.csv"
+    ).read_text()
 
 
 @pytest.mark.parametrize("body,line,what", [

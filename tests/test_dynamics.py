@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macrostress import dynamics
@@ -12,6 +12,7 @@ from macrostress.dynamics import (
     _EXP_CAP,
     _STAGE_BLOCK,
     _drift_constants,
+    amplification,
     IntegrationError,
     RegimeKind,
     S_FLOOR,
@@ -19,6 +20,7 @@ from macrostress.dynamics import (
     classify_regime,
     diffusion,
     explosive_threshold,
+    feedback_rate,
     integrate_labor_share,
     integrate_lanes,
     labor_share_derivative,
@@ -1045,3 +1047,265 @@ _near_edge_lane = st.builds(
 def test_lane_kernel_equals_reference_near_the_edges(lanes):
     # shares near 0 or 1, steep feedback and large transfers, over 2 years
     _assert_kernel_equals_reference(lanes, 2.0, 0.01)
+
+
+# --- steps whose drift depends on time alone, as array arithmetic ---------------
+
+def _record_time_only_steps(monkeypatch):
+    """Each call of the time-only shortcut, in order: the arguments and what it returns."""
+    calls = []
+    time_only_steps = dynamics._time_only_steps
+
+    def record(*args):
+        calls.append((args, *time_only_steps(*args)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(dynamics, "_time_only_steps", record)
+    return calls
+
+
+def _prefix(ok):
+    """The leading steps a mask verifies: what the scalar integrator takes of a chunk."""
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _failed_checks(args, path, ok):
+    """The checks the first step the mask refuses fails, by name."""
+    s, s0, k1, k2, k4, dt = args
+    n = _prefix(ok)
+    start, new = path[n], path[n + 1]
+    u2, u4 = start + dt / 2.0 * k1[n], start + dt * k2[n]
+    checks = {
+        "start >= s0": start >= s0, "u2 >= s0": u2 >= s0, "u2 < 1": u2 < 1.0,
+        "u4 >= s0": u4 >= s0, "u4 < 1": u4 < 1.0, "new > S_FLOOR": new > S_FLOOR, "new <= 1": new <= 1.0,
+    }
+    return [name for name, holds in checks.items() if not np.all(holds)]
+
+
+# Each case starts at or above s_L0 and fails one check of the shortcut, named
+# last, at the step given before it. The steep logistics (kappa 1e6 or 1e20) move
+# the drift between two stage times of one step; the fast reinstatement
+# (alpha_rho * g_A = 250 or 500) multiplies it by e^1.25 or e^2.5 per half step.
+_TIME_ONLY_CASES = {
+    # the state ends step 41 below s_L0 while every stage input of step 42 but its
+    # start lies at or above it: step 42 starts one ulp of time before step 41 ends,
+    # where the adoption jumps from d_bar to d_bar / 2
+    "start_below_s_L0_after_a_step": (
+        with_updates(C, g_A=1000.0, alpha_rho=0.5, f_slope=0.002, kappa=1e20, t0_diffusion=_UNSHARED_START,
+                     rho0=0.0, eta=math.exp(-500.0 * (41 * 0.01 + 0.01))),
+        None, 0.5, 42, "start >= s0",
+    ),
+    # the drift is -0.5 at t = 0 and +0.75 at the mid stage
+    "mid_input_below_s_L0": (
+        with_updates(C, g_A=500.0, alpha_rho=0.5, f_slope=0.0025, t0_diffusion=-100.0, rho0=0.0, eta=0.5),
+        None, 1.0, 0, "u2 >= s0",
+    ),
+    # a constant drift of about -0.019 from 1.43e-4 above s_L0
+    "end_input_below_s_L0": (
+        with_updates(C, g_A=0.2, t0_diffusion=-100.0), C.s_L0 + 1.43e-4, 10.0, 0, "u4 >= s0",
+    ),
+    # the drift falls from 2 to 0.5 before the mid stage, which reaches 1
+    "mid_input_reaches_1": (
+        with_updates(C, s_L0=0.992, g_A=1.0, f_slope=1.875, kappa=1e6, t0_diffusion=0.0025, rho0=2.0, eta=0.0),
+        None, 1.0, 0, "u2 < 1",
+    ),
+    # the drift falls from 1 to 0.5 between the mid and the end stage, which reaches 1
+    "end_input_reaches_1": (
+        with_updates(C, s_L0=0.9905, g_A=1.0, f_slope=0.625, kappa=1e6, t0_diffusion=0.0075, rho0=1.0, eta=0.0),
+        None, 1.0, 0, "u4 < 1",
+    ),
+    # stage inputs below 1 and a new state above it, which the clamp pulls back to 1
+    "new_state_above_1": (
+        with_updates(C, s_L0=0.9, g_A=1000.0, alpha_rho=0.5, t0_diffusion=100.0, rho0=0.0, eta=0.5),
+        None, 0.5, 0, "new <= 1",
+    ),
+    # the drift falls to about -333 at the end stage: one step from s_L0 to 0.005, a collapse
+    "new_state_below_floor": (
+        with_updates(C, g_A=1.0, f_slope=416.25, kappa=1e6, t0_diffusion=0.0075), None, 1.0, 0, "new > S_FLOOR",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIME_ONLY_CASES))
+def test_scalar_time_only_steps_equal_reference(monkeypatch, case):
+    c, s_init, horizon, step, check = _TIME_ONLY_CASES[case]
+    calls = _record_time_only_steps(monkeypatch)
+    args = (c, NO_POLICY, horizon, 0.01, s_init)
+    assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    # the first call takes the steps before the named one, which fails that check alone
+    assert _prefix(calls[0][2]) == step
+    assert _failed_checks(*calls[0]) == [check]
+
+
+@pytest.mark.parametrize("case", sorted(_TIME_ONLY_CASES))
+def test_lane_time_only_steps_equal_reference(monkeypatch, case):
+    # the case's lane beside 77 lanes that stay above s_L0: 17-step chunks, taken
+    # before the one where the case's lane fails a check and refused from there
+    c, s_init, horizon, step, _ = _TIME_ONLY_CASES[case]
+    baseline = [(with_updates(C, g_A=0.05), PolicySpec(tau=tau)) for tau in np.linspace(0.0, 0.1, 77)]
+    calls = _record_time_only_steps(monkeypatch)
+    _assert_kernel_equals_reference(baseline + [(c, NO_POLICY)], horizon, 0.01)
+    taken = [bool(ok.all()) for _, _, ok in calls]
+    chunk = _STAGE_BLOCK // (3 * 78)
+    if s_init is None:   # a lane starts at s_L0: the chunks before the step are taken
+        assert taken[: step // chunk] == [True] * (step // chunk) and not taken[step // chunk]
+    else:
+        assert not any(taken)
+
+
+def test_scalar_time_only_steps_at_and_below_s_L0(monkeypatch):
+    # a transfer from t = 0 flows below s_L0 alone: from s_L0 the baseline path takes
+    # every step as array arithmetic, from one ulp below it none
+    p = PolicySpec(tau=0.05)
+    calls = _record_time_only_steps(monkeypatch)
+    for s_init in (C.s_L0, math.nextafter(C.s_L0, 0.0)):
+        args = (C, p, 10.0, 0.01, s_init)
+        assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    assert [_prefix(ok) for _, _, ok in calls] == [1000]
+    assert _outcome(integrate_labor_share, *args)[0] != _outcome(integrate_labor_share, C, p, 10.0, 0.01)[0]
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.001])
+def test_baseline_takes_every_step_as_array_arithmetic(monkeypatch, dt):
+    baseline = next(s for s in default_scenarios() if s.name == "baseline")
+    c = with_updates(C, g_A=baseline.g_A_override)
+    calls = _record_time_only_steps(monkeypatch)
+    args = (c, NO_POLICY, 10.0, dt)
+    assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    assert sum(_prefix(ok) for _, _, ok in calls) == round(10.0 / dt)
+
+
+@pytest.mark.parametrize("dt,chunks", [(0.01, [351]), (0.001, [_CHUNK, _CHUNK, 783])])
+def test_scalar_crossing_inside_a_chunk_equals_reference(monkeypatch, dt, chunks):
+    # rapid falls below s_L0 inside a chunk: the steps before it are taken, the rest per step
+    rapid = next(s for s in default_scenarios() if s.name == "rapid")
+    c = with_updates(C, g_A=rapid.g_A_override)
+    calls = _record_time_only_steps(monkeypatch)
+    args = (c, NO_POLICY, 10.0, dt)
+    assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    assert [_prefix(ok) for _, _, ok in calls] == chunks
+    assert _failed_checks(*calls[-1]) == ["u2 >= s0", "u4 >= s0"]
+
+
+@pytest.mark.parametrize("grid,taken", [(_REPRO_GRID, 5), (_SWEEP_GRID, 20)], ids=["repro", "sweep_grid"])
+def test_sweep_grids_take_their_early_chunks_as_array_arithmetic(monkeypatch, grid, taken):
+    # every sweep lane stays at or above s_L0 for its first 352 steps
+    lanes = _sweep_lanes(*grid)
+    calls = _record_time_only_steps(monkeypatch)
+    _assert_kernel_equals_reference(lanes, 10.0, 0.01)
+    chunk = _STAGE_BLOCK // (3 * len(lanes))
+    assert [bool(ok.all()) for _, _, ok in calls][: taken + 1] == [True] * taken + [False]
+    assert taken * chunk <= 352 < (taken + 1) * chunk
+
+
+# Lanes that overflow or turn NaN, next to baseline lanes that stay above s_L0 throughout.
+_BAD_LANES = {
+    # NaN from the first step: no chunk is taken
+    "nan_from_start": ((with_updates(C, g_A=1e308, f_slope=10.0), NO_POLICY), 0),
+    # rho = rho0 until exp(75 t) overflows at t = 9.46 and 0 * inf turns it NaN
+    "nan_at_9.46": ((with_updates(C, g_A=150.0, f_slope=1e-9, eta=0.0), NO_POLICY), 14),
+    # above s_L0 the transfer never flows, so its infinite drift bound does not matter
+    "tau_1e308": ((with_updates(C, g_A=0.05), PolicySpec(tau=1e308, lag=0.5)), 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LANES))
+def test_lane_time_only_steps_next_to_failing_lanes(monkeypatch, name):
+    bad, taken = _BAD_LANES[name]
+    baseline = [(with_updates(C, g_A=0.05), PolicySpec(tau=tau)) for tau in np.linspace(0.0, 0.1, 20)]
+    calls = _record_time_only_steps(monkeypatch)
+    _, failed = _assert_kernel_equals_reference(baseline + [bad], 10.0, 0.01)
+    assert failed.tolist() == [False] * 20 + [name != "tau_1e308"]
+    outcomes = [bool(ok.all()) for _, _, ok in calls]
+    assert outcomes[:taken] == [True] * taken and not any(outcomes[taken:])
+
+
+def test_monte_carlo_lanes_never_try_the_time_only_steps(monkeypatch):
+    # 2000 lanes run one step per chunk, which gains nothing from array arithmetic
+    calls = _record_time_only_steps(monkeypatch)
+    lanes = [(with_updates(C, g_A=0.05), NO_POLICY)] * 2000
+    integrate_lanes(lane_constants(lanes), 0.1, 0.01)
+    assert calls == []
+
+
+def test_time_only_steps_add_the_stages_in_rk4_order(monkeypatch):
+    # Rising from a share of 0.05, a step's increment is large next to the state, so
+    # the order of k1 + 2*k2 + 2*k3 + k4 shows in the states' last bits.
+    c = with_updates(C, s_L0=0.05, rho0=0.1, g_A=0.1)
+    calls = _record_time_only_steps(monkeypatch)
+    args = (c, NO_POLICY, 10.0, 0.01)
+    assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    assert _prefix(calls[0][2]) > 900
+    calls.clear()
+    _assert_kernel_equals_reference([(c, PolicySpec(tau=tau)) for tau in np.linspace(0.0, 0.1, 78)], 10.0, 0.01)
+    assert sum(ok.all() for _, _, ok in calls) > 50
+
+
+# --- the linearised amplification of a small shock -------------------------------
+
+def test_amplification_counts_steps_strictly_inside_the_feedback_band():
+    # the steps from s_L0 - 0.1 and 0.2 count; those from s_L0, above it and from 0 do not,
+    # nor the last recorded state, which starts no step
+    s0 = C.s_L0
+    path = np.array([s0, s0 - 0.1, 0.0, 0.0, 0.2, s0 + 0.1, 0.3])
+    assert amplification(path, 0.01, C) == math.exp(feedback_rate(C) * 0.01 * 2)
+    assert amplification(np.array([s0, 1.0, 0.3]), 0.01, C) == 1.0
+    # past the float range, and nothing to amplify under an infinite rate
+    huge = with_updates(C, beta_feedback=1e308)
+    assert amplification(path, 0.01, huge) == math.inf
+    assert amplification(np.array([s0, s0]), 0.01, huge) == 1.0
+
+
+def _twin_paths(c, dt, eps=1e-6):
+    """The recorded paths from s_L0 and from s_L0 - eps; None where either leaves (0, 1)."""
+    base, shocked = [], []
+    integrate_labor_share(c, NO_POLICY, 10.0, dt, record=base)
+    integrate_labor_share(c, NO_POLICY, 10.0, dt, record=shocked, s_init=c.s_L0 - eps)
+    if not 0.0 < min(base + shocked) <= max(base + shocked) < 1.0:
+        return None
+    return np.array(base), np.array(shocked)
+
+
+def _assert_amplification_bounds(c, dt, eps=1e-6):
+    # Below s_L0 the drift is linear in the share with slope feedback_rate, and above
+    # it does not depend on the share, so a step with both paths on one side grows the
+    # gap by 1, or by RK4's Taylor polynomial of exp(z), z = feedback_rate * dt, where
+    # the count gives it exp(z). A step where either path has states on both sides
+    # runs some stages under the feedback and some not: it moves the ratio from the
+    # count by at most one factor exp(z), either way. The first step is one, since the
+    # shocked path starts below s_L0 and the other at it. 1e-6 covers the rounding of
+    # a 1e-6 gap over 1000 steps.
+    base, shocked = _twin_paths(c, dt, eps)
+    z = feedback_rate(c) * dt
+    counted = np.count_nonzero((base[:-1] > 0.0) & (base[:-1] < c.s_L0))
+    ends = [base[:-1], base[1:], shocked[:-1], shocked[1:]]
+    crossing = np.count_nonzero((np.minimum.reduce(ends) < c.s_L0) & (np.maximum.reduce(ends) >= c.s_L0))
+    taylor = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) / math.exp(z)
+    ratio = (base[-1] - shocked[-1]) / eps
+    amp = amplification(base, dt, c)
+    assert amp == math.exp(z * counted)
+    assert amp * taylor**counted * math.exp(-z * crossing) * (1.0 - 1e-6) <= ratio
+    assert ratio <= amp * math.exp(z * crossing) * (1.0 + 1e-6)
+    return amp, ratio
+
+
+def test_amplification_matches_the_twin_path_ratio_on_the_shipped_scenarios():
+    amps = {}
+    for s in default_scenarios()[:2]:   # extreme collapses: the linearisation does not apply
+        amps[s.name] = _assert_amplification_bounds(with_updates(C, g_A=s.g_A_override), s.dt)
+    assert amps["baseline"][0] == 1.0 and amps["baseline"][1] == pytest.approx(1.0, abs=1e-3)
+    assert amps["rapid"] == (pytest.approx(12.3136, abs=1e-4), pytest.approx(12.3614, abs=1e-4))
+    assert _twin_paths(with_updates(C, g_A=0.4), 0.01) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g_A=st.floats(0.0, 0.6), beta=st.floats(0.05, 3.0), rho0=st.floats(0.0, 0.05),
+    kappa=st.floats(0.2, 10.0), t0=st.floats(0.0, 8.0), s_L0=st.floats(0.3, 0.8),
+    mpc=st.floats(0.55, 0.95), f_slope=st.floats(0.02, 0.5), dt=st.sampled_from([0.01, 0.02]),
+)
+def test_amplification_matches_the_twin_path_ratio(g_A, beta, rho0, kappa, t0, s_L0, mpc, f_slope, dt):
+    c = with_updates(C, g_A=g_A, beta_feedback=beta, rho0=rho0, kappa=kappa, t0_diffusion=t0,
+                     s_L0=s_L0, mpc_labor=mpc, f_slope=f_slope)
+    assume(_twin_paths(c, dt) is not None)
+    _assert_amplification_bounds(c, dt)
