@@ -222,11 +222,11 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> str:
     run.stage("sweep.csv", table_text("lag,tau,depth,s_L_final,consumption_decline_pct",
                                       map(dataclasses.astuple, cells)))
     if args.svg:
+        n = len(grid.taus)  # cells are row-major over (lag, tau): every n-th shares a tau
         run.chart("sweep.svg", f"Crisis depth vs policy lag ({base.name})", "policy lag, years",
                   "crisis depth", [
-                      (f"tau = {tau:g}", [c.lag for c in cells if c.tau == tau],
-                       [c.depth for c in cells if c.tau == tau])
-                      for tau in grid.taus
+                      (f"tau = {tau:g}", [c.lag for c in cells[j::n]], [c.depth for c in cells[j::n]])
+                      for j, tau in enumerate(grid.taus)
                   ])
     return f"wrote {run.out / 'sweep.csv'}\n"
 

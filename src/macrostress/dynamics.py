@@ -205,6 +205,30 @@ def _drift_constants(c: Calibration) -> tuple[float, ...]:
 _STAGE_BLOCK = 1 << 12
 
 
+def stage_schedule(lo: int, hi: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 stage times of steps ``lo`` to ``hi - 1``, as ``(times, rows)``:
+    the one statement of the stage-time rule for both integrators.
+
+    Step ``i`` evaluates the drift at its start ``i*dt``, its mid
+    ``i*dt + dt/2`` and its end ``i*dt + dt``, the floats a per-step loop
+    forms. ``times`` lists each distinct stage time once, in step order;
+    ``rows`` is a ``(3, hi - lo)`` array of indices into ``times``, each
+    step's start, mid and end. A start equal bit for bit to the previous
+    step's end (764 of the 999 after the first at ``dt = 0.01``) shares that
+    end's row; the others have rows of their own. The integrators compute the
+    time-only terms once per row, and the same time through the same
+    operations gives the same bits, so sharing a row changes no value. The
+    first step's start always has row 0, so the schedule of a sub-range is a
+    slice of this one, its rows less the row of its first start.
+    """
+    start = np.arange(lo, hi) * dt
+    stages = np.stack([start, start + dt / 2.0, start + dt], axis=1)
+    own = np.ones(stages.shape, dtype=bool)  # whether a stage time has a row of its own
+    own[1:, 0] = stages[1:, 0] != stages[:-1, 2]
+    # a stage's row counts the rows before it; a shared start's count ends at the previous end
+    return stages[own], np.cumsum(own).reshape(-1, 3).T - 1
+
+
 def _time_only_steps(
     s: float | np.ndarray, s0: float | np.ndarray, k1: np.ndarray, k2: np.ndarray, k4: np.ndarray,
     dt: float,
@@ -255,17 +279,15 @@ def integrate_labor_share(
     at the calibration's s_L0.
 
     The drift terms that depend on time alone (``-d * disp_scale``, rho and
-    the transfer) are computed for a chunk of ``_STAGE_BLOCK // 3`` steps at
-    once, at the three stage-time columns ``i*dt``, ``i*dt + dt/2`` and
-    ``i*dt + dt``: the same floats a per-stage loop forms, through the same
-    operations, with ``math.exp`` element by element (``np.exp`` differs by
-    ulps). A start time equal to the previous step's end time bit for bit
-    (about three steps in four) takes that end's terms, also across a chunk
-    edge. The four stages are then written out inline, and must stay
-    numerically equivalent to :func:`labor_share_derivative` (the integrator
-    tests pin the agreement, and a frozen copy of the per-stage form pins
-    every bit). They stay inline: a helper called per stage measured 17-24%
-    slower on 10000-step paths.
+    the transfer) are computed for a chunk of ``_STAGE_BLOCK // 3`` steps
+    together, once per row of the chunk's :func:`stage_schedule`, through the
+    same operations as a per-stage loop, with ``math.exp`` element by element
+    (``np.exp`` differs by ulps). The four stages are then written out
+    inline, and must stay numerically equivalent to
+    :func:`labor_share_derivative` (the integrator tests pin the agreement,
+    and a frozen copy of the per-stage form pins every bit). They stay
+    inline: a helper called per stage measured 17-24% slower on 10000-step
+    paths.
 
     A chunk that starts at or above ``s_L0`` first runs as array arithmetic
     (:func:`_time_only_steps`): there the else branches below apply, with
@@ -300,26 +322,16 @@ def integrate_labor_share(
         return np.array([-d * disp_scale, rho, np.where(ts >= activation, tau, 0.0)])
 
     chunk = max(1, _STAGE_BLOCK // 3)
-    # the previous chunk's last end time and its terms, which its first step may share
-    last_end, last_terms = math.nan, np.empty((3, 1))
     for lo in range(0, n_steps, chunk):
-        start = np.arange(lo, min(lo + chunk, n_steps)) * dt
-        mid, end = start + half, start + dt
-        # the chunk's terms stop before the first step with a stage past the cap
+        times, rows = stage_schedule(lo, min(lo + chunk, n_steps), dt)
+        # The chunk's terms stop before the first step with a stage past the cap: that
+        # step's end, as rho_exp >= 0 and a step's start <= mid <= end.
         with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
-            past_cap = np.flatnonzero(
-                (rho_exp * start > _EXP_CAP) | (rho_exp * mid > _EXP_CAP) | (rho_exp * end > _EXP_CAP)
-            )
-        hi = lo + (int(past_cap[0]) if past_cap.size else len(start))
-        start, mid, end = start[: hi - lo], mid[: hi - lo], end[: hi - lo]
-        at_mid, at_end = terms(mid), terms(end)
-        # A start time equal to the previous step's end time bit for bit (most of
-        # them) shares its terms; the others are computed.
-        at_start = np.empty_like(at_end)
-        at_start[:, :1] = last_terms
-        at_start[:, 1:] = at_end[:, :-1]
-        fresh = np.flatnonzero(start != np.append(last_end, end[:-1]))
-        at_start[:, fresh] = terms(start[fresh])
+            past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
+        hi = lo + (int(past_cap[0]) if past_cap.size else rows.shape[1])
+        rows = rows[:, : hi - lo]
+        at = terms(times[: rows.max(initial=-1) + 1])
+        at_start, at_mid, at_end = (at[:, r] for r in rows)
         taken = 0  # the chunk's leading steps taken as array arithmetic
         if s >= s0:
             with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
@@ -396,7 +408,6 @@ def integrate_labor_share(
                     raise IntegrationError(
                         f"reinstatement term overflows at t={ts:g} (alpha_rho*g_A*t={x:g})"
                     )
-        last_end, last_terms = end[-1], at_end[:, -1:]
     return s, collapse
 
 
@@ -482,15 +493,13 @@ def rk4_lanes(
     The time-only terms (``-d * disp_scale``, rho and the transfer) are
     computed for a chunk of steps at once, at most ``_STAGE_BLOCK`` entries,
     into buffers reused across chunks, so no stage-time x lane matrix of the
-    whole run is built.
-    They are computed once per distinct stage time: where a step's end time
-    ``i*dt + dt`` equals the next step's start time ``(i+1)*dt`` bit for bit
-    (765 of the 1000 steps at ``dt = 0.01``), the next step reuses that row,
-    also across a chunk boundary. The same times go through the same
-    operations, so reuse changes no bit. The per-lane drift terms, stage
-    inputs and states are fresh arrays: writing them in place with ``out=``
-    costs more per call than it saves at 21-78 lanes; only the clamp writes
-    each step's state straight into its row of the path.
+    whole run is built. They are computed once per row of the run's
+    :func:`stage_schedule`, which the kernel builds once and slices by chunk;
+    a chunk whose first start shares the previous chunk's last end copies
+    that row's terms. The per-lane drift terms, stage inputs and states are
+    fresh arrays: writing them in place with ``out=`` costs more per call
+    than it saves at 21-78 lanes; only the clamp writes each step's state
+    straight into its row of the path.
 
     Every lane that does not fail yields the values of
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
@@ -538,7 +547,8 @@ def rk4_lanes(
     neg_disp = -disp_scale
     # a stage row's transfer is non-zero in some lane exactly from this time on
     first_transfer = float(activation[tau != 0.0].min(initial=math.inf))
-    t_last = (n_steps - 1) * dt + dt  # the largest stage time; 0 without steps
+    times, rows = stage_schedule(0, n_steps, dt)
+    t_last = times.max(initial=0.0)  # the largest stage time, the last end; 0 without steps
     # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
     failed |= rho_exp * t_last > _EXP_CAP
     e_ends = neg_kappa * (np.array([[0.0], [t_last]]) - t0)
@@ -589,56 +599,43 @@ def rk4_lanes(
         return raw
 
     s = s0
-    # the previous chunk's last end stage: its time, buffer row and transfer
-    carry: tuple[float, int, np.ndarray | None] | None = None
+    done = last = 0  # the schedule rows whose terms are computed, the last at buffer row `last`
     for lo in range(0, n_steps, chunk):
-        steps = range(lo, min(lo + chunk, n_steps))
-        # Stage times i*dt, i*dt + half, i*dt + dt, as the scalar integrator forms them,
-        # one buffer row each; a start time equal to the previous end time shares its row.
-        times: list[float] = []
-        transfer: list[np.ndarray | None] = []
-        if carry is not None and carry[0] == lo * dt:
-            t_end, end_row, on_end = carry
-            push_buf[0], rho_buf[0] = push_buf[end_row], rho_buf[end_row]
-            times.append(t_end)
-            transfer.append(on_end)
-        first_new = len(times)
-        rows: list[tuple[int, int, int]] = []
-        for i in steps:
-            t = i * dt
-            if not times or times[-1] != t:
-                times.append(t)
-            times += (t + half, t + dt)
-            rows.append((len(times) - 3, len(times) - 2, len(times) - 1))
-        ts = np.array(times[first_new:]).reshape(-1, 1)
-        drive(ts, first_new)
-        if max(times) >= first_transfer:
+        hi = min(lo + chunk, n_steps)
+        step_rows = rows[:, lo:hi].T.tolist()  # each step's (start, mid, end) schedule rows
+        r0, r1 = step_rows[0][0], step_rows[-1][2] + 1
+        ts = times[r0:r1, None]  # the chunk's stage times; schedule row r is buffer row r - r0
+        shared = done - r0  # 1 where the first start is the previous chunk's last end, else 0
+        if shared:
+            push_buf[0], rho_buf[0] = push_buf[last], rho_buf[last]
+        drive(ts[shared:], shared)
+        done, last = r1, len(ts) - 1
+        if times[r1 - 1] >= first_transfer:  # the chunk's last end is its latest stage time
             on = np.where(ts >= activation, tau, 0.0)
-            transfer += [r if t >= first_transfer else None for t, r in zip(times[first_new:], on)]
+            transfer = [r if t >= first_transfer else None for t, r in zip(times[r0:r1].tolist(), on)]
         else:
-            transfer += [None] * len(ts)
+            transfer = [None] * len(ts)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
         taken = False  # whether the chunk runs as array arithmetic
         if chunk > 1 and (s >= s0).all():
-            drift = push_buf[: len(times)] - no_pi + rho_buf[: len(times)]
-            path, ok = _time_only_steps(s, s0, *drift[np.array(rows).T], dt)
+            drift = push_buf[: len(ts)] - no_pi + rho_buf[: len(ts)]
+            path, ok = _time_only_steps(s, s0, *drift[rows[:, lo:hi] - r0], dt)
             taken = ok.all()
         if taken:
             s = path[-1]
         else:
             stages = list(zip(push_buf, rho_buf, transfer))
-            path = np.empty((len(steps) + 1, s0.size))
+            path = np.empty((hi - lo + 1, s0.size))
             path[0] = s
-            for j, (start, mid, end) in enumerate(rows, 1):
-                k1 = deriv(s, *stages[start])
-                k2 = deriv(s + half_dt * k1, *stages[mid])
-                k3 = deriv(s + half_dt * k2, *stages[mid])
-                k4 = deriv(s + full_dt * k3, *stages[end])
+            for j, (start, mid, end) in enumerate(step_rows, 1):
+                k1 = deriv(s, *stages[start - r0])
+                k2 = deriv(s + half_dt * k1, *stages[mid - r0])
+                k3 = deriv(s + half_dt * k2, *stages[mid - r0])
+                k4 = deriv(s + full_dt * k3, *stages[end - r0])
                 s = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
                 failed |= ~np.isfinite(s)
                 s = np.minimum(np.maximum(s, zero), one, out=path[j])
         yield (np.arange(lo, lo + len(path)) * dt).reshape(-1, 1), path
-        carry = times[-1], len(times) - 1, transfer[-1]
 
 
 def _map_column(fn, *columns: object) -> np.ndarray:

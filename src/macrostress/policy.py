@@ -37,7 +37,8 @@ def crisis_depth(traj: Trajectory, p: PolicySpec) -> float:
 
 @dataclass(frozen=True)
 class PolicyGrid:
-    """Sweep grid: ascending lags x ascending transfer magnitudes over a base scenario."""
+    """Sweep grid: strictly ascending lags x strictly ascending transfer magnitudes over a
+    base scenario."""
 
     lags: tuple[float, ...]
     taus: tuple[float, ...]
@@ -48,6 +49,10 @@ class PolicyGrid:
             raise ValueError("policy grid needs at least one lag and one tau")
         if list(self.lags) != sorted(self.lags) or list(self.taus) != sorted(self.taus):
             raise ValueError("policy grid lags and taus must be ascending")
+        for name, values in (("lags", self.lags), ("taus", self.taus)):
+            for a, b in zip(values, values[1:]):
+                if a == b:
+                    raise ValueError(f"policy grid {name} must be strictly ascending: {a:g} repeats")
 
     def counters(self) -> dict[str, int]:
         """The work of a sweep over this grid, for the run manifest: one lane per cell."""

@@ -424,6 +424,36 @@ def test_sweep_manifest_counts_its_work(tmp_path):
     assert len((out / "sweep.csv").read_text().strip().split("\n")) == 1 + 6
 
 
+# sha256 of sweep.csv and sweep.svg on a 13 x 6 grid, recorded while the chart
+# picked each tau's cells by value. The 7 x 3 default grid is pinned by the
+# repro goldens (test_subcommand_files_equal_repro_goldens).
+SWEEP_78_CELLS = ("0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3", "0.01,0.03,0.05,0.07,0.09,0.12")
+SWEEP_78_SHA256 = ("9da237f0d9e2c29bebf877e0f5f3f3e1c323e09db56d03d933e56c1621940df1",
+                   "037f87e470409a0f4603fd3a580665d5bdec964197dcb0a25632a50de7914c1a")
+
+
+def test_sweep_78_cells_byte_identical_to_golden(tmp_path):
+    out = tmp_path / "o"
+    lags, taus = SWEEP_78_CELLS
+    assert run_cli("sweep", "--lags", lags, "--taus", taus, "--svg", "--out", str(out)) == 0
+    digests = tuple(hashlib.sha256((out / f"sweep.{ext}").read_bytes()).hexdigest() for ext in ("csv", "svg"))
+    assert digests == SWEEP_78_SHA256
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 78
+
+
+@pytest.mark.parametrize("lags,taus,message", [
+    ("0,1", "0.03,0.03,0.05", "policy grid taus must be strictly ascending: 0.03 repeats"),
+    ("0,1.5,1.5", "0.05", "policy grid lags must be strictly ascending: 1.5 repeats"),
+    ("0,0", "0.05,0.05", "policy grid lags must be strictly ascending: 0 repeats"),
+])
+def test_sweep_repeated_grid_value_exit_2(tmp_path, capsys, lags, taus, message):
+    # a repeat would write duplicate sweep.csv rows and draw a series twice
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--lags", lags, "--taus", taus, "--svg", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # --- regress -----------------------------------------------------------------
 
 def test_regress_fixture(tmp_path, capsys):

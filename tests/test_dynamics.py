@@ -29,6 +29,7 @@ from macrostress.dynamics import (
     reinstatement_rate,
     rk4_lanes,
     simulate_path,
+    stage_schedule,
 )
 from macrostress.monetary import consumption_ratio, velocity
 from macrostress.params import (
@@ -823,6 +824,36 @@ def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
     if case.startswith("failing_mixed"):
         assert np.flatnonzero(failed).tolist() == [13, 30, 42, 43, 44]
         assert np.isnan(s[44]) and s[45] > 0.0
+
+
+# --- the stage-time schedule of both integrators ---------------------------------
+
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.03, 0.001, 0.0007, 0.25])
+def test_stage_schedule_equals_a_per_step_loop(dt):
+    n = 3000
+    loop = [(i * dt, i * dt + dt / 2.0, i * dt + dt) for i in range(n)]
+    shared = [start == end for (start, _, _), (_, _, end) in zip(loop[1:], loop)]
+    times, rows = stage_schedule(0, n, dt)
+    # each step's start, mid and end are the loop's floats, bit for bit
+    assert np.array_equal(times[rows.T].view(np.int64), np.array(loop).view(np.int64))
+    # each distinct time has one row, and a start shares the previous end's row exactly where equal
+    assert len(set(times.tolist())) == len(times) == 3 * n - sum(shared)
+    assert (rows[0, 1:] == rows[2, :-1]).tolist() == shared
+    assert rows[0, 0] == 0 and (dt == 0.25) == all(shared)
+    # a range's schedule is the run's, sliced at its first start: the scalar integrator's
+    # chunks and the 78-lane kernel's (1365 and 17 steps), whose edges some starts share
+    chunks = (_CHUNK, _STAGE_BLOCK // (3 * 78))
+    at_edges = [shared[lo - 1] for chunk in chunks for lo in range(chunk, n, chunk)]
+    assert dt == 0.25 or 0 < sum(at_edges) < len(at_edges)
+    for chunk in chunks:
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            part_times, part_rows = stage_schedule(lo, hi, dt)
+            r0 = rows[0, lo]
+            assert np.array_equal(part_times.view(np.int64), times[r0 : rows[2, hi - 1] + 1].view(np.int64))
+            assert np.array_equal(part_rows, rows[:, lo:hi] - r0)
+    empty_times, empty_rows = stage_schedule(5, 5, dt)
+    assert empty_times.shape == (0,) and empty_rows.shape == (3, 0)
 
 
 # --- the lane kernel's stage-row reuse and buffers ------------------------------

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from macrostress import stochastics
+from macrostress import dynamics, stochastics
 from macrostress.dynamics import (
     IntegrationError,
     RegimeKind,
@@ -440,6 +440,28 @@ def test_default_ranges_sample_no_draw_one_at_a_time(monkeypatch):
     # the counters do see the scalar path when draws take it
     summary = monte_carlo(100, REDRAW_RANGES[0], BASE, 42, 0.30)
     assert calls["sample_calibration"] == calls["with_updates"] == summary.scalar_draws > 0
+
+
+def test_monte_carlo_builds_the_stage_schedule_once_per_kernel_run(monkeypatch):
+    # 2000 lanes run one step per chunk: a schedule built per chunk would cost 1000
+    # builds a run, and a return to that fails here rather than in benchmark noise
+    schedules, chunks = [], []
+    stage_schedule, rk4_lanes = dynamics.stage_schedule, dynamics.rk4_lanes
+
+    def counted_schedule(lo, hi, dt):
+        schedules.append((lo, hi))
+        return stage_schedule(lo, hi, dt)
+
+    def counted_chunks(*args):
+        for ts, path in rk4_lanes(*args):
+            chunks.append(len(ts) - 1)
+            yield ts, path
+
+    monkeypatch.setattr(dynamics, "stage_schedule", counted_schedule)
+    monkeypatch.setattr(dynamics, "rk4_lanes", counted_chunks)
+    monte_carlo(2000, default_ranges(), BASE, 42, 0.30)
+    assert schedules == [(0, 1000)]
+    assert chunks == [1] * 1000
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
