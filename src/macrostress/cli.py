@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -26,6 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
+try:  # the interpreter's own SHA-256: hashlib loads OpenSSL, 3.6-3.7 MB of resident memory
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 from . import __version__, intermediation, monetary, svg
 from .credit import BorrowerState, dscr_sensitivity
 from .dynamics import (
@@ -36,7 +43,6 @@ from .dynamics import (
     feedback_rate,
     simulate_path,
 )
-from .indicators import dashboard, default_rules, load_rules, load_series_csv
 from .params import (
     ConfigError,
     Scenario,
@@ -123,7 +129,7 @@ class _Run:
                 svg.write_line_chart(self.out / name, *content)
         self.phase("write")
         config = serialize_config(self.calib, self.scenarios).encode("utf-8")
-        config_hash = hashlib.sha256(config).hexdigest()
+        config_hash = sha256(config).hexdigest()
         self.phase("manifest")
         # from sys and os.uname: importing and querying `platform` takes tens of ms
         uname = os.uname() if hasattr(os, "uname") else None
@@ -180,6 +186,35 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise ConfigError(f"expected a comma-separated list of numbers: {text!r}") from None
+
+
+_LIST_OPTIONS = ("--lags", "--taus", "--deltas")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--lags -1,0`` written as ``--lags=-1,0``, and so for each list option
+    and each abbreviation argparse accepts for one (``--lag``).
+
+    argparse takes a separate value that starts with ``-`` and is not one number
+    for an option, and stops on "expected one argument"; joined, the value
+    reaches :func:`_parse_float_list` and the grid's or table's own checks. A
+    value is joined when its first item is a number, so ``--lags --taus``
+    still reads as a missing value.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        option = joined[-1] if joined else ""
+        if (len(option) > 2 and any(o.startswith(option) for o in _LIST_OPTIONS)
+                and arg.startswith("-")):
+            try:
+                float(arg.split(",", 1)[0])
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + arg
+                continue
+        joined.append(arg)
+    return joined
 
 
 # --- subcommands: each computes, stages its files and manifest blocks, and returns its stdout
@@ -306,6 +341,8 @@ def _cmd_regress(args: argparse.Namespace, run: _Run) -> str:
 
 
 def _cmd_indicators(args: argparse.Namespace, run: _Run) -> str:
+    from .indicators import dashboard, default_rules, load_rules, load_series_csv
+
     rules = load_rules(args.rules) if args.rules else default_rules()
     data_dir = Path(args.data)
     if not data_dir.is_dir():
@@ -415,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(argv))
     try:
         run = _Run(args, argv, parser)
         stdout = args.handler(args, run)

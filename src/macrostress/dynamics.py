@@ -129,7 +129,9 @@ class TrajectoryPoint(NamedTuple):
 
 # TrajectoryPoint._make without its Python frame: the call stays in C for every row
 _make_point = partial(tuple.__new__, TrajectoryPoint)
-_CSV_ROW = ",".join([NUMBER] * len(TrajectoryPoint._fields))  # table_text's bytes, one % per row
+# table_text's bytes: one % formats a block of _CSV_BLOCK rows from their row-major values
+_CSV_ROW = ",".join([NUMBER] * len(TrajectoryPoint._fields))
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: an array comparison has no truth value
@@ -159,16 +161,22 @@ class Trajectory:
         for name in TrajectoryPoint._fields:
             getattr(self, name).flags.writeable = False  # `points` caches these values
 
-    def _rows(self) -> Iterator[tuple[float, ...]]:
-        return zip(*(getattr(self, name).tolist() for name in TrajectoryPoint._fields))
-
     @cached_property
     def points(self) -> tuple[TrajectoryPoint, ...]:
         """One :class:`TrajectoryPoint` per grid time."""
-        return tuple(map(_make_point, self._rows()))
+        # a memoryview yields each entry as a Python float, without a list of the column
+        columns = (memoryview(getattr(self, name)) for name in TrajectoryPoint._fields)
+        return tuple(map(_make_point, zip(*columns)))
 
     def to_csv(self) -> str:
-        return "\n".join([self.CSV_HEADER, *(_CSV_ROW % row for row in self._rows())]) + "\n"
+        columns = [getattr(self, name) for name in TrajectoryPoint._fields]
+        full = "\n".join([_CSV_ROW] * _CSV_BLOCK)
+        lines = [self.CSV_HEADER]
+        for lo in range(0, len(self.t), _CSV_BLOCK):  # a block at a time: no whole-table stack
+            block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in columns])
+            fmt = full if len(block) == _CSV_BLOCK else "\n".join([_CSV_ROW] * len(block))
+            lines.append(fmt % tuple(block.ravel().tolist()))
+        return "\n".join([*lines, ""])  # the final newline without a second copy of the text
 
 
 def _effective_calibration(s: Scenario, c: Calibration) -> Calibration:
@@ -682,9 +690,9 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
         capability(float(t[past_cap[0]]), ce)  # raises
     d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf and nan, silently
-        A_t = ce.A0 * _map_column(math.exp, x.tolist())
+        A_t = ce.A0 * _map_column(math.exp, memoryview(x))
         # reinstatement_rate
-        rho_t = ce.rho0 + ce.eta * _map_column(pow, A_t.tolist(), repeat(ce.alpha_rho))
+        rho_t = ce.rho0 + ce.eta * _map_column(pow, memoryview(A_t), repeat(ce.alpha_rho))
     # margin_pressure, with its `shortfall <= 0` branch as a mask
     shortfall = (2.0 * ce.mpc_labor - 1.0) * (ce.s_L0 - s_L)
     norm = ce.mpc_labor * ce.s_L0 + (1.0 - ce.mpc_labor) * (1.0 - ce.s_L0)

@@ -38,10 +38,10 @@ def write_line_chart(
     ``xs`` and ``ys`` are sequences or arrays of numbers; the points of a
     series pair them up to the shorter of the two.
     """
-    columns = [
-        (np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-        for _, xs, ys in series
-    ]
+    # by id: a sequence that several series share is converted once
+    distinct = {id(values): values for _, xs, ys in series for values in (xs, ys)}
+    arrays = {key: np.asarray(values, dtype=np.float64) for key, values in distinct.items()}
+    columns = [(arrays[id(xs)], arrays[id(ys)]) for _, xs, ys in series]
     xs_all = np.concatenate([np.empty(0), *(xs for xs, _ in columns)])
     ys_all = np.concatenate([np.empty(0), *(ys for _, ys in columns)])
     if not xs_all.size or not ys_all.size:
@@ -134,4 +134,4 @@ def write_line_chart(
         f"{_escape(y_label)}</text>"
     )
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join([*out, ""]), encoding="utf-8")

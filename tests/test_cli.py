@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macrostress
+from macrostress import cli
 from macrostress.cli import main
+from macrostress.params import default_calibration, load_config, serialize_config
 from macrostress.stochastics import MAX_DRAWS
 
 
@@ -162,6 +167,62 @@ def test_simulate_manifest_regime(tmp_path, g_A, kind):
     assert g_star == 0.4564950980392157   # at the default calibration, whatever g_A
     if kind != "reinstatement-dominated":
         assert (g_A > g_star) == (kind == "explosive displacement")
+
+
+# sha256 of the serialized default calibration: the config_hash of every run without --config
+DEFAULT_CONFIG_HASH = "457af7268c96a151db3e676bf6ebfed20d1455221bd98528342efccd827b3c70"
+
+
+@pytest.mark.parametrize("config", [None, "g_A = 0.10\n\n[scenario.managed]\ng_A_override = 0.20\n"
+                                          "horizon = 10\ntau = 0.08\nlag = 1.5\n"])
+def test_config_hash_is_sha256_of_the_serialized_config(tmp_path, config):
+    argv = ["credit", "--out", str(tmp_path / "o")]
+    calib, scenarios = default_calibration(), []
+    if config is not None:
+        path = tmp_path / "c.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+        calib, scenarios = load_config(path)
+        assert scenarios
+    assert run_cli(*argv) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    expected = hashlib.sha256(serialize_config(calib, scenarios).encode("utf-8")).hexdigest()
+    assert manifest["config_hash"] == expected
+    assert (expected == DEFAULT_CONFIG_HASH) == (config is None)
+
+
+def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # without the interpreter's own SHA-256 modules, cli hashes through hashlib
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.delitem(sys.modules, "macrostress.cli")
+    monkeypatch.setattr(macrostress, "cli", cli)  # the reimport rebinds it; put it back after
+    fallback = importlib.import_module("macrostress.cli")
+    assert fallback is not cli and fallback.sha256 is hashlib.sha256
+    assert fallback.main(["credit", "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["config_hash"] == DEFAULT_CONFIG_HASH
+
+
+def test_cold_start_leaves_openssl_and_indicators_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "loaded = lambda: sorted({'_hashlib', 'macrostress.indicators'} & set(sys.modules))\n"
+        "from macrostress import cli\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "assert cli.main(sys.argv[1:3]) == 0\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "assert cli.main(sys.argv[3:]) == 0\n"
+    )
+    argv = ["credit", f"--out={tmp_path / 'credit'}",
+            "indicators", *_indicator_inputs(tmp_path), "--out", str(tmp_path / "ind")]
+    env = {**os.environ, "PYTHONPATH": str(Path(macrostress.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[:2] == ["[]", "[]"]  # then the indicators warning
+    text = (tmp_path / "ind" / "indicators_report.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == INDICATORS_REPORT_SHA256
 
 
 def test_unknown_flag_is_fatal():
@@ -452,6 +513,31 @@ def test_sweep_repeated_grid_value_exit_2(tmp_path, capsys, lags, taus, message)
     assert run_cli("sweep", "--lags", lags, "--taus", taus, "--svg", "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--taus", "0.05", "--lags"], "scenario rapid_l-1.0_t0.05: lag must be >= 0"),
+    (["sweep", "--lags", "0", "--taus"], "scenario rapid_l0.0_t-0.05: tau must be >= 0"),
+    (["credit", "--deltas"], "delta must be in [0, 1); full income destruction is outside the model"),
+    (["sweep", "--taus", "0.05", "--lag"], "scenario rapid_l-1.0_t0.05: lag must be >= 0"),
+])
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_list_value_reaches_its_check_exit_2(tmp_path, capsys, argv, message, joined):
+    # "--lags -1,0" reads as "--lags=-1,0", not as an option without its value
+    *argv, option = argv
+    value = {"--lags": "-1,0", "--lag": "-1,0", "--taus": "-0.05,0.1", "--deltas": "-0.1,0"}[option]
+    given = [f"{option}={value}"] if joined else [option, value]
+    out = tmp_path / "o"
+    assert run_cli(*argv, *given, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--lags", "--taus", "0.05"], ["credit", "--deltas", "-x"]])
+def test_list_option_without_a_value_is_fatal(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
 
 
 # --- regress -----------------------------------------------------------------

@@ -30,6 +30,7 @@ from macrostress.dynamics import (
     rk4_lanes,
     simulate_path,
     stage_schedule,
+    Trajectory,
 )
 from macrostress.monetary import consumption_ratio, velocity
 from macrostress.params import (
@@ -288,6 +289,20 @@ def test_columns_equal_scalar_functions(scenario, calib):
     assert traj.to_csv() == "\n".join(
         [header, *(",".join(f"{v:.9g}" for v in row) for row in traj.points)]
     ) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 10001])
+def test_csv_row_blocks_write_the_per_row_bytes(rows):
+    # to_csv formats blocks of rows with one % each; the reference is one % per row
+    rng = np.random.default_rng(rows)
+    columns = rng.standard_normal((9, rows)) * 10.0 ** rng.integers(-12, 12, (9, rows))
+    columns[1:5, rows // 2] = [np.nan, np.inf, -np.inf, -0.0]
+    traj = Trajectory("x", None, *columns)
+    row = ",".join(["%.9g"] * 9)
+    assert traj.to_csv() == "\n".join(
+        [traj.CSV_HEADER, *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    ) + "\n"
+    assert [p.t for p in traj.points] == columns[0].tolist()
 
 
 @pytest.mark.parametrize("g_A,message", [

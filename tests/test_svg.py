@@ -16,6 +16,18 @@ def test_lists_and_arrays_render_the_same_bytes(tmp_path):
     assert 'points="70.00,' in text  # x = 0 sits on the left margin
 
 
+def test_shared_sequence_renders_as_its_copies(tmp_path):
+    # a sequence that several series share is converted once; the bytes are those of copies
+    ts = [0.0, 0.5, 1.0, 1.5]
+    shared = [("a", ts, [1.0, 2.0, 0.5, 3.0]), ("b", ts, ts), ("c", ts, [0.0, 0.0, 1.0, 1.0])]
+    write_line_chart(tmp_path / "shared.svg", "t", "x", "y", shared)
+    copies = [(label, list(xs), list(ys)) for label, xs, ys in shared]
+    write_line_chart(tmp_path / "copies.svg", "t", "x", "y", copies)
+    text = (tmp_path / "shared.svg").read_text()
+    assert text == (tmp_path / "copies.svg").read_text()
+    assert text.endswith("</svg>\n") and len(_polylines(tmp_path / "shared.svg")) == 3
+
+
 def test_series_pairs_points_up_to_the_shorter_sequence(tmp_path):
     write_line_chart(tmp_path / "c.svg", "t", "x", "y", [("a", [0.0, 1.0, 2.0], [1.0, 2.0])])
     [polyline] = [line for line in (tmp_path / "c.svg").read_text().splitlines()
