@@ -426,21 +426,22 @@ def lane_constants(lanes: Iterable[tuple[Calibration, PolicySpec]]) -> np.ndarra
     """The lane kernel's constants: one row per drift constant, then ``tau`` and the
     activation time ``start_time + lag``; one column per (calibration, policy) lane.
 
-    The policy sweep builds its lanes here; the Monte Carlo builds them with
-    :func:`column_lane_constants`, and the tests hold it to this reference."""
+    No engine path calls it: the sweep and the Monte Carlo build their lanes with
+    :func:`column_lane_constants`, and the tests hold that to this scalar reference."""
     rows = [(*_drift_constants(c), p.tau, p.start_time + p.lag) for c, p in lanes]
     # The explicit 12 keeps the shape for zero lanes.
     return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 12).T)
 
 
 def column_lane_constants(c: Calibration, n: int, p: PolicySpec) -> np.ndarray:
-    """:func:`lane_constants` for ``n`` lanes under one policy, from a calibration
-    stored by column: each field of ``c`` is a float shared by every lane or an
-    array with one entry per lane.
+    """:func:`lane_constants` for ``n`` lanes, from a calibration ``c`` and a policy
+    ``p`` stored by column: each field of either is a float shared by every lane
+    or an array with one entry per lane.
 
-    It evaluates :func:`_drift_constants` once, on the columns, so each entry
-    comes from the same IEEE operations, in the same order, as the scalar
-    builder's for that lane; ``A0 ** alpha_rho`` stays a Python scalar.
+    It evaluates :func:`_drift_constants` once, on the columns, and
+    ``p.start_time + p.lag`` once, so each entry comes from the same IEEE
+    operations, in the same order, as the scalar builder's for that lane;
+    ``A0 ** alpha_rho`` stays a Python scalar.
     """
     rows = (*_drift_constants(c), p.tau, p.start_time + p.lag)
     return np.array([np.broadcast_to(row, (n,)) for row in rows], dtype=np.float64)
@@ -449,7 +450,7 @@ def column_lane_constants(c: Calibration, n: int, p: PolicySpec) -> np.ndarray:
 def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4-integrate independent lanes, one column of ``consts`` each.
 
-    ``consts`` comes from :func:`lane_constants` or :func:`column_lane_constants`.
+    ``consts`` comes from :func:`column_lane_constants`.
     Returns (final labor share, failed) arrays, one entry per lane. A lane
     fails when its reinstatement exponent passes the overflow cap at any
     stage or its state turns non-finite; the other lanes are unaffected and
@@ -491,7 +492,7 @@ def rk4_lanes(
     (the state at t = 0 in the first chunk). ``ts`` is the column of its grid times
     ``i * dt``, the floats :func:`integrate_labor_share` forms.
 
-    ``consts`` comes from :func:`lane_constants`. Failed lanes are marked in
+    ``consts`` comes from :func:`column_lane_constants`. Failed lanes are marked in
     ``failed`` in place and keep being integrated: a lane whose
     reinstatement exponent passes the cap at the last stage time is marked
     before the first step, a lane whose state turns non-finite at that

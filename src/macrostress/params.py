@@ -199,21 +199,11 @@ _GRID_RTOL = 1e-9       # dt must divide the horizon within this relative tolera
 
 
 def validate_scenario(s: Scenario) -> list[str]:
-    v: list[str] = []
-    for name, value in (
-        ("horizon", s.horizon),
-        ("dt", s.dt),
-        ("tau", s.policy.tau),
-        ("lag", s.policy.lag),
-        ("start_time", s.policy.start_time),
-        ("g_A_override", 0.0 if s.g_A_override is None else s.g_A_override),
-    ):
-        if not math.isfinite(value):
-            v.append(f"scenario {s.name}: {name} must be finite")
-    if s.horizon <= 0.0:
-        v.append(f"scenario {s.name}: horizon must be positive")
-    if s.dt <= 0.0:
-        v.append(f"scenario {s.name}: dt must be positive")
+    g_A = 0.0 if s.g_A_override is None else s.g_A_override
+    values = {"horizon": s.horizon, "dt": s.dt, "tau": s.policy.tau, "lag": s.policy.lag,
+              "start_time": s.policy.start_time, "g_A_override": g_A}
+    v = [f"scenario {s.name}: {k} must be finite" for k, x in values.items() if not math.isfinite(x)]
+    v += [f"scenario {s.name}: {k} must be positive" for k in ("horizon", "dt") if values[k] <= 0.0]
     if s.dt > s.horizon:
         v.append(f"scenario {s.name}: dt must not exceed horizon")
     if s.dt > 0.05:
@@ -230,14 +220,8 @@ def validate_scenario(s: Scenario) -> list[str]:
                 f"scenario {s.name}: dt = {s.dt!r} does not divide horizon = {s.horizon!r}; "
                 f"the last step would end at t = {round(steps) * s.dt:.9g}"
             )
-    if s.g_A_override is not None and s.g_A_override < 0.0:
-        v.append(f"scenario {s.name}: g_A_override must be >= 0")
-    if s.policy.tau < 0.0:
-        v.append(f"scenario {s.name}: tau must be >= 0")
-    if s.policy.lag < 0.0:
-        v.append(f"scenario {s.name}: lag must be >= 0")
-    if s.policy.start_time < 0.0:
-        v.append(f"scenario {s.name}: start_time must be >= 0")
+    v += [f"scenario {s.name}: {k} must be >= 0"
+          for k in ("g_A_override", "tau", "lag", "start_time") if values[k] < 0.0]
     return v
 
 

@@ -2,19 +2,22 @@
 
 The sweep integrates all of its (lag, tau) cells together as lanes of the
 RK4 lane kernel in :mod:`macrostress.dynamics`, in one process, and folds
-each chunk of steps the kernel yields into its per-cell reductions.
+each chunk of steps the kernel yields into its per-cell reductions. Like the
+Monte Carlo, it builds its lanes by column, with no per-cell object.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import monetary
 from .dynamics import (
-    IntegrationError, Trajectory, _effective_calibration, lane_constants, rk4_lanes, transfer_at,
+    IntegrationError, Trajectory, _effective_calibration, column_lane_constants, rk4_lanes,
+    transfer_at,
 )
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 
@@ -35,6 +38,9 @@ def crisis_depth(traj: Trajectory, p: PolicySpec) -> float:
     return depth
 
 
+MAX_CELLS = 250_000  # cell cap (500 x 500): every cell is one lane of a single kernel pass
+
+
 @dataclass(frozen=True)
 class PolicyGrid:
     """Sweep grid: strictly ascending lags x strictly ascending transfer magnitudes over a
@@ -47,6 +53,10 @@ class PolicyGrid:
     def __post_init__(self) -> None:
         if not self.lags or not self.taus:
             raise ValueError("policy grid needs at least one lag and one tau")
+        cells = len(self.lags) * len(self.taus)
+        if cells > MAX_CELLS:
+            raise ValueError(f"policy grid lags x taus = {len(self.lags)} x {len(self.taus)} = "
+                             f"{cells} cells; the cap is {MAX_CELLS}")
         if list(self.lags) != sorted(self.lags) or list(self.taus) != sorted(self.taus):
             raise ValueError("policy grid lags and taus must be ascending")
         for name, values in (("lags", self.lags), ("taus", self.taus)):
@@ -72,10 +82,15 @@ class SweepCell:
 def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
     """Integrate every (lag, tau) cell, in deterministic row-major order.
 
+    A cell's problems come only from the calibration, the base scenario, its
+    lag and its tau, so the first failing cell lies in the first row or the
+    first column: only those ``L + T - 1`` cells are validated, in row-major
+    order, and the first with a problem raises its ``ValueError``.
+
     The cells run as lanes of one pass of the RK4 lane kernel in this
-    process, under the base scenario's effective calibration. Each chunk of
-    steps the kernel yields is folded into per-cell running reductions that
-    repeat :func:`crisis_depth` and
+    process, under the base scenario's effective calibration, from policies
+    stored by column. Each chunk of steps the kernel yields is folded into
+    per-cell running reductions that repeat :func:`crisis_depth` and
     :func:`monetary.cumulative_consumption_decline` on the recorded path
     operation for operation, additions in step order, so no whole path is
     stored and the chunk length changes no bit. ``failed`` is checked before
@@ -84,33 +99,36 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     ``jobs`` is accepted for call compatibility and ignored.
     """
     base = grid.base
-    cells = [(lag, tau) for lag in grid.lags for tau in grid.taus]
-    start = base.policy.start_time
-    policies = [PolicySpec(tau=tau, lag=lag, start_time=start) for lag, tau in cells]
+    lags, taus = grid.lags, grid.taus
     calibration_problems = validate(c)
-    for (lag, tau), policy in zip(cells, policies):
-        cell = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}", policy=policy)
+    for lag, tau in [*((lags[0], tau) for tau in taus), *((lag, taus[0]) for lag in lags[1:])]:
+        cell = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}",
+                                   policy=dataclasses.replace(base.policy, tau=tau, lag=lag))
         problems = calibration_problems + validate_scenario(cell)
         if problems:
             raise ValueError("; ".join(problems))
 
+    policies = SimpleNamespace(lag=np.repeat(lags, len(taus)), tau=np.tile(taus, len(lags)),
+                               start_time=base.policy.start_time)
+    n = policies.lag.size
     ce = _effective_calibration(base, c)
-    consts = lane_constants((ce, p) for p in policies)
-    taus, activation = consts[-2:]
-    failed = np.zeros(len(cells), dtype=bool)
-    depth = np.zeros(len(cells))
-    area = np.zeros(len(cells))
+    consts = column_lane_constants(ce, n, policies)
+    transfer, activation = consts[-2:]
+    failed = np.zeros(n, dtype=bool)
+    depth = np.zeros(n)
+    area = np.zeros(n)
     with np.errstate(all="ignore"):
         for ts, path in rk4_lanes(consts, base.horizon, base.dt, failed):
             if failed.any():
-                lag, tau = cells[int(np.argmax(failed))]
+                i = int(np.argmax(failed))
                 raise IntegrationError(
-                    f"policy sweep cell lag={lag:g}, tau={tau:g}: the reinstatement term "
-                    f"overflows or the labor share turns non-finite before t={base.horizon:g}"
+                    f"policy sweep cell lag={policies.lag[i]:g}, tau={policies.tau[i]:g}: the "
+                    f"reinstatement term overflows or the labor share turns non-finite before "
+                    f"t={base.horizon:g}"
                 )
             # row 0, the state folded last, changes no maximum and starts the area's first step;
             # gap is never -0.0 or NaN here, so the order of the maxima changes no bit
-            gap = (ce.s_L0 - path) - np.where(ts >= activation, taus, 0.0)
+            gap = (ce.s_L0 - path) - np.where(ts >= activation, transfer, 0.0)
             np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
             cr = monetary.consumption_ratio(path, ce)
             # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
@@ -118,13 +136,5 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
             area[...] = np.add.accumulate(np.vstack((area, steps)))[-1]
         # the path spans [0, ts[-1]] once the loop ends
         decline = 1.0 - (area / ts[-1]) / monetary.consumption_ratio(c.s_L0, c)
-    return [
-        SweepCell(
-            lag=lag,
-            tau=tau,
-            depth=float(depth[i]),
-            s_L_final=float(path[-1, i]),
-            consumption_decline_pct=100.0 * float(decline[i]),
-        )
-        for i, (lag, tau) in enumerate(cells)
-    ]
+    columns = (policies.lag, policies.tau, depth, path[-1], 100.0 * decline)
+    return [SweepCell(*row) for row in zip(*(column.tolist() for column in columns))]

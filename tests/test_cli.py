@@ -314,6 +314,21 @@ def test_credit_non_finite_z_names_its_inputs_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("deltas,message", [
+    ("", "credit table needs at least one delta"),
+    (",", "credit table needs at least one delta"),
+    ("0.1,0.1", "deltas must be strictly ascending: 0.1 repeats"),
+    ("0,0.2,0.2,0.3", "deltas must be strictly ascending: 0.2 repeats"),
+    ("0.3,0.1", "deltas must be ascending"),
+])
+def test_credit_empty_or_repeated_deltas_exit_2(tmp_path, capsys, deltas, message):
+    # a header-only table or a duplicate row is refused, as the sweep refuses its lists
+    out = tmp_path / "o"
+    assert run_cli("credit", f"--deltas={deltas}", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,block,table,count", [
     (["credit", "--deltas", "0,0.1,0.2,0.3"], "credit", "credit_sensitivity.csv", "deltas"),
     (["decompose"], "decompose", "decomposition.csv", "quintiles"),
@@ -512,6 +527,18 @@ def test_sweep_repeated_grid_value_exit_2(tmp_path, capsys, lags, taus, message)
     out = tmp_path / "o"
     assert run_cli("sweep", "--lags", lags, "--taus", taus, "--svg", "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_past_the_cell_cap_exit_2(tmp_path, capsys):
+    # 89 x 2809 = MAX_CELLS + 1 cells: refused before any cell is integrated
+    out = tmp_path / "o"
+    lags = ",".join(str(0.01 * i) for i in range(89))
+    taus = ",".join(str(1e-5 * j) for j in range(2809))
+    assert run_cli("sweep", "--lags", lags, "--taus", taus, "--svg", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: policy grid lags x taus = 89 x 2809 = 250001 cells; the cap is 250000\n"
+    )
     assert not out.exists()
 
 

@@ -7,7 +7,9 @@ from macrostress import dynamics, policy
 from macrostress.cli import main
 from macrostress.dynamics import IntegrationError, lane_constants, simulate_path
 from macrostress.monetary import cumulative_consumption_decline
-from macrostress.params import PolicySpec, Scenario, default_calibration, with_updates
+from macrostress.params import (
+    PolicySpec, Scenario, default_calibration, validate, validate_scenario, with_updates,
+)
 from macrostress.policy import PolicyGrid, SweepCell, crisis_depth, policy_sweep, transfer_at
 
 C = default_calibration()
@@ -288,6 +290,122 @@ def test_sweep_non_finite_policy_exit_2(tmp_path, capsys, flag, value, field):
     assert f"{field} must be finite" in err and "scenario rapid_" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+# --- lanes by column and validation of the first row and column -------------
+
+def _sweep_consts(monkeypatch, grid):
+    """The lane matrix policy_sweep hands to the kernel."""
+    seen = []
+    rk4_lanes = dynamics.rk4_lanes
+
+    def record(consts, *args):
+        seen.append(consts.copy())
+        return rk4_lanes(consts, *args)
+
+    monkeypatch.setattr(policy, "rk4_lanes", record)
+    policy_sweep(grid, C)
+    (consts,) = seen
+    return consts
+
+
+_SWEEP_LAGS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0)
+_SWEEP_TAUS = (0.01, 0.03, 0.05, 0.07, 0.09, 0.12)
+
+
+@pytest.mark.parametrize("lags,taus,base", [
+    (_REPRO_LAGS, _REPRO_TAUS, _RAPID),                                   # the repro 7 x 3 grid
+    (_SWEEP_LAGS, _SWEEP_TAUS, _RAPID),                                   # 13 x 6, as sweep_grid
+    ((0.0, 1.0, 2.5), (0.03, 0.10),
+     dataclasses.replace(_RAPID, policy=PolicySpec(start_time=1.5))),     # start_time > 0
+    ((0.5, 12.0, 40.0), (0.03, 0.10), _RAPID),                            # lags past the horizon
+    ((0.0, 2.0), (0.0, 0.05), Scenario(name="base", horizon=10.0, dt=0.02)),  # tau = 0, no override
+], ids=["repro", "sweep_grid", "start_time", "late_lag", "zero_tau"])
+def test_column_lane_matrix_equals_lane_constants(monkeypatch, lags, taus, base):
+    # every entry of the column-built matrix has the scalar reference's bits
+    grid = PolicyGrid(lags=lags, taus=taus, base=base)
+    ce = dynamics._effective_calibration(base, C)
+    start = base.policy.start_time
+    expected = lane_constants(
+        (ce, PolicySpec(tau=tau, lag=lag, start_time=start)) for lag in lags for tau in taus
+    )
+    consts = _sweep_consts(monkeypatch, grid)
+    assert consts.shape == (12, len(lags) * len(taus))
+    assert consts.tobytes() == expected.tobytes()
+
+
+def _per_cell_validation(grid, c):
+    """Every cell's check in row-major order: the reference for the sweep's check of the
+    first row and the first column."""
+    base = grid.base
+    calibration_problems = validate(c)
+    for lag in grid.lags:
+        for tau in grid.taus:
+            p = PolicySpec(tau=tau, lag=lag, start_time=base.policy.start_time)
+            cell = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}", policy=p)
+            problems = calibration_problems + validate_scenario(cell)
+            if problems:
+                raise ValueError("; ".join(problems))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_ROUGH = dataclasses.replace(_RAPID, dt=0.03)  # 0.03 does not divide the 10-year horizon
+
+
+@pytest.mark.parametrize("lags,taus,base,c", [
+    ((-1.0, 0.0, 1.0), (0.03, 0.05), _RAPID, C),                # a bad lags[0]
+    ((0.0, _NAN, 1.0), (0.03, 0.05), _RAPID, C),                # --lags 0,nan,1: NaN is "ascending"
+    ((0.0, 1.0), (0.03, _NAN, 0.10), _RAPID, C),                # a NaN tau in the middle
+    ((0.0, 1.0, 2.0), (0.03, 0.05, _INF), _RAPID, C),           # an inf last tau
+    ((0.0, 1.0, _INF), (-0.05, 0.03), _RAPID, C),               # a bad lag and a bad tau
+    ((0.0, 1.0, _NAN), (0.03, 0.05, _NAN), _RAPID, C),          # both, off the first row and column
+    ((0.0, 1.0), (0.03, _INF), _ROUGH, C),                      # grid problem first, then tau
+    ((0.0, 1.0), (_NAN, 0.03), _ROUGH, C),                      # tau problem hides the grid's
+    ((0.0, 1.0), (0.03, 0.05), _RAPID, with_updates(C, kappa=-1.0)),  # invalid calibration
+    ((0.0, _INF), (0.03,), _RAPID, with_updates(C, s_L0=1.5)),  # calibration and lag
+])
+def test_first_row_and_column_check_equals_per_cell_check(lags, taus, base, c):
+    grid = PolicyGrid(lags=lags, taus=taus, base=base)
+    with pytest.raises(ValueError) as reference:
+        _per_cell_validation(grid, c)
+    with pytest.raises(ValueError) as shipped:
+        policy_sweep(grid, c)
+    assert type(shipped.value) is type(reference.value)
+    assert str(shipped.value) == str(reference.value)
+
+
+def test_valid_sweep_validates_first_row_and_column_only(monkeypatch):
+    # L + T - 1 scenario checks for L x T cells, and no per-lane constants tuple
+    calls = {"validate_scenario": 0, "lane_constants": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(policy, "validate_scenario",
+                        counted("validate_scenario", validate_scenario))
+    scalar_builder = counted("lane_constants", lane_constants)
+    monkeypatch.setattr(dynamics, "lane_constants", scalar_builder)
+    monkeypatch.setattr(policy, "lane_constants", scalar_builder, raising=False)  # if imported
+    lags, taus = (0.0, 0.5, 1.0, 1.5, 2.0), (0.03, 0.05, 0.10)
+    cells = policy_sweep(PolicyGrid(lags=lags, taus=taus, base=_RAPID), C)
+    assert len(cells) == 15
+    assert calls == {"validate_scenario": len(lags) + len(taus) - 1, "lane_constants": 0}
+
+
+def test_grid_cap():
+    # 89 x 2809 = MAX_CELLS + 1; the grid is refused before any cell is built
+    assert policy.MAX_CELLS == 500 * 500 == 89 * 2809 - 1
+    lags, taus = tuple(0.01 * i for i in range(89)), tuple(1e-5 * j for j in range(2809))
+    with pytest.raises(ValueError) as exc:
+        PolicyGrid(lags=lags, taus=taus, base=_RAPID)
+    assert str(exc.value) == "policy grid lags x taus = 89 x 2809 = 250001 cells; the cap is 250000"
+    # a grid at the cap is accepted (and not integrated here)
+    at_cap = PolicyGrid(lags=(0.0,), taus=tuple(1e-6 * j for j in range(policy.MAX_CELLS)),
+                        base=_RAPID)
+    assert at_cap.counters()["lanes"] == policy.MAX_CELLS
 
 
 # --- avertance equivalence ---------------------------------------------------
