@@ -133,7 +133,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
             cr = monetary.consumption_ratio(path, ce)
             # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
             steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
-            area[...] = np.add.accumulate(np.vstack((area, steps)))[-1]
+            for step in steps:
+                area += step
         # the path spans [0, ts[-1]] once the loop ends
         decline = 1.0 - (area / ts[-1]) / monetary.consumption_ratio(c.s_L0, c)
     columns = (policies.lag, policies.tau, depth, path[-1], 100.0 * decline)

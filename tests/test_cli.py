@@ -140,6 +140,33 @@ def test_simulate_outputs_byte_identical_to_golden(tmp_path, name):
     assert manifest["collapse_time"] == {name: 8.06 if name == "extreme" else None}
 
 
+# sha256 of the same files at dt 0.001, recorded while the scalar integrator wrote
+# out its four RK4 stages inline. At this step `rapid` and `extreme` take 6487 and
+# 7182 of their 10000 steps through the integrator's per-step loop (649 and 719 of
+# 1000 at the default dt), so its stage drift runs about ten times as often.
+GOLDEN_SHA256_DT_0001 = {
+    "baseline": ("2094b97adcf699ed8d2bd78bc1e077589420f4e4f71aca52b91a954c171f1ec7",
+                 "b699f1fc616317b8a850d4b8c53ed3697f0fcf5d679fdfa92d61ac96718aaea8"),
+    "rapid": ("1e96b06a01e263db75a9c06c3dbd0de736829871ac4d636594440810cfe42d4d",
+              "8f2da7220aa2595433b1e0b2c566314c6f31b21749575612f1b55d462bdc8c75"),
+    "extreme": ("0c70ceed905cb49fc60ba7581c95c627ff773ef8e3ea42e40fe78aed1667bc78",
+                "f6706db5e3bc7e0983299601d4dbb8c6cb228a2aaa37413c6b6d9a3a342a5c85"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_DT_0001))
+def test_simulate_fine_step_outputs_byte_identical_to_golden(tmp_path, name):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--scenario", name, "--dt", "0.001", "--out", str(out), "--svg") == 0
+    digests = tuple(
+        hashlib.sha256((out / f"trajectory_{name}.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    )
+    assert digests == GOLDEN_SHA256_DT_0001[name]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["collapse_time"] == {name: 8.053 if name == "extreme" else None}
+
+
 def test_simulate_with_config_scenario(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[scenario.custom]\ng_A_override = 0.1\nhorizon = 2\n")

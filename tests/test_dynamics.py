@@ -670,6 +670,15 @@ _SCALAR_CASES = {
     "activation_before_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.003), 10.0, 0.01, None),
     "activation_at_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.005), 10.0, 0.01, None),
     "activation_after_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.007), 10.0, 0.01, None),
+    # Step 0 puts the named stage's input at exactly s_L0 with the transfer on: the one
+    # input where the stage drift's `gap > 0.0` and `gap >= 0.0` differ. The step cannot
+    # run as time-only arithmetic, so the per-step loop runs it.
+    "stage_1_input_at_s_L0": (
+        with_updates(C, g_A=0.4, t0_diffusion=0.0), PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, None
+    ),
+    "stage_2_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5597264142269149),
+    "stage_3_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5599758780635399),
+    "stage_4_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5594528161735646),
 }
 
 
@@ -716,6 +725,34 @@ def test_scalar_cases_reach_what_their_names_say():
     tiny = _SCALAR_CASES["logistic_tail_at_tiny_share"][0]
     assert -tiny.kappa * (0.0 - tiny.t0_diffusion) > 40.0
     assert round(10.0 / 0.03) * 0.03 != 10.0 and round(10.0 / 0.0007) * 0.0007 != 10.0
+
+
+def _first_step_stage_inputs(c, p, dt, s):
+    """Step 0's four stage inputs from state ``s``, by the reference's arithmetic
+    (no logistic tail at these stage times)."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = _drift_constants(c)
+
+    def deriv(t, u):
+        d = d_bar / (1.0 + math.exp(neg_kappa * (t - t0)))
+        gap = s0 - u
+        pi = k_pi * gap if gap > 0.0 else 0.0
+        stab = p.tau if (u < s0 and t >= p.start_time + p.lag) else 0.0
+        return -d * disp_scale - beta * pi + (rho0 + rho_scale * math.exp(rho_exp * t)) + stab
+
+    half = dt / 2.0
+    u2 = s + half * deriv(0.0, s)
+    u3 = s + half * deriv(half, u2)
+    return s, u2, u3, s + dt * deriv(half, u3)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_cases_put_a_loop_stage_input_at_s_L0_with_the_transfer_on(stage):
+    c, p, _, dt, s_init = _SCALAR_CASES[f"stage_{stage}_input_at_s_L0"]
+    s = c.s_L0 if s_init is None else s_init
+    assert _first_step_stage_inputs(c, p, dt, s)[stage - 1] == c.s_L0
+    assert transfer_at(0.0, p) == p.tau > 0.0
+    # the time-only pass takes no step that starts below s_L0 or whose mid input falls below it
+    assert s < c.s_L0 or labor_share_derivative(0.0, s, c, p) < 0.0
 
 
 # --- the lane kernel against its previous form --------------------------------

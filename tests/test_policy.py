@@ -222,6 +222,34 @@ def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
     assert max(counted) == {"one_step": 1, "default": 151, "whole_horizon": n_steps}[chunk]
 
 
+def test_lane_sweep_of_one_step_chunks_equals_multi_step_chunks(monkeypatch):
+    # 37 x 37 = 1369 lanes leave _STAGE_BLOCK // (3 * lanes) == 0, so the kernel
+    # yields one-step chunks unpatched, and the fold adds each chunk's one step alone
+    grid = PolicyGrid(lags=tuple(0.005 * i for i in range(37)), taus=tuple(0.005 * i for i in range(37)),
+                      base=dataclasses.replace(_RAPID, horizon=0.2))
+    lanes = 37 * 37
+    assert dynamics._STAGE_BLOCK // (3 * lanes) == 0
+    counted = []
+    rk4_lanes = dynamics.rk4_lanes
+
+    def count_chunks(*args):
+        for ts, path in rk4_lanes(*args):
+            counted.append(len(path) - 1)
+            yield ts, path
+
+    monkeypatch.setattr(policy, "rk4_lanes", count_chunks)
+    one_step = policy_sweep(grid, C)
+    assert counted == [1] * 10
+    counted.clear()
+    monkeypatch.setattr(dynamics, "_STAGE_BLOCK", 3 * lanes * 7)
+    assert policy_sweep(grid, C) == one_step
+    assert counted == [7, 3]
+    for k in random.Random(24).sample(range(lanes), 4):
+        cell = one_step[k]
+        single = PolicyGrid(lags=(cell.lag,), taus=(cell.tau,), base=grid.base)
+        assert [cell] == _reference_cells(single, C)
+
+
 def test_lane_sweep_grids_reach_the_absorbing_edges():
     # the last two grids above exercise the kernel's absorbing branches
     for g_A, edge in ((0.40, 0.0), (2.0, 1.0)):
