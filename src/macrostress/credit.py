@@ -63,9 +63,19 @@ def shocked_default_probability(b: BorrowerState, delta: float) -> float:
 def dscr_sensitivity(
     b: BorrowerState, deltas: list[float]
 ) -> list[tuple[float, float, float]]:
-    """Rows of (delta, post-shock dscr, default probability) for ascending deltas."""
-    if list(deltas) != sorted(deltas):
+    """Rows of (delta, post-shock dscr, default probability), one per delta.
+
+    The deltas must be at least one and strictly ascending, checked before any
+    row is computed: an empty or repeated delta would give a header-only table
+    or a duplicate row."""
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("credit table needs at least one delta")
+    if deltas != sorted(deltas):
         raise ValueError("deltas must be ascending")
+    for lo, hi in zip(deltas, deltas[1:]):
+        if lo == hi:
+            raise ValueError(f"deltas must be strictly ascending: {lo:g} repeats")
     return [
         (d, b.dscr * (1.0 - d), shocked_default_probability(b, d))
         for d in deltas

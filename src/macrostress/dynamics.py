@@ -62,8 +62,6 @@ def diffusion(t: float, c: Calibration) -> float:
     e = -c.kappa * (t - c.t0_diffusion)
     if e > 40.0:   # tail below 4e-18 of d_bar; avoids exp overflow
         return 0.0
-    if e < -40.0:
-        return c.d_bar
     return c.d_bar / (1.0 + math.exp(e))
 
 
@@ -299,10 +297,9 @@ def integrate_labor_share(
 
     A chunk that starts at or above ``s_L0`` first runs as array arithmetic
     (:func:`_time_only_steps`): there the else branches below apply, with
-    the drift ``push - beta * 0.0 + rho + 0.0`` of time alone and
-    ``k3 == k2``. The chunk keeps the leading steps whose stage inputs and
-    new states that function verifies, and runs the rest per step from the
-    first step it refuses. ``baseline`` takes every step that way.
+    the drift ``push + rho`` of time alone and ``k3 == k2``. The chunk keeps
+    the leading steps that function verifies, and runs the rest per step
+    from the first step it refuses. ``baseline`` takes every step that way.
 
     Raises :class:`IntegrationError` in the order the per-stage form did:
     at the first step whose state turns non-finite, or at the first stage
@@ -320,7 +317,6 @@ def integrate_labor_share(
         record.append(s)
     half = dt / 2.0
     sixth = dt / 6.0
-    no_pi = beta * 0.0  # beta * pi where the margin pressure is zero
 
     def terms(ts: np.ndarray) -> np.ndarray:
         """Rows -d * disp_scale, rho and the transfer at the stage times ``ts``."""
@@ -344,7 +340,7 @@ def integrate_labor_share(
         if s >= s0:
             with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
                 path, ok = _time_only_steps(
-                    s, s0, *(push - no_pi + rho + 0.0 for push, rho, _ in (at_start, at_mid, at_end)), dt
+                    s, s0, *(push + rho for push, rho, _ in (at_start, at_mid, at_end)), dt
                 )
             taken = len(ok) if ok.all() else int(ok.argmin())
             if taken:
@@ -359,7 +355,7 @@ def integrate_labor_share(
             if gap > 0.0:
                 k1 = push1 - beta * (k_pi * gap) + rho1 + on1
             else:
-                k1 = push1 - no_pi + rho1 + 0.0
+                k1 = push1 + rho1
             if s <= 0.0 and k1 < 0.0:
                 k1 = 0.0
             elif s >= 1.0 and k1 > 0.0:
@@ -369,7 +365,7 @@ def integrate_labor_share(
             if gap > 0.0:
                 k2 = push2 - beta * (k_pi * gap) + rho2 + on2
             else:
-                k2 = push2 - no_pi + rho2 + 0.0
+                k2 = push2 + rho2
             if u <= 0.0 and k2 < 0.0:
                 k2 = 0.0
             elif u >= 1.0 and k2 > 0.0:
@@ -379,7 +375,7 @@ def integrate_labor_share(
             if gap > 0.0:
                 k3 = push2 - beta * (k_pi * gap) + rho2 + on2
             else:
-                k3 = push2 - no_pi + rho2 + 0.0
+                k3 = push2 + rho2
             if u <= 0.0 and k3 < 0.0:
                 k3 = 0.0
             elif u >= 1.0 and k3 > 0.0:
@@ -389,7 +385,7 @@ def integrate_labor_share(
             if gap > 0.0:
                 k4 = push4 - beta * (k_pi * gap) + rho4 + on4
             else:
-                k4 = push4 - no_pi + rho4 + 0.0
+                k4 = push4 + rho4
             if u <= 0.0 and k4 < 0.0:
                 k4 = 0.0
             elif u >= 1.0 and k4 > 0.0:
@@ -514,22 +510,21 @@ def rk4_lanes(
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
     Four terms run only when they can change a value:
 
-    - the logistic tails (``d = 0`` for ``e > 40``, ``d = d_bar`` for
-      ``e < -40``), when some lane has ``|e| > 40`` at the first or the last
-      stage time; ``e`` is monotone in t, so no stage time between goes further;
-    - the transfer, at stage times at or after the earliest activation
-      among lanes with a non-zero ``tau``: where some lane's transfer is non-zero;
+    - the upper logistic tail (``d = 0`` for ``e > 40``), when some lane has
+      ``e > 40`` at t = 0, where ``e = -kappa * (t - t0)`` is largest. Below
+      ``e = -40`` the formula is the tail: ``exp(e) < 2**-53``, so
+      ``d_bar / (1.0 + exp(e)) == d_bar``;
+    - the transfer, in a chunk whose last stage time is at or after the
+      earliest activation among lanes with a non-zero ``tau``. Its rows before
+      that time are zero in every lane;
     - the per-step loop, only in a chunk of more than one step that cannot
       run as array arithmetic. Where every lane starts at or above ``s0``,
-      the chunk's drifts are ``push - no_pi + rho`` with
-      ``no_pi = beta * (k_pi * 0.0)``, the margin term at zero pressure, and
-      ``k3 == k2``; :func:`_time_only_steps` forms its states and checks every
-      lane at every step, and the chunk is taken whole or not at all. Its
-      states are the per-step loop's: the loop's margin term is then that
-      same ``no_pi``, the transfer ``transfer * False`` adds a zero, and no
-      edge test or clamp acts. Without the transfer's zero a drift can differ
-      only in the sign of a zero, which no state sees (below). The Monte
-      Carlo's 2000 lanes run one step per chunk and never try it;
+      the chunk's drifts are ``push + rho`` and ``k3 == k2``;
+      :func:`_time_only_steps` forms its states and checks every lane at
+      every step, and the chunk is taken whole or not at all. Its states are
+      the per-step loop's: the loop's margin term is then ``+0.0``, the
+      transfer ``transfer * False`` adds a zero, and no edge test or clamp
+      acts. The Monte Carlo's 2000 lanes run one step per chunk and never try it;
     - the absorbing edges, only in a chunk whose states do not all start
       clear of the edges, and there when some stage state is ``<= 0`` or
       ``>= 1``. While every stage input is inside (0, 1), each lane's drift
@@ -542,9 +537,9 @@ def rk4_lanes(
       skipped. A NaN or infinite bound (an overflowing lane) fails that test.
 
     The margin pressure is ``k_pi * max(gap, 0)`` and the transfer enters
-    as ``transfer * (gap > 0)``. Skipping a zero transfer, or adding it as a
-    product, can change a drift only in the sign of a zero. No state value
-    sees that: ``s`` is never ``-0.0``, so ``s + (+-0.0) == s``; and
+    as ``transfer * (gap > 0)``. Skipping a zero transfer, adding one, or
+    adding it as a product, changes a drift only in the sign of a zero. No
+    state sees that: ``s`` is never ``-0.0``, so ``s + (+-0.0) == s``; and
     ``gap = s0 - s`` is never ``-0.0``, because ``s0 > 0``.
     """
     d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi, tau, activation = (
@@ -560,8 +555,8 @@ def rk4_lanes(
     t_last = times.max(initial=0.0)  # the largest stage time, the last end; 0 without steps
     # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
     failed |= rho_exp * t_last > _EXP_CAP
-    e_ends = neg_kappa * (np.array([[0.0], [t_last]]) - t0)
-    with_tails = bool((np.abs(e_ends) > 40.0).any())
+    # kappa > 0, so e = -kappa * (t - t0) is largest at t = 0, by drive's operations
+    with_tails = bool((neg_kappa * (0.0 - t0) > 40.0).any())
     chunk = max(1, _STAGE_BLOCK // (3 * max(1, s0.size)))
     # The drift bounds [-down, up] of the docstring, on the signs validate() enforces
     # (k_pi > 0, every other term >= 0), scaled to the farthest a chunk can reach.
@@ -573,7 +568,6 @@ def rk4_lanes(
     rho_buf = np.empty_like(push_buf)
     # numpy converts a Python float operand on every call, a 0-d array it takes as is
     zero, one, two, half_dt, full_dt, sixth_dt = map(np.array, (0.0, 1.0, 2.0, half, dt, sixth))
-    no_pi = beta * (k_pi * zero)  # beta * pi where the margin pressure is zero
 
     def drive(ts: np.ndarray, lo: int) -> None:
         """The state-free terms at the stage times in column ``ts``, written to rows
@@ -582,12 +576,12 @@ def rk4_lanes(
         np.subtract(ts, t0, out=push)
         np.multiply(neg_kappa, push, out=push)  # e
         if with_tails:
-            upper, lower = push > 40.0, push < -40.0
+            upper = push > 40.0
         np.exp(push, out=push)
         np.add(1.0, push, out=push)
         np.divide(d_bar, push, out=push)  # d
         if with_tails:
-            push[...] = np.where(upper, 0.0, np.where(lower, d_bar, push))
+            push[upper] = 0.0
         np.multiply(push, neg_disp, out=push)
         np.multiply(rho_exp, ts, out=rho)
         np.exp(rho, out=rho)
@@ -620,14 +614,13 @@ def rk4_lanes(
         drive(ts[shared:], shared)
         done, last = r1, len(ts) - 1
         if times[r1 - 1] >= first_transfer:  # the chunk's last end is its latest stage time
-            on = np.where(ts >= activation, tau, 0.0)
-            transfer = [r if t >= first_transfer else None for t, r in zip(times[r0:r1].tolist(), on)]
+            transfer = np.where(ts >= activation, tau, 0.0)
         else:
-            transfer = [None] * len(ts)
+            transfer = repeat(None)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
         taken = False  # whether the chunk runs as array arithmetic
         if chunk > 1 and (s >= s0).all():
-            drift = push_buf[: len(ts)] - no_pi + rho_buf[: len(ts)]
+            drift = push_buf[: len(ts)] + rho_buf[: len(ts)]
             path, ok = _time_only_steps(s, s0, *drift[rows[:, lo:hi] - r0], dt)
             taken = ok.all()
         if taken:
@@ -656,11 +649,11 @@ def _map_column(fn, *columns: object) -> np.ndarray:
 
 
 def _adoption(ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float) -> np.ndarray:
-    """:func:`diffusion` at the times ``ts``, by ``math.exp`` of ``e`` clipped to +-41."""
+    """:func:`diffusion` at the times ``ts``, by ``math.exp`` of ``e`` capped at 41."""
     with np.errstate(over="ignore"):  # an infinite e is a tail, as in diffusion()
         e = neg_kappa * (ts - t0)
-    d = d_bar / (1.0 + _map_column(math.exp, memoryview(np.clip(e, -41.0, 41.0))))
-    return np.where(e > 40.0, 0.0, np.where(e < -40.0, d_bar, d))
+    d = d_bar / (1.0 + _map_column(math.exp, memoryview(np.minimum(e, 41.0))))
+    return np.where(e > 40.0, 0.0, d)
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:

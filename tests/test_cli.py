@@ -347,6 +347,8 @@ def test_credit_non_finite_z_names_its_inputs_exit_2(tmp_path, capsys):
     ("0.1,0.1", "deltas must be strictly ascending: 0.1 repeats"),
     ("0,0.2,0.2,0.3", "deltas must be strictly ascending: 0.2 repeats"),
     ("0.3,0.1", "deltas must be ascending"),
+    # the list is checked before any row: the repeat, not the out-of-range 1.2
+    ("0.5,0.5,1.2", "deltas must be strictly ascending: 0.5 repeats"),
 ])
 def test_credit_empty_or_repeated_deltas_exit_2(tmp_path, capsys, deltas, message):
     # a header-only table or a duplicate row is refused, as the sweep refuses its lists

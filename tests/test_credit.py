@@ -108,10 +108,14 @@ def test_sensitivity_table_worked_rows():
 
 def test_sensitivity_table_edge_cases():
     b = BorrowerState(dscr=1.5, sigma_r=0.20)
-    assert dscr_sensitivity(b, []) == []
-    dup = dscr_sensitivity(b, [0.1, 0.1])
-    assert dup[0] == dup[1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^credit table needs at least one delta$"):
+        dscr_sensitivity(b, [])
+    with pytest.raises(ValueError, match="^deltas must be strictly ascending: 0.1 repeats$"):
+        dscr_sensitivity(b, [0.1, 0.1])
+    # every check runs before any row: the repeat is named ahead of the out-of-range 1.2
+    with pytest.raises(ValueError, match="^deltas must be strictly ascending: 0.5 repeats$"):
+        dscr_sensitivity(b, [0.5, 0.5, 1.2])
+    with pytest.raises(ValueError, match="^deltas must be ascending$"):
         dscr_sensitivity(b, [0.3, 0.1])
 
 

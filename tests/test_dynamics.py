@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macrostress import dynamics
@@ -88,6 +88,46 @@ def test_diffusion_monotone_and_bounded(t1, t2):
     lo, hi = sorted((t1, t2))
     d1, d2 = diffusion(lo, C), diffusion(hi, C)
     assert d1 <= d2 <= C.d_bar
+
+
+def _two_tailed_diffusion(t, c):
+    """diffusion() as it was with a lower tail of its own, kept as the reference."""
+    e = -c.kappa * (t - c.t0_diffusion)
+    if e > 40.0:
+        return 0.0
+    if e < -40.0:
+        return c.d_bar
+    return c.d_bar / (1.0 + math.exp(e))
+
+
+# (kappa, t0) whose logistic argument e = -kappa * (t - t0) on a 10-year path falls below
+# -40, below -745 (exp(e) underflows to 0.0) and to -inf (the product overflows)
+_LOWER_TAILS = [(20.0, 2.8), (200.0, 2.8), (1e308, 2.8)]
+
+
+def test_lower_tail_cases_reach_their_regions():
+    lowest = [-kappa * (10.0 - t0) for kappa, t0 in _LOWER_TAILS]
+    assert -745.0 < lowest[0] < -40.0 and -math.inf < lowest[1] < -745.0 and lowest[2] == -math.inf
+    assert math.exp(lowest[1]) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e-3, max_value=1e308),
+    t0=st.floats(min_value=-20.0, max_value=20.0),
+    t=st.floats(min_value=-1e300, max_value=1e300),
+)
+@example(kappa=_LOWER_TAILS[0][0], t0=_LOWER_TAILS[0][1], t=30.0)
+@example(kappa=_LOWER_TAILS[1][0], t0=_LOWER_TAILS[1][1], t=30.0)
+@example(kappa=_LOWER_TAILS[2][0], t0=_LOWER_TAILS[2][1], t=30.0)
+def test_logistic_equals_the_two_tailed_form_bit_for_bit(kappa, t0, t):
+    # below e = -40, exp(e) < 2**-53: d_bar / (1.0 + exp(e)) is d_bar without a tail of its own
+    c = with_updates(C, kappa=kappa, t0_diffusion=t0)
+    traj = simulate_path(Scenario(name="tails", dt=0.05), c)
+    expected = [_two_tailed_diffusion(x, c).hex() for x in traj.t.tolist()]
+    assert [d.hex() for d in traj.d_t.tolist()] == expected
+    assert [diffusion(x, c).hex() for x in traj.t.tolist()] == expected
+    assert diffusion(t, c).hex() == _two_tailed_diffusion(t, c).hex()
 
 
 # --- reinstatement -----------------------------------------------------------
@@ -819,6 +859,15 @@ def _kernel_cases():
     # kappa * t0 > 40: d is 0 early on, which only a share near 0 can tell from d_bar / (1 + e^e)
     steep = [(with_updates(C, kappa=k, g_A=0.3), _POLICY) for k in (30.0, 2.0, 50.0)]
     steep.append((with_updates(C, kappa=30.0, s_L0=1e-300, rho0=0.0, eta=0.0), NO_POLICY))
+    # e(0) = kappa * 2.8 <= 40 and e(10) < -40: the lanes reach only the lower tail
+    lower = [(with_updates(C, kappa=k, g_A=g), _POLICY) for k in (8.0, 12.0, 14.0) for g in (0.05, 0.4)]
+    # the earliest non-zero-tau activation, 2.503, lies inside the chunk of steps 170-339,
+    # between a step's start and mid, with every lane below s_L0; the tau = 0.0 lanes
+    # activate earlier
+    inside = [
+        (with_updates(C, g_A=g, t0_diffusion=0.0), PolicySpec(tau=tau, lag=lag))
+        for g in (0.4, 0.2) for tau, lag in ((0.05, 2.003), (0.1, 4.0), (0.0, 0.0), (0.0, 1.0))
+    ]
     bad = [
         with_updates(C, g_A=150.0),              # overflows early
         with_updates(C, g_A=1.0, eta=1e308),     # the state turns non-finite
@@ -834,6 +883,8 @@ def _kernel_cases():
         "sampled_policy": ([(c, _POLICY) for c in sampled], 10.0),
         "sweep_edges": (edges, 10.0),
         "logistic_tails": (steep, 10.0),
+        "lower_tail_only": (lower, 10.0),
+        "transfer_inside_chunk": (inside, 10.0),
         "failing_mixed": ([(c, NO_POLICY) for c in mixed] + [recovery], 10.0),
         "failing_mixed_policy": ([(c, _POLICY) for c in mixed] + [recovery], 10.0),
         "lanes_0": ([], 1.0),
@@ -849,7 +900,8 @@ def kernel_cases():
 
 
 @pytest.mark.parametrize("case", [
-    "sampled", "sampled_policy", "sweep_edges", "logistic_tails", "failing_mixed",
+    "sampled", "sampled_policy", "sweep_edges", "logistic_tails", "lower_tail_only",
+    "transfer_inside_chunk", "failing_mixed",
     "failing_mixed_policy", "lanes_0", "lanes_1", "lanes_7", "lanes_1001",
 ])
 def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
@@ -873,6 +925,15 @@ def test_lane_kernel_equals_reference_at_every_step(kernel_cases, case):
         assert s.min() == 0.0 and s.max() == 1.0
     if case == "logistic_tails":   # e = -kappa * (0 - t0) > 40 at t = 0
         assert (consts[1] * (0.0 - consts[2]) > 40.0).any()
+    if case == "lower_tail_only":   # no mask acts: below e = -40 the formula is the tail
+        t_last = stage_schedule(0, steps - 1, 0.01)[0].max()
+        assert (consts[1] * (0.0 - consts[2]) <= 40.0).all()
+        assert (consts[1] * (t_last - consts[2]) < -40.0).all()
+    if case == "transfer_inside_chunk":   # strictly between a chunk's first and last step
+        chunk = _STAGE_BLOCK // (3 * len(lanes))
+        first = consts[11][consts[10] != 0.0].min()
+        assert chunk == 170 and 0 < first / 0.01 % chunk < chunk - 1 and (consts[10] == 0.0).any()
+        assert s[4] > 0.0 == s[6]   # the transfer saves a lane that collapses without one
     if case.startswith("failing_mixed"):
         assert np.flatnonzero(failed).tolist() == [13, 30, 42, 43, 44]
         assert np.isnan(s[44]) and s[45] > 0.0
