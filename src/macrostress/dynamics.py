@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
@@ -79,8 +79,7 @@ def margin_pressure(s_L: float, c: Calibration) -> float:
     shortfall = (2.0 * c.mpc_labor - 1.0) * (c.s_L0 - s_L)
     if shortfall <= 0.0:
         return 0.0
-    norm = c.mpc_labor * c.s_L0 + (1.0 - c.mpc_labor) * (1.0 - c.s_L0)
-    return shortfall / norm
+    return shortfall / monetary.consumption_ratio(c.s_L0, c)
 
 
 def transfer_at(t: float, p: PolicySpec) -> float:
@@ -191,7 +190,7 @@ def _drift_constants(c: Calibration) -> tuple[float, ...]:
     ``A(t)**alpha_rho`` is written as ``A0**alpha_rho * exp(alpha_rho*g_A*t)``,
     so the exponentials are the only per-stage cost.
     """
-    norm = c.mpc_labor * c.s_L0 + (1.0 - c.mpc_labor) * (1.0 - c.s_L0)
+    norm = monetary.consumption_ratio(c.s_L0, c)
     return (
         c.d_bar,
         -c.kappa,
@@ -418,26 +417,16 @@ def integrate_labor_share(
 _LANE_BLOCK = 4096  # Monte Carlo lanes integrated together; bounds the kernel's working set
 
 
-def lane_constants(lanes: Iterable[tuple[Calibration, PolicySpec]]) -> np.ndarray:
-    """The lane kernel's constants: one row per drift constant, then ``tau`` and the
-    activation time ``start_time + lag``; one column per (calibration, policy) lane.
-
-    No engine path calls it: the sweep and the Monte Carlo build their lanes with
-    :func:`column_lane_constants`, and the tests hold that to this scalar reference."""
-    rows = [(*_drift_constants(c), p.tau, p.start_time + p.lag) for c, p in lanes]
-    # The explicit 12 keeps the shape for zero lanes.
-    return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 12).T)
-
-
 def column_lane_constants(c: Calibration, n: int, p: PolicySpec) -> np.ndarray:
-    """:func:`lane_constants` for ``n`` lanes, from a calibration ``c`` and a policy
-    ``p`` stored by column: each field of either is a float shared by every lane
-    or an array with one entry per lane.
+    """The lane kernel's constants for ``n`` lanes: one row per drift constant,
+    then ``tau`` and the activation time ``start_time + lag``; one column per lane.
 
-    It evaluates :func:`_drift_constants` once, on the columns, and
+    The calibration ``c`` and the policy ``p`` are stored by column: each field
+    of either is a float shared by every lane or an array with one entry per
+    lane. It evaluates :func:`_drift_constants` once, on the columns, and
     ``p.start_time + p.lag`` once, so each entry comes from the same IEEE
-    operations, in the same order, as the scalar builder's for that lane;
-    ``A0 ** alpha_rho`` stays a Python scalar.
+    operations, in the same order, as that lane's scalar calibration and policy
+    would give; ``A0 ** alpha_rho`` stays a Python scalar.
     """
     rows = (*_drift_constants(c), p.tau, p.start_time + p.lag)
     return np.array([np.broadcast_to(row, (n,)) for row in rows], dtype=np.float64)
@@ -508,12 +497,11 @@ def rk4_lanes(
 
     Every lane that does not fail yields the values of
     :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
-    Four terms run only when they can change a value:
+    The logistic has one tail mask, ``d = 0`` for ``e > 40`` with
+    ``e = -kappa * (t - t0)``: below ``e = -40`` the formula is the tail,
+    as ``exp(e) < 2**-53`` makes ``d_bar / (1.0 + exp(e)) == d_bar``.
+    Three terms run only when they can change a value:
 
-    - the upper logistic tail (``d = 0`` for ``e > 40``), when some lane has
-      ``e > 40`` at t = 0, where ``e = -kappa * (t - t0)`` is largest. Below
-      ``e = -40`` the formula is the tail: ``exp(e) < 2**-53``, so
-      ``d_bar / (1.0 + exp(e)) == d_bar``;
     - the transfer, in a chunk whose last stage time is at or after the
       earliest activation among lanes with a non-zero ``tau``. Its rows before
       that time are zero in every lane;
@@ -555,8 +543,6 @@ def rk4_lanes(
     t_last = times.max(initial=0.0)  # the largest stage time, the last end; 0 without steps
     # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
     failed |= rho_exp * t_last > _EXP_CAP
-    # kappa > 0, so e = -kappa * (t - t0) is largest at t = 0, by drive's operations
-    with_tails = bool((neg_kappa * (0.0 - t0) > 40.0).any())
     chunk = max(1, _STAGE_BLOCK // (3 * max(1, s0.size)))
     # The drift bounds [-down, up] of the docstring, on the signs validate() enforces
     # (k_pi > 0, every other term >= 0), scaled to the farthest a chunk can reach.
@@ -575,13 +561,11 @@ def rk4_lanes(
         push, rho = push_buf[lo : lo + len(ts)], rho_buf[lo : lo + len(ts)]
         np.subtract(ts, t0, out=push)
         np.multiply(neg_kappa, push, out=push)  # e
-        if with_tails:
-            upper = push > 40.0
+        upper = push > 40.0
         np.exp(push, out=push)
         np.add(1.0, push, out=push)
         np.divide(d_bar, push, out=push)  # d
-        if with_tails:
-            push[upper] = 0.0
+        push[upper] = 0.0
         np.multiply(push, neg_disp, out=push)
         np.multiply(rho_exp, ts, out=rho)
         np.exp(rho, out=rho)
@@ -689,7 +673,6 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
         rho_t = ce.rho0 + ce.eta * _map_column(pow, memoryview(A_t), repeat(ce.alpha_rho))
     # margin_pressure, with its `shortfall <= 0` branch as a mask
     shortfall = (2.0 * ce.mpc_labor - 1.0) * (ce.s_L0 - s_L)
-    norm = ce.mpc_labor * ce.s_L0 + (1.0 - ce.mpc_labor) * (1.0 - ce.s_L0)
     # Transfers flow only while the labor share sits below baseline (transfer_at).
     tau_eff = np.where((s_L < ce.s_L0) & (t >= s.policy.start_time + s.policy.lag), s.policy.tau, 0.0)
     return Trajectory(
@@ -700,7 +683,7 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
         d_t=d_t,
         A_t=A_t,
         rho_t=rho_t,
-        pi_t=np.where(shortfall > 0.0, shortfall / norm, 0.0),
+        pi_t=np.where(shortfall > 0.0, shortfall / monetary.consumption_ratio(ce.s_L0, ce), 0.0),
         velocity=monetary.velocity(s_L, tau_eff, ce),
         consumption_ratio=monetary.consumption_ratio(s_L, ce),
         tau_effective=tau_eff,

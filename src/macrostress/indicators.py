@@ -12,6 +12,7 @@ never flip a settled one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,12 +21,7 @@ from .params import ConfigError, block_value, finite, read_blocks, read_csv_rows
 # A series is a list of (ISO-8601 date, value) pairs sorted by date.
 Series = list[tuple[str, float]]
 
-_COMPARATORS = {
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-}
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,6 @@ def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardR
     lacks, its primary series or a ``gap_vs`` reference, in rule order.
     """
     rows = []
-    signals: dict[str, Signal] = {}
     missing = []
     for rule in rules:
         if rule.threshold is not None:  # a qualitative rule reads no series
@@ -223,7 +218,7 @@ def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardR
         except KeyError:
             signal = Signal(INDETERMINATE, "insufficient data")
         rows.append(DashboardRow(rule=rule, signal=signal))
-        signals[rule.id] = signal
+    signals = {row.rule.id: row.signal for row in rows}
 
     def _is(rule_id: str, kind: str) -> bool:
         s = signals.get(rule_id)
@@ -252,12 +247,16 @@ def load_series_csv(path: str | Path) -> Series:
     """Read one series from a (date, value) CSV; a header row is optional.
 
     Every value must be a finite number; errors name the file, line and
-    column (:func:`params.read_csv_rows`).
+    column (:func:`params.read_csv_rows`). A date given twice raises
+    :class:`ConfigError` naming the file and the date.
     """
     out: Series = [
         (date, value) for [date], [value] in read_csv_rows(path, ("date", "value"), text_columns=1)
     ]
     out.sort(key=lambda p: p[0])
+    for (date, _), (next_date, _) in zip(out, out[1:]):
+        if date == next_date:
+            raise ConfigError(f"{path}: date {date} repeats")
     return out
 
 
@@ -277,9 +276,12 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
 
     Blocks are introduced by ``[rule.<id>]``; keys are series, comparator,
     threshold, window, transform, transform_param, direction, note. Errors
-    name the file and line, and the key when a value does not parse.
+    name the file and line, and the key when a value does not parse; a file
+    with no block is refused.
     """
     _, blocks = read_blocks(path, "rule", (), _RULE_KEYS)
+    if not blocks:
+        raise ConfigError(f"{path}: no [rule.<id>] block")
     rules = []
     for rule_id, lineno, block in blocks:
         text = {key: raw for key, (raw, _) in block.items()}

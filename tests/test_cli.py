@@ -979,6 +979,35 @@ def test_indicators_repeated_rule_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_indicators_rule_file_without_a_block_exit_2(tmp_path, capsys, text):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(text)
+    data = tmp_path / "data"
+    data.mkdir()
+    code = run_cli("indicators", "--rules", str(rules), "--data", str(data),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {rules}: no [rule.<id>] block\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "date,value\n2020-01-01,112\n2020-01-01,113\n",
+    "2020-04-01,112\n2020-01-01,113\n2020-07-01,111\n2020-01-01,115\n",   # apart and unsorted
+])
+def test_indicators_repeated_date_exit_2(tmp_path, capsys, body):
+    # one date is one observation: a repeat would fill two places of a window
+    data_dir = tmp_path / "series"
+    data_dir.mkdir()
+    series = data_dir / "saas_net_retention_pct.csv"
+    series.write_text(body)
+    code = run_cli("indicators", "--data", str(data_dir), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {series}: date 2020-01-01 repeats\n"
+    assert not (tmp_path / "o").exists()
+
+
 # one input of each reader, with a byte that is not UTF-8 on its second line
 @pytest.mark.parametrize("name,argv", [
     ("c.cfg", lambda p: ["simulate", "--config", str(p)]),

@@ -24,7 +24,6 @@ from macrostress.dynamics import (
     integrate_labor_share,
     integrate_lanes,
     labor_share_derivative,
-    lane_constants,
     margin_pressure,
     reinstatement_rate,
     rk4_lanes,
@@ -42,6 +41,8 @@ from macrostress.params import (
     with_updates,
 )
 from macrostress.policy import PolicyGrid, policy_sweep, transfer_at
+
+from lane_reference import lane_constants
 
 C = default_calibration()
 NO_POLICY = PolicySpec()
@@ -670,7 +671,10 @@ def _outcome(integrate, c, p, horizon, dt, s_init=None):
 
 _POLICY = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
 _CHUNK = _STAGE_BLOCK // 3  # steps whose time-only terms are computed at once
-_RAPID_C = with_updates(C, g_A=0.4)   # collapses at t = 8.06: below s_L0 from the first steps
+# collapses at t = 8.06; from s_L0 its path stays at or above s_L0 to t = 2.81, so its
+# first steps run as time-only array arithmetic
+_RAPID_C = with_updates(C, g_A=0.4)
+_TRANSFER_FROM_0 = PolicySpec(tau=0.05, lag=0.0)
 
 # 41 * 0.01 + 0.01 != 42 * 0.01: step 42 starts one ulp of time away from step 41's
 # end, where a logistic this steep moves d by about 1e-13
@@ -706,6 +710,13 @@ _SCALAR_CASES = {
     "one_step": (_RAPID_C, _POLICY, 0.01, 0.01, None),
     "one_chunk": (_RAPID_C, _POLICY, _CHUNK * 0.001, 0.001, None),
     "one_chunk_and_a_step": (_RAPID_C, _POLICY, (_CHUNK + 1) * 0.001, 0.001, None),
+    # below s_L0 at every step, so both chunks run every step through the per-step loop:
+    # with the transfer on from t = 0, or switched on at t = 2 inside the second chunk
+    "below_s_L0_across_a_chunk_edge": (_RAPID_C, _TRANSFER_FROM_0, (_CHUNK + 1) * 0.001, 0.001, 0.5),
+    "below_s_L0_across_two_chunk_edges": (
+        _RAPID_C, _TRANSFER_FROM_0, (2 * _CHUNK + 1) * 0.001, 0.001, 0.45
+    ),
+    "below_s_L0_activation_in_second_chunk": (_RAPID_C, _POLICY, (2 * _CHUNK + 1) * 0.001, 0.001, 0.5),
     # the transfer switches on between a step's start and mid, at its mid, and between mid and end
     "activation_before_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.003), 10.0, 0.01, None),
     "activation_at_mid": (_RAPID_C, PolicySpec(tau=0.02, lag=3.005), 10.0, 0.01, None),
@@ -761,6 +772,16 @@ def test_scalar_cases_reach_what_their_names_say():
     activations = [final(f"activation_{w}")[0] for w in ("before_mid", "at_mid", "after_mid")]
     assert len(set(activations)) == 2 and activations[0] == activations[1]
     assert round(_SCALAR_CASES["one_chunk"][2] / 0.001) == _CHUNK
+    # The time-only pass takes only steps that start at or above s_L0. No state of these
+    # cases does, so every step of both chunks runs the per-step loop; the transfer flows
+    # from t = 0, or from t = 2.0, inside the second chunk
+    for case in ("across_a_chunk_edge", "across_two_chunk_edges", "activation_in_second_chunk"):
+        c, p, horizon, dt, _ = _SCALAR_CASES[f"below_s_L0_{case}"]
+        states = [float.fromhex(v) for v in final(f"below_s_L0_{case}")[2]]
+        n_steps = round(horizon / dt)
+        assert len(states) == n_steps + 1 and n_steps > _CHUNK and max(states) < c.s_L0
+        assert p.tau > 0.0 and p.start_time + p.lag in (0.0, 2.0)
+    assert _CHUNK * 0.001 < 2.0 < 2 * _CHUNK * 0.001
     assert 41 * 0.01 + 0.01 != _UNSHARED_START
     tiny = _SCALAR_CASES["logistic_tail_at_tiny_share"][0]
     assert -tiny.kappa * (0.0 - tiny.t0_diffusion) > 40.0

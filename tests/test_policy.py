@@ -5,12 +5,14 @@ import pytest
 
 from macrostress import dynamics, policy
 from macrostress.cli import main
-from macrostress.dynamics import IntegrationError, lane_constants, simulate_path
+from macrostress.dynamics import IntegrationError, simulate_path
 from macrostress.monetary import cumulative_consumption_decline
 from macrostress.params import (
     PolicySpec, Scenario, default_calibration, validate, validate_scenario, with_updates,
 )
 from macrostress.policy import PolicyGrid, SweepCell, crisis_depth, policy_sweep, transfer_at
+
+from lane_reference import lane_constants
 
 C = default_calibration()
 
@@ -403,24 +405,19 @@ def test_first_row_and_column_check_equals_per_cell_check(lags, taus, base, c):
 
 
 def test_valid_sweep_validates_first_row_and_column_only(monkeypatch):
-    # L + T - 1 scenario checks for L x T cells, and no per-lane constants tuple
-    calls = {"validate_scenario": 0, "lane_constants": 0}
+    # L + T - 1 scenario checks for L x T cells
+    calls = 0
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return validate_scenario(*args, **kwargs)
 
-    monkeypatch.setattr(policy, "validate_scenario",
-                        counted("validate_scenario", validate_scenario))
-    scalar_builder = counted("lane_constants", lane_constants)
-    monkeypatch.setattr(dynamics, "lane_constants", scalar_builder)
-    monkeypatch.setattr(policy, "lane_constants", scalar_builder, raising=False)  # if imported
+    monkeypatch.setattr(policy, "validate_scenario", counted)
     lags, taus = (0.0, 0.5, 1.0, 1.5, 2.0), (0.03, 0.05, 0.10)
     cells = policy_sweep(PolicyGrid(lags=lags, taus=taus, base=_RAPID), C)
     assert len(cells) == 15
-    assert calls == {"validate_scenario": len(lags) + len(taus) - 1, "lane_constants": 0}
+    assert calls == len(lags) + len(taus) - 1
 
 
 def test_grid_cap():

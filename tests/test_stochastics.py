@@ -15,7 +15,6 @@ from macrostress.dynamics import (
     column_lane_constants,
     integrate_labor_share,
     integrate_lanes,
-    lane_constants,
 )
 from macrostress.monetary import demand_shortfall
 from macrostress.params import BOUNDS, PolicySpec, default_calibration, valid, validate, with_updates
@@ -35,6 +34,8 @@ from macrostress.stochastics import (
     substream_seed,
     uniform,
 )
+
+from lane_reference import lane_constants
 
 BASE = default_calibration()
 
