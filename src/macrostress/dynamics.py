@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, MutableSequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
@@ -267,6 +267,29 @@ def _time_only_steps(
     return path, ok
 
 
+def _time_only_prefix(consts: tuple[float, ...], n_steps: int, dt: float) -> int:
+    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the lane
+    kernel's rows (:func:`_drive`) of the calibration whose :func:`_drift_constants`
+    are ``consts``: the index of its first refused step, or ``n_steps``.
+
+    Every stage input of those steps lies at or above ``s_L0``, where no transfer
+    flows, so every policy's path over this calibration is the same through them.
+    Callers run it under ``np.errstate``, because a failing state overflows.
+    """
+    *_, s0, _ = consts
+    s = s0
+    chunk = max(1, _STAGE_BLOCK // 3)
+    for lo in range(0, n_steps, chunk):
+        times, rows = stage_schedule(lo, min(lo + chunk, n_steps), dt)
+        push, rho = np.empty(len(times)), np.empty(len(times))
+        _drive(times, *_drive_constants(consts), push, rho)
+        path, ok = _time_only_steps(s, s0, *(push + rho)[rows], dt)
+        if not ok.all():
+            return lo + int(ok.argmin())
+        s = path[-1]
+    return n_steps
+
+
 def integrate_labor_share(
     c: Calibration,
     p: PolicySpec,
@@ -284,38 +307,20 @@ def integrate_labor_share(
     at the calibration's s_L0.
 
     The drift terms that depend on time alone (``-d * disp_scale``, rho and
-    the transfer) are computed for a chunk of ``_STAGE_BLOCK // 3`` steps
-    together, once per row of the chunk's :func:`stage_schedule`, through the
-    same operations as a per-stage loop, with ``math.exp`` element by element
-    (``np.exp`` differs by ulps). The four stages are then written out
-    inline, and must stay numerically equivalent to
+    the transfer) go through the same operations as a per-stage loop, with
+    ``math.exp`` element by element (``np.exp`` differs by ulps); the steps
+    are :func:`_rk4_path`'s, which must stay numerically equivalent to
     :func:`labor_share_derivative` (the integrator tests pin the agreement,
-    and a frozen copy of the per-stage form pins every bit). They stay
-    inline: a helper called per stage measured 17-24% slower on 10000-step
-    paths.
-
-    A chunk that starts at or above ``s_L0`` first runs as array arithmetic
-    (:func:`_time_only_steps`): there the else branches below apply, with
-    the drift ``push + rho`` of time alone and ``k3 == k2``. The chunk keeps
-    the leading steps that function verifies, and runs the rest per step
-    from the first step it refuses. ``baseline`` takes every step that way.
+    and a frozen copy of the per-stage form pins every bit).
 
     Raises :class:`IntegrationError` in the order the per-stage form did:
     at the first step whose state turns non-finite, or at the first stage
     time whose reinstatement exponent passes the cap, whichever comes first.
     ``record`` then holds every state up to that step.
     """
-    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = (
-        _drift_constants(c)
-    )
+    consts = _drift_constants(c)
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, _, s0, _ = consts
     tau, activation = p.tau, p.start_time + p.lag
-    n_steps = round(horizon / dt)
-    s = s0 if s_init is None else s_init
-    collapse: float | None = 0.0 if s <= S_FLOOR else None
-    if record is not None:
-        record.append(s)
-    half = dt / 2.0
-    sixth = dt / 6.0
 
     def terms(ts: np.ndarray) -> np.ndarray:
         """Rows -d * disp_scale, rho and the transfer at the stage times ``ts``."""
@@ -323,6 +328,42 @@ def integrate_labor_share(
         with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
             rho = rho0 + rho_scale * _map_column(math.exp, memoryview(rho_exp * ts))
         return np.array([-d * disp_scale, rho, np.where(ts >= activation, tau, 0.0)])
+
+    return _rk4_path(consts, terms, round(horizon / dt), dt, record, s0 if s_init is None else s_init)
+
+
+def _rk4_path(
+    consts: tuple[float, ...],
+    terms: Callable[[np.ndarray], np.ndarray],
+    n_steps: int,
+    dt: float,
+    record: MutableSequence[float] | None,
+    s: float,
+) -> tuple[float, float | None]:
+    """:func:`integrate_labor_share`'s RK4 from state ``s`` at t = 0, over ``n_steps``
+    steps of the calibration whose :func:`_drift_constants` are ``consts``.
+
+    ``terms(ts)`` gives the rows ``-d * disp_scale``, rho and the transfer at
+    the stage times ``ts``; they are computed for a chunk of
+    ``_STAGE_BLOCK // 3`` steps together, once per row of the chunk's
+    :func:`stage_schedule`. The four stages are then written out inline, in
+    Python floats. They stay inline: a helper called per stage measured
+    17-24% slower on 10000-step paths.
+
+    A chunk that starts at or above ``s_L0`` first runs as array arithmetic
+    (:func:`_time_only_steps`): there the else branches below apply, with
+    the drift ``push + rho`` of time alone and ``k3 == k2``. The chunk keeps
+    the leading steps that function verifies, and runs the rest per step
+    from the first step it refuses. ``baseline`` takes every step that way.
+
+    Returns, and raises, as :func:`integrate_labor_share` does.
+    """
+    rho_exp, beta, s0, k_pi = consts[6:]
+    collapse: float | None = 0.0 if s <= S_FLOOR else None
+    if record is not None:
+        record.append(s)
+    half = dt / 2.0
+    sixth = dt / 6.0
 
     chunk = max(1, _STAGE_BLOCK // 3)
     for lo in range(0, n_steps, chunk):
@@ -345,7 +386,7 @@ def integrate_labor_share(
             if taken:
                 s = float(path[taken])
                 if record is not None:
-                    record += path[1 : taken + 1].tolist()
+                    record.extend(path[1 : taken + 1].tolist())
         # a memoryview yields each entry as a Python float, without a list of them all
         for i, push1, rho1, on1, push2, rho2, on2, push4, rho4, on4 in zip(
             range(lo + taken, hi), *(memoryview(row[taken:]) for row in (*at_start, *at_mid, *at_end))
@@ -467,6 +508,37 @@ def _clear_of_edges(s: np.ndarray, lo_edge: float, hi_edge: float) -> bool:
     return bool(np.fmin.reduce(s, initial=1.0) > lo_edge and np.fmax.reduce(s, initial=0.0) < hi_edge)
 
 
+def _drive_constants(consts) -> tuple:
+    """:func:`_drive`'s constants from the leading :func:`_drift_constants` of one
+    calibration, or from the leading rows of the lane kernel's constants."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp = consts[:7]
+    return d_bar, neg_kappa, t0, -disp_scale, rho0, rho_scale, rho_exp
+
+
+def _drive(
+    ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, neg_disp: float, rho0: float,
+    rho_scale: float, rho_exp: float, push: np.ndarray, rho: np.ndarray,
+) -> None:
+    """The state-free drift terms at the stage times ``ts``, written to ``push`` and
+    ``rho``: ``-d * disp_scale`` (with ``neg_disp = -disp_scale``) and rho, through
+    numpy's ``exp``. The constants (:func:`_drive_constants`) are floats, or columns
+    of lanes with ``ts`` a column; the lane kernel's rows and the policy sweep's come
+    from here.
+    """
+    np.subtract(ts, t0, out=push)
+    np.multiply(neg_kappa, push, out=push)  # e
+    upper = push > 40.0
+    np.exp(push, out=push)
+    np.add(1.0, push, out=push)
+    np.divide(d_bar, push, out=push)  # d
+    push[upper] = 0.0
+    np.multiply(push, neg_disp, out=push)
+    np.multiply(rho_exp, ts, out=rho)
+    np.exp(rho, out=rho)
+    np.multiply(rho_scale, rho, out=rho)
+    np.add(rho0, rho, out=rho)
+
+
 def rk4_lanes(
     consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -536,7 +608,6 @@ def rk4_lanes(
     half = dt / 2.0
     sixth = dt / 6.0
     n_steps = round(horizon / dt)
-    neg_disp = -disp_scale
     # a stage row's transfer is non-zero in some lane exactly from this time on
     first_transfer = float(activation[tau != 0.0].min(initial=math.inf))
     times, rows = stage_schedule(0, n_steps, dt)
@@ -554,23 +625,7 @@ def rk4_lanes(
     rho_buf = np.empty_like(push_buf)
     # numpy converts a Python float operand on every call, a 0-d array it takes as is
     zero, one, two, half_dt, full_dt, sixth_dt = map(np.array, (0.0, 1.0, 2.0, half, dt, sixth))
-
-    def drive(ts: np.ndarray, lo: int) -> None:
-        """The state-free terms at the stage times in column ``ts``, written to rows
-        ``lo``.. of the buffers: -d * disp_scale, and rho."""
-        push, rho = push_buf[lo : lo + len(ts)], rho_buf[lo : lo + len(ts)]
-        np.subtract(ts, t0, out=push)
-        np.multiply(neg_kappa, push, out=push)  # e
-        upper = push > 40.0
-        np.exp(push, out=push)
-        np.add(1.0, push, out=push)
-        np.divide(d_bar, push, out=push)  # d
-        push[upper] = 0.0
-        np.multiply(push, neg_disp, out=push)
-        np.multiply(rho_exp, ts, out=rho)
-        np.exp(rho, out=rho)
-        np.multiply(rho_scale, rho, out=rho)
-        np.add(rho0, rho, out=rho)
+    drive_consts = _drive_constants(consts)
 
     def deriv(s: np.ndarray, push: np.ndarray, rho: np.ndarray, transfer: np.ndarray | None) -> np.ndarray:
         gap = s0 - s
@@ -595,7 +650,7 @@ def rk4_lanes(
         shared = done - r0  # 1 where the first start is the previous chunk's last end, else 0
         if shared:
             push_buf[0], rho_buf[0] = push_buf[last], rho_buf[last]
-        drive(ts[shared:], shared)
+        _drive(ts[shared:], *drive_consts, push_buf[shared : len(ts)], rho_buf[shared : len(ts)])
         done, last = r1, len(ts) - 1
         if times[r1 - 1] >= first_transfer:  # the chunk's last end is its latest stage time
             transfer = np.where(ts >= activation, tau, 0.0)

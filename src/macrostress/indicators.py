@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 from .params import ConfigError, block_value, finite, read_blocks, read_csv_rows, table_text
@@ -243,20 +244,29 @@ def dashboard(rules: list[IndicatorRule], data: dict[str, Series]) -> DashboardR
     )
 
 
+def _iso_date(text: str) -> None:
+    """A ``ValueError`` unless ``text`` is a calendar date written ``YYYY-MM-DD`` with
+    ASCII digits: only then does its text order match the order of the dates."""
+    if not (len(text) == 10 and text[4] == text[7] == "-" and text.isascii()
+            and (text[:4] + text[5:7] + text[8:]).isdigit()):
+        raise ValueError("date must be zero-padded YYYY-MM-DD")
+    date.fromisoformat(text)
+
+
 def load_series_csv(path: str | Path) -> Series:
     """Read one series from a (date, value) CSV; a header row is optional.
 
-    Every value must be a finite number; errors name the file, line and
-    column (:func:`params.read_csv_rows`). A date given twice raises
-    :class:`ConfigError` naming the file and the date.
+    Every date must be a zero-padded ``YYYY-MM-DD`` calendar date, because
+    the series is sorted by its date text, and every value a finite number;
+    errors name the file, line and column (:func:`params.read_csv_rows`). A
+    date given twice raises :class:`ConfigError` naming the file and the date.
     """
-    out: Series = [
-        (date, value) for [date], [value] in read_csv_rows(path, ("date", "value"), text_columns=1)
-    ]
+    rows = read_csv_rows(path, ("date", "value"), text_columns=1, check_text=_iso_date)
+    out: Series = [(day, value) for [day], [value] in rows]
     out.sort(key=lambda p: p[0])
-    for (date, _), (next_date, _) in zip(out, out[1:]):
-        if date == next_date:
-            raise ConfigError(f"{path}: date {date} repeats")
+    for (day, _), (next_day, _) in zip(out, out[1:]):
+        if day == next_day:
+            raise ConfigError(f"{path}: date {day} repeats")
     return out
 
 

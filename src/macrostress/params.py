@@ -327,7 +327,8 @@ def _csv_errors(path: str | Path, reader: Any) -> Iterator[None]:
 
 
 def read_csv_rows(
-    path: str | Path, columns: Sequence[str], text_columns: int = 0
+    path: str | Path, columns: Sequence[str], text_columns: int = 0,
+    check_text: Callable[[str], object] | None = None,
 ) -> list[tuple[list[str], list[float]]]:
     """The data rows of a CSV with an optional header, as (text cells, number cells).
 
@@ -335,7 +336,8 @@ def read_csv_rows(
     the rest as finite numbers; cells past ``columns`` are ignored. Blank
     rows are skipped. Only the first non-blank row may be a header: it is
     one when a number cell of it does not parse. Every other row that is
-    short, or whose number cell does not parse or is not finite, raises
+    short, whose number cell does not parse or is not finite, or whose text
+    cell ``check_text`` refuses with a ``ValueError``, raises
     :class:`ConfigError` naming the file, line and column.
     """
     rows: list[tuple[list[str], list[float]]] = []
@@ -355,6 +357,13 @@ def read_csv_rows(
                 except ValueError:
                     continue  # the header
             texts = [(raw or "").strip() for raw in cells[:text_columns]]
+            if check_text is not None:
+                for column, text in zip(columns, texts):
+                    try:
+                        check_text(text)
+                    except ValueError as exc:
+                        where = f"{path}: line {reader.line_num}, column '{column}'"
+                        raise ConfigError(f"{where}: {exc}: {text!r}") from None
             numbers = [
                 csv_number(path, reader.line_num, column, raw)
                 for column, raw in zip(columns[text_columns:], cells[text_columns:])

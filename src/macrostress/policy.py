@@ -1,22 +1,29 @@
 """Crisis depth and the policy-response sweep over lagged fiscal transfers.
 
-The sweep integrates all of its (lag, tau) cells together as lanes of the
-RK4 lane kernel in :mod:`macrostress.dynamics`, in one process, and folds
-each chunk of steps the kernel yields into its per-cell reductions. Like the
-Monte Carlo, it builds its lanes by column, with no per-cell object.
+The sweep integrates one path per group of (lag, tau) cells whose paths are
+identical, in one process: a few groups through the scalar integrator's
+float loop, many as lanes of the RK4 lane kernel in :mod:`macrostress.dynamics`.
+It folds each chunk of a path's steps into the group's reductions and
+gathers them to the cells. Like the Monte Carlo, it builds its lane
+constants by column, with no per-cell object.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import monetary
 from .dynamics import (
-    IntegrationError, Trajectory, _effective_calibration, column_lane_constants, rk4_lanes,
+    _STAGE_BLOCK, IntegrationError, Trajectory, _drift_constants, _drive, _drive_constants,
+    _effective_calibration, _rk4_path, _time_only_prefix, column_lane_constants, rk4_lanes,
     transfer_at,
 )
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
@@ -38,7 +45,7 @@ def crisis_depth(traj: Trajectory, p: PolicySpec) -> float:
     return depth
 
 
-MAX_CELLS = 250_000  # cell cap (500 x 500): every cell is one lane of a single kernel pass
+MAX_CELLS = 250_000  # cell cap (500 x 500): up to one lane per cell in a single kernel pass
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,13 @@ class SweepCell:
     consumption_decline_pct: float
 
 
+# The most policy groups the sweep integrates one by one in Python floats; above it, one
+# kernel pass runs a lane per group. On `rapid`'s 1000 steps a group's float path costs
+# about 1.1-1.4 ms and a kernel pass 36-48 ms at 16-96 lanes: the float paths cost more
+# from 24-40 groups on (CPU time, two sets of interleaved runs on a 2-core x86-64 host).
+_FLOAT_GROUPS = 32
+
+
 def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
     """Integrate every (lag, tau) cell, in deterministic row-major order.
 
@@ -87,16 +101,30 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     first column: only those ``L + T - 1`` cells are validated, in row-major
     order, and the first with a problem raises its ``ValueError``.
 
-    The cells run as lanes of one pass of the RK4 lane kernel in this
-    process, under the base scenario's effective calibration, from policies
-    stored by column. Each chunk of steps the kernel yields is folded into
-    per-cell running reductions that repeat :func:`crisis_depth` and
-    :func:`monetary.cumulative_consumption_decline` on the recorded path
-    operation for operation, additions in step order, so no whole path is
-    stored and the chunk length changes no bit. ``failed`` is checked before
-    each chunk is folded, so an overflow names the first failed cell at the
-    end of the first chunk with a failure. No worker process is started:
-    ``jobs`` is accepted for call compatibility and ignored.
+    Every cell shares the base scenario's effective calibration, and its
+    transfer enters only where its labor share lies below ``s_L0``. So every
+    cell follows one path through the leading steps that run on time alone
+    from ``s_L0`` (:func:`dynamics._time_only_prefix`), up to step ``r``; from
+    there on, a cell whose transfer is already on at ``r * dt`` follows the
+    path of every other such cell with its ``tau``. The cells are grouped by
+    ``(tau, activation)``, with every activation at or before ``r * dt`` read
+    as ``-inf`` and every ``tau == 0`` cell in one group, in row-major order
+    of their first cell, and one path is integrated per group, from that
+    cell's policy: up to ``_FLOAT_GROUPS`` groups one by one through the
+    scalar integrator's float loop (:func:`dynamics._rk4_path`) on the lane
+    kernel's rows, and more as lanes of one pass of the RK4 lane kernel.
+    Either way each path is the one the kernel gives its cell's own lane,
+    bit for bit. No worker process is started: ``jobs`` is accepted for
+    call compatibility and ignored.
+
+    Every cell of a group has its group's depth too: the grid times before
+    ``r`` hold states at or above ``s_L0``, where every gap is at most 0 and
+    leaves the depth at 0, and from ``r`` on the cells of a group share
+    their path and their transfer. :func:`_fold` reduces each group's path
+    into its depth and consumption decline under its first cell's policy,
+    and the results are gathered to the cells. A cell whose path overflows
+    or turns non-finite raises :class:`IntegrationError`, naming the first
+    such cell in row-major order.
     """
     base = grid.base
     lags, taus = grid.lags, grid.taus
@@ -114,28 +142,95 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     ce = _effective_calibration(base, c)
     consts = column_lane_constants(ce, n, policies)
     transfer, activation = consts[-2:]
-    failed = np.zeros(n, dtype=bool)
-    depth = np.zeros(n)
-    area = np.zeros(n)
+    drift = _drift_constants(ce)
+    n_steps = round(base.horizon / base.dt)
+
+    def failure(i: int) -> IntegrationError:
+        return IntegrationError(
+            f"policy sweep cell lag={policies.lag[i]:g}, tau={policies.tau[i]:g}: the "
+            f"reinstatement term overflows or the labor share turns non-finite before "
+            f"t={base.horizon:g}"
+        )
+
     with np.errstate(all="ignore"):
-        for ts, path in rk4_lanes(consts, base.horizon, base.dt, failed):
+        on_at = _time_only_prefix(drift, n_steps, base.dt) * base.dt
+        index: dict[tuple[float, float], int] = {}
+        reps: list[int] = []  # each group's first cell
+        group = []  # each cell's group
+        for i, (tau, start) in enumerate(zip(transfer.tolist(), activation.tolist())):
+            g = index.setdefault((tau, start if tau and start > on_at else -math.inf), len(index))
+            if g == len(reps):
+                reps.append(i)
+            group.append(g)
+        if len(reps) > _FLOAT_GROUPS:
+            failed = np.zeros(len(reps), dtype=bool)
+            paths = rk4_lanes(consts[:, reps], base.horizon, base.dt, failed)
+            folds = [_fold(paths, transfer[reps], activation[reps], ce)]
             if failed.any():
-                i = int(np.argmax(failed))
-                raise IntegrationError(
-                    f"policy sweep cell lag={policies.lag[i]:g}, tau={policies.tau[i]:g}: the "
-                    f"reinstatement term overflows or the labor share turns non-finite before "
-                    f"t={base.horizon:g}"
-                )
-            # row 0, the state folded last, changes no maximum and starts the area's first step;
-            # gap is never -0.0 or NaN here, so the order of the maxima changes no bit
-            gap = (ce.s_L0 - path) - np.where(ts >= activation, transfer, 0.0)
-            np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
-            cr = monetary.consumption_ratio(path, ce)
-            # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
-            steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
-            for step in steps:
-                area += step
-        # the path spans [0, ts[-1]] once the loop ends
-        decline = 1.0 - (area / ts[-1]) / monetary.consumption_ratio(c.s_L0, c)
-    columns = (policies.lag, policies.tau, depth, path[-1], 100.0 * decline)
+                raise failure(reps[int(np.argmax(failed))])
+        else:
+            drive_consts = _drive_constants(drift)
+            folds = []
+            for i in reps:
+                record = array("d")
+                terms = partial(_float_terms, drive_consts, transfer[i], activation[i])
+                try:
+                    _rk4_path(drift, terms, n_steps, base.dt, record, ce.s_L0)
+                except IntegrationError:
+                    raise failure(i) from None
+                folds.append(_fold(_recorded_chunks(record, base.dt), transfer[i : i + 1],
+                                   activation[i : i + 1], ce))
+        depth, s_final, mean_ratio = (np.concatenate(column)[group] for column in zip(*folds))
+        decline = 1.0 - mean_ratio / monetary.consumption_ratio(c.s_L0, c)
+    columns = (policies.lag, policies.tau, depth, s_final, 100.0 * decline)
     return [SweepCell(*row) for row in zip(*(column.tolist() for column in columns))]
+
+
+def _float_terms(drive_consts: tuple[float, ...], tau: float, activation: float,
+                 ts: np.ndarray) -> np.ndarray:
+    """A sweep group's rows for :func:`dynamics._rk4_path` at the stage times ``ts``:
+    the lane kernel's ``-d * disp_scale`` and rho (:func:`dynamics._drive`), and
+    the transfer."""
+    at = np.empty((3, len(ts)))
+    _drive(ts, *drive_consts, at[0], at[1])
+    at[2] = np.where(ts >= activation, tau, 0.0)
+    return at
+
+
+def _recorded_chunks(record: array, dt: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A recorded path as the lane kernel yields one lane of it: ``(ts, path)`` chunks,
+    each row 0 the previous chunk's last state, ``ts`` the grid times ``i * dt``."""
+    path = np.frombuffer(record)
+    n_steps = len(path) - 1
+    chunk = max(1, _STAGE_BLOCK // 3)
+    for lo in range(0, n_steps, chunk):
+        hi = min(lo + chunk, n_steps) + 1
+        yield (np.arange(lo, hi) * dt).reshape(-1, 1), path[lo:hi, None]
+
+
+def _fold(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], transfer: np.ndarray,
+    activation: np.ndarray, ce: Calibration,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each path's crisis depth, final share and mean consumption ratio.
+
+    ``chunks`` yields ``(ts, path)`` as :func:`dynamics.rk4_lanes` does, one
+    path per column, whose transfer is ``transfer`` from ``activation`` on.
+    The running reductions repeat :func:`crisis_depth` and
+    :func:`monetary.cumulative_consumption_decline` on the recorded path
+    operation for operation, additions in step order, so the chunk length
+    changes no bit. Row 0 of a chunk, the state folded last, changes no
+    maximum and starts the area's first step; no gap is ``-0.0`` or NaN, so
+    the order of the maxima changes no bit either.
+    """
+    depth = np.zeros(len(transfer))
+    area = np.zeros(len(transfer))
+    for ts, path in chunks:
+        gap = (ce.s_L0 - path) - np.where(ts >= activation, transfer, 0.0)
+        np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
+        cr = monetary.consumption_ratio(path, ce)
+        # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
+        steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
+        area = np.add.accumulate(np.concatenate((area[None], steps)), axis=0)[-1]
+    # the path spans [0, ts[-1]] once the loop ends
+    return depth, path[-1], area / ts[-1]

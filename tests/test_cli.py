@@ -252,6 +252,27 @@ def test_cold_start_leaves_openssl_and_indicators_unloaded(tmp_path):
     assert hashlib.sha256(text).hexdigest() == INDICATORS_REPORT_SHA256
 
 
+def test_montecarlo_sweep_and_repro_leave_numpy_ma_openssl_and_indicators_unloaded(tmp_path):
+    # numpy.ma (np.median's NaN check) costs 8-16 ms and 1.23 MB of peak RSS,
+    # _hashlib (OpenSSL) 3.6-3.7 MB; none of the three subcommands needs them
+    script = (
+        "import json, sys\n"
+        "from macrostress import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0\n"
+        "    print(sorted({'numpy.ma', '_hashlib', 'macrostress.indicators'} & set(sys.modules)),"
+        " file=sys.stderr)\n"
+    )
+    runs = [["montecarlo", "--n", "50", "--out", str(tmp_path / "mc")],
+            ["sweep", "--out", str(tmp_path / "sweep")],
+            ["repro", "--n", "50", "--out", str(tmp_path / "repro")]]
+    env = {**os.environ, "PYTHONPATH": str(Path(macrostress.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["[]", "[]", "[]"]
+
+
 def test_unknown_flag_is_fatal():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--not-a-flag")
@@ -1005,6 +1026,23 @@ def test_indicators_repeated_date_exit_2(tmp_path, capsys, body):
     code = run_cli("indicators", "--data", str(data_dir), "--out", str(tmp_path / "o"))
     assert code == 2
     assert capsys.readouterr().err == f"error: {series}: date 2020-01-01 repeats\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("day,why", [
+    ("2020-9-01", "date must be zero-padded YYYY-MM-DD"),   # would sort after 2020-12-01
+    ("20200901", "date must be zero-padded YYYY-MM-DD"),
+    ("2020-13-01", "month must be in 1..12"),
+])
+def test_indicators_date_not_zero_padded_iso_exit_2(tmp_path, capsys, day, why):
+    # the series is sorted by its date text, which orders only zero-padded ISO dates
+    data_dir = tmp_path / "series"
+    data_dir.mkdir()
+    series = data_dir / "saas_net_retention_pct.csv"
+    series.write_text(f"date,value\n2020-06-01,112\n{day},113\n2020-12-01,111\n")
+    code = run_cli("indicators", "--data", str(data_dir), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {series}: line 3, column 'date': {why}: {day!r}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -40,7 +40,7 @@ from macrostress.params import (
     default_scenarios,
     with_updates,
 )
-from macrostress.policy import PolicyGrid, policy_sweep, transfer_at
+from macrostress.policy import transfer_at
 
 from lane_reference import lane_constants
 
@@ -1171,10 +1171,9 @@ def test_lane_kernel_equals_reference_next_to_unbounded_lanes(monkeypatch, name)
 
 @pytest.mark.parametrize("grid", [_REPRO_GRID, _SWEEP_GRID], ids=["repro", "sweep_grid"])
 def test_sweep_grids_skip_the_edge_test_in_every_chunk(monkeypatch, grid):
-    # the sweep lanes stay near s_L0, so the one test per chunk always clears them
+    # the sweep grids' lanes stay near s_L0, so the one test per chunk always clears them
     outcomes = _record_edge_tests(monkeypatch)
-    rapid = next(s for s in default_scenarios() if s.name == "rapid")
-    policy_sweep(PolicyGrid(lags=grid[0], taus=grid[1], base=rapid), C)
+    _assert_kernel_equals_reference(_sweep_lanes(*grid), 10.0, 0.01)
     assert len(outcomes) == _n_chunks(len(grid[0]) * len(grid[1]), 1000) and all(outcomes)
 
 

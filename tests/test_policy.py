@@ -1,18 +1,22 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrostress import dynamics, policy
 from macrostress.cli import main
 from macrostress.dynamics import IntegrationError, simulate_path
 from macrostress.monetary import cumulative_consumption_decline
 from macrostress.params import (
-    PolicySpec, Scenario, default_calibration, validate, validate_scenario, with_updates,
+    PolicySpec, Scenario, default_calibration, default_scenarios, validate, validate_scenario,
+    with_updates,
 )
 from macrostress.policy import PolicyGrid, SweepCell, crisis_depth, policy_sweep, transfer_at
 
-from lane_reference import lane_constants
+from lane_reference import lane_constants, reference_policy_sweep
 
 C = default_calibration()
 
@@ -180,7 +184,8 @@ def test_lane_sweep_equals_reference(lags, taus, base):
     assert all(type(v) is float for cell in cells for v in dataclasses.astuple(cell))
 
 
-# the 7 x 3 grid `repro` sweeps: 21 lanes, which the kernel integrates 65 steps per chunk
+# the 7 x 3 grid `repro` sweeps: 21 cells, which a kernel pass of one lane per cell
+# integrates 65 steps per chunk
 _REPRO_LAGS, _REPRO_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.03, 0.05, 0.10)
 _REPRO_CHUNK = dynamics._STAGE_BLOCK // (3 * len(_REPRO_LAGS) * len(_REPRO_TAUS))
 
@@ -190,8 +195,8 @@ _REPRO_CHUNK = dynamics._STAGE_BLOCK // (3 * len(_REPRO_LAGS) * len(_REPRO_TAUS)
     2 * _REPRO_CHUNK,
 ])
 def test_lane_sweep_equals_reference_at_block_edges(steps):
-    # the sweep folds each chunk the kernel yields: a path that ends on either
-    # side of a chunk edge is folded whole
+    # horizons that end on either side of the chunk edges of a 21-lane kernel pass;
+    # every one ends inside the paths' time-only prefix
     assert _REPRO_CHUNK == 65
     base = dataclasses.replace(_RAPID, horizon=steps * 0.02)
     grid = PolicyGrid(lags=_REPRO_LAGS, taus=_REPRO_TAUS, base=base)
@@ -201,9 +206,12 @@ def test_lane_sweep_equals_reference_at_block_edges(steps):
 @pytest.mark.parametrize("chunk", ["one_step", "default", "whole_horizon"])
 def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
     # the fold's granularity changes no bit: one step per chunk, the shipped
-    # chunk length (151 steps for 9 lanes), and all 500 steps in one chunk
-    grid = PolicyGrid(lags=(0.0, 1.0, 12.0), taus=(0.0, 0.03, 0.10), base=_RAPID)
+    # chunk length (151 steps for 9 lanes), and all 500 steps in one chunk. Every
+    # lag lies past the path's time-only prefix and no tau is 0, so the 9 cells are
+    # 9 groups, which the kernel runs as 9 lanes when the float paths are off.
+    grid = PolicyGrid(lags=(4.0, 6.0, 12.0), taus=(0.01, 0.03, 0.10), base=_RAPID)
     lanes, n_steps = 9, 500
+    monkeypatch.setattr(policy, "_FLOAT_GROUPS", 0)
     stage_block = {
         "one_step": 3 * lanes,
         "default": dynamics._STAGE_BLOCK,
@@ -226,8 +234,11 @@ def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
 
 def test_lane_sweep_of_one_step_chunks_equals_multi_step_chunks(monkeypatch):
     # 37 x 37 = 1369 lanes leave _STAGE_BLOCK // (3 * lanes) == 0, so the kernel
-    # yields one-step chunks unpatched, and the fold adds each chunk's one step alone
-    grid = PolicyGrid(lags=tuple(0.005 * i for i in range(37)), taus=tuple(0.005 * i for i in range(37)),
+    # yields one-step chunks unpatched, and the fold adds each chunk's one step alone.
+    # Every lag lies past the 0.2-year horizon, which the path spends at or above
+    # s_L0, and no tau is 0, so each cell is a group of its own and a lane.
+    grid = PolicyGrid(lags=tuple(0.25 + 0.005 * i for i in range(37)),
+                      taus=tuple(0.005 * (i + 1) for i in range(37)),
                       base=dataclasses.replace(_RAPID, horizon=0.2))
     lanes = 37 * 37
     assert dynamics._STAGE_BLOCK // (3 * lanes) == 0
@@ -250,6 +261,153 @@ def test_lane_sweep_of_one_step_chunks_equals_multi_step_chunks(monkeypatch):
         cell = one_step[k]
         single = PolicyGrid(lags=(cell.lag,), taus=(cell.tau,), base=grid.base)
         assert [cell] == _reference_cells(single, C)
+
+
+# --- one path per group of cells, against the sweep with one lane per cell --------
+
+def _hex_cells(cells):
+    return [tuple(map(float.hex, dataclasses.astuple(cell))) for cell in cells]
+
+
+def _assert_both_paths_equal_reference(grid, c=C):
+    """Every field of every cell has the reference's bits, with the groups run as float
+    paths and as kernel lanes; returns the number of groups."""
+    expected = _hex_cells(reference_policy_sweep(grid, c))
+    kernel_lanes = []
+    rk4_lanes = dynamics.rk4_lanes
+
+    def count_lanes(consts, *args):
+        kernel_lanes.append(consts.shape[1])
+        return rk4_lanes(consts, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy, "rk4_lanes", count_lanes)
+        for float_groups in (policy.MAX_CELLS, 0):
+            mp.setattr(policy, "_FLOAT_GROUPS", float_groups)
+            assert _hex_cells(policy_sweep(grid, c)) == expected, float_groups
+    (groups,) = kernel_lanes  # the float paths never call the kernel
+    return groups
+
+
+def _prefix_steps(base, c=C):
+    ce = dynamics._effective_calibration(base, c)
+    with np.errstate(all="ignore"):
+        return dynamics._time_only_prefix(
+            dynamics._drift_constants(ce), round(base.horizon / base.dt), base.dt
+        )
+
+
+_EXTREME = Scenario(name="extreme", g_A_override=0.40, horizon=10.0, dt=0.02)
+_SURGE = Scenario(name="surge", g_A_override=2.0, horizon=10.0, dt=0.02)
+_BASELINE = Scenario(name="baseline", horizon=10.0, dt=0.02)
+
+
+@pytest.mark.parametrize("lags,taus,base,groups", [
+    ((1.0,), (0.05,), _RAPID, 1),                                          # one cell
+    ((0.0, 1.0, 2.0, 3.0), (0.03, 0.05), _RAPID, 2),                       # lags before r
+    ((0.0, 3.0, 3.6, 4.0, 12.0), (0.03, 0.10), _RAPID, 8),                 # lags after r
+    ((0.0, 3.5, 3.5000000000000004, 3.51), (0.05,), _RAPID, 3),             # at and just after r
+    ((0.0, 2.0, 5.0), (0.0, 0.05), _RAPID, 3),                             # tau = 0
+    ((0.0, 1.0, 2.5), (0.03, 0.10),
+     dataclasses.replace(_RAPID, policy=PolicySpec(start_time=1.5)), 4),   # start_time > 0
+    ((0.0, 1.0, 3.0), (0.03, 0.10), _BASELINE, 2),                         # never below s_L0
+    ((0.0, 2.0, 6.0), (0.0, 0.02), _EXTREME, 3),                           # reaches s = 0
+    ((0.0, 1.0), (0.0, 0.10), _SURGE, 2),                                  # reaches s = 1
+    ((0.0, 4.0), (0.03, 0.05), dataclasses.replace(_RAPID, horizon=7.55, dt=0.05), 4),  # 151 * 0.05 != 7.55
+    ((0.0, 1.0), (0.0, 0.05), dataclasses.replace(_RAPID, horizon=0.02), 3),  # one step
+], ids=["one_cell", "lags_before_r", "lags_after_r", "lags_at_r", "zero_tau", "start_time", "baseline",
+        "reaches_0", "reaches_1", "uneven_dt", "one_step"])
+def test_grouped_sweep_equals_one_lane_per_cell(lags, taus, base, groups):
+    grid = PolicyGrid(lags=lags, taus=taus, base=base)
+    assert _assert_both_paths_equal_reference(grid) == groups
+
+
+def test_grouped_sweep_cases_reach_what_their_names_say():
+    # rapid leaves its time-only prefix at t = 3.5 (dt = 0.02), extreme earlier, and
+    # baseline never does; the edge grids end at the edges
+    assert _prefix_steps(_RAPID) == 175 and 175 * _RAPID.dt == 3.5
+    assert _prefix_steps(_EXTREME) < _prefix_steps(_RAPID)
+    assert _prefix_steps(_BASELINE) == 500
+    assert dynamics.S_FLOOR < min(cell.s_L_final for cell in _sweep((0.0,), (0.0,), dt=0.02)) < C.s_L0
+    for base, edge in ((_EXTREME, 0.0), (_SURGE, 1.0)):
+        assert policy_sweep(PolicyGrid(lags=(0.0,), taus=(0.0,), base=base), C)[0].s_L_final == edge
+    assert 151 * 0.05 != 7.55
+
+
+def test_grouped_sweep_float_path_takes_the_kernel_exp():
+    # a sampled calibration on which numpy's exp and math.exp give different paths: the
+    # float path must use the kernel's rows, not integrate_labor_share's, to keep its bits
+    c = with_updates(C, eta=0.005895664462950101, rho0=0.013371309388323156,
+                     kappa=1.5188523425800662, t0_diffusion=2.86062894269691)
+    base = Scenario(name="ulp", g_A_override=0.5969735022276537, horizon=10.0, dt=0.02)
+    grid = PolicyGrid(lags=(0.0, 1.0, 5.0), taus=(0.05, 0.10), base=base)
+    assert _assert_both_paths_equal_reference(grid, c) == 4
+    ce = dynamics._effective_calibration(base, c)
+    scalar = [dynamics.integrate_labor_share(ce, PolicySpec(tau=tau, lag=lag), 10.0, 0.02)[0]
+              for lag in grid.lags for tau in grid.taus]
+    assert scalar != [cell.s_L_final for cell in policy_sweep(grid, c)]
+
+
+def _splitmix_uniforms(seed, stream, n):
+    """The benchmark's SplitMix64 uniforms (perfbench/workloads.py), for its sweep_grid inputs."""
+    mask, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    state = (seed + stream * gamma) & mask
+    out = []
+    for _ in range(n):
+        state = (state + gamma) & mask
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        out.append((z >> 11) * (1.0 / (1 << 53)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_grouped_sweep_equals_one_lane_per_cell_on_sweep_grid_inputs(seed):
+    # 13 lags in [0, 3] x 6 taus in [0.01, 0.12] on the shipped `rapid`: every lag lies
+    # before the prefix ends, so the 78 cells are 6 groups, one per tau
+    u = _splitmix_uniforms(seed, 1, 19)
+    lags, taus = sorted(3.0 * x for x in u[:13]), sorted(0.01 + 0.11 * x for x in u[13:])
+    rapid = next(s for s in default_scenarios() if s.name == "rapid")
+    grid = PolicyGrid(lags=tuple(lags), taus=tuple(taus), base=rapid)
+    assert _assert_both_paths_equal_reference(grid) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lags=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4, unique=True),
+    taus=st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.3)) | st.floats(0.0, 0.5),
+                  min_size=1, max_size=3, unique=True),
+    g_A=st.floats(0.0, 0.8),
+    t0=st.floats(0.5, 4.0),
+    start_time=st.sampled_from((0.0, 0.5, 2.5)),
+    dt=st.sampled_from((0.05, 0.04, 0.03)),
+    n_steps=st.integers(1, 200),
+)
+def test_grouped_sweep_equals_one_lane_per_cell_on_sampled_grids(
+    lags, taus, g_A, t0, start_time, dt, n_steps
+):
+    base = Scenario(name="h", g_A_override=g_A, horizon=n_steps * dt, dt=dt,
+                    policy=PolicySpec(start_time=start_time))
+    grid = PolicyGrid(lags=tuple(sorted(lags)), taus=tuple(sorted(taus)), base=base)
+    _assert_both_paths_equal_reference(grid, with_updates(C, t0_diffusion=t0))
+
+
+@pytest.mark.parametrize("c,base,message", [
+    (C, Scenario(name="blowup", g_A_override=150.0, horizon=10.0, dt=0.02), r"lag=0, tau=0\.03"),
+    (with_updates(C, eta=1e308), Scenario(name="boom", g_A_override=1.0, horizon=10.0, dt=0.02),
+     r"lag=0, tau=0\.03"),
+], ids=["past_the_cap", "mid_run"])
+@pytest.mark.parametrize("float_groups", [policy.MAX_CELLS, 0], ids=["float", "kernel"])
+def test_grouped_sweep_failure_names_the_reference_cell(monkeypatch, c, base, message, float_groups):
+    grid = PolicyGrid(lags=(0.0, 1.0, 5.0), taus=(0.03, 0.10), base=base)
+    with pytest.raises(IntegrationError, match=message) as reference:
+        reference_policy_sweep(grid, c)
+    monkeypatch.setattr(policy, "_FLOAT_GROUPS", float_groups)
+    with pytest.raises(IntegrationError) as shipped:
+        policy_sweep(grid, c)
+    assert str(shipped.value) == str(reference.value)
 
 
 def test_lane_sweep_grids_reach_the_absorbing_edges():
@@ -325,15 +483,15 @@ def test_sweep_non_finite_policy_exit_2(tmp_path, capsys, flag, value, field):
 # --- lanes by column and validation of the first row and column -------------
 
 def _sweep_consts(monkeypatch, grid):
-    """The lane matrix policy_sweep hands to the kernel."""
+    """The lane matrix policy_sweep builds, one column per cell, before it groups the cells."""
     seen = []
-    rk4_lanes = dynamics.rk4_lanes
+    column_lane_constants = dynamics.column_lane_constants
 
-    def record(consts, *args):
-        seen.append(consts.copy())
-        return rk4_lanes(consts, *args)
+    def record(*args):
+        seen.append(column_lane_constants(*args))
+        return seen[-1].copy()
 
-    monkeypatch.setattr(policy, "rk4_lanes", record)
+    monkeypatch.setattr(policy, "column_lane_constants", record)
     policy_sweep(grid, C)
     (consts,) = seen
     return consts

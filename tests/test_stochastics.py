@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macrostress import dynamics, stochastics
 from macrostress.dynamics import (
@@ -23,6 +25,7 @@ from macrostress.stochastics import (
     McSummary,
     ParamRanges,
     SplitMix64,
+    _median,
     _variates,
     default_ranges,
     fixed,
@@ -572,3 +575,23 @@ def test_ols_rank_deficiency_names_column():
 def test_ols_requires_more_rows_than_columns():
     with pytest.raises(ValueError):
         ols_hc1(np.ones((2, 3)), np.ones(2))
+
+
+# --- the median without numpy.ma ---------------------------------------------
+
+_FINITE = st.floats(-1e300, 1e300) | st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=1, max_size=40))
+@example([-0.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, 0.0, -0.0, 0.0])
+@example([2.0, 2.0, 2.0, 1.0])
+@example([0.1, 0.2, 0.3])
+def test_median_has_np_median_bits(values):
+    # odd and even n, n = 1, repeated values and both zeros
+    x = np.array(values)
+    assert float.hex(_median(x)) == float.hex(float(np.median(x)))
+
