@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterator, MutableSequence
+from collections.abc import Iterator, MutableSequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
@@ -208,6 +208,7 @@ def _drift_constants(c: Calibration) -> tuple[float, ...]:
 # Stage times whose time-only terms are computed at once, times the lanes in the
 # lane kernel. Larger chunks leave the cache and raise the peak RSS without saving time.
 _STAGE_BLOCK = 1 << 12
+_SCALAR_CHUNK = _STAGE_BLOCK // 3  # steps of one path whose time-only terms are computed at once
 
 
 def stage_schedule(lo: int, hi: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +279,10 @@ def _time_only_prefix(consts: tuple[float, ...], n_steps: int, dt: float) -> int
     """
     *_, s0, _ = consts
     s = s0
-    chunk = max(1, _STAGE_BLOCK // 3)
-    for lo in range(0, n_steps, chunk):
-        times, rows = stage_schedule(lo, min(lo + chunk, n_steps), dt)
+    for lo in range(0, n_steps, _SCALAR_CHUNK):
+        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
         push, rho = np.empty(len(times)), np.empty(len(times))
-        _drive(times, *_drive_constants(consts), push, rho)
+        _drive(times, *_drive_constants(consts), push, rho, np.exp)
         path, ok = _time_only_steps(s, s0, *(push + rho)[rows], dt)
         if not ok.all():
             return lo + int(ok.argmin())
@@ -306,12 +306,12 @@ def integrate_labor_share(
     ``s_init`` supports perturbation experiments; the feedback stays anchored
     at the calibration's s_L0.
 
-    The drift terms that depend on time alone (``-d * disp_scale``, rho and
-    the transfer) go through the same operations as a per-stage loop, with
-    ``math.exp`` element by element (``np.exp`` differs by ulps); the steps
-    are :func:`_rk4_path`'s, which must stay numerically equivalent to
-    :func:`labor_share_derivative` (the integrator tests pin the agreement,
-    and a frozen copy of the per-stage form pins every bit).
+    The steps are :func:`_rk4_path`'s, with the drift terms that depend on
+    time alone through :func:`_math_exp` (``np.exp`` differs by ulps): they
+    go through the same operations as a per-stage loop, which must stay
+    numerically equivalent to :func:`labor_share_derivative` (the integrator
+    tests pin the agreement, and a frozen copy of the per-stage form pins
+    every bit).
 
     Raises :class:`IntegrationError` in the order the per-stage form did:
     at the first step whose state turns non-finite, or at the first stage
@@ -319,36 +319,28 @@ def integrate_labor_share(
     ``record`` then holds every state up to that step.
     """
     consts = _drift_constants(c)
-    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, _, s0, _ = consts
-    tau, activation = p.tau, p.start_time + p.lag
-
-    def terms(ts: np.ndarray) -> np.ndarray:
-        """Rows -d * disp_scale, rho and the transfer at the stage times ``ts``."""
-        d = _adoption(ts, d_bar, neg_kappa, t0)
-        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
-            rho = rho0 + rho_scale * _map_column(math.exp, memoryview(rho_exp * ts))
-        return np.array([-d * disp_scale, rho, np.where(ts >= activation, tau, 0.0)])
-
-    return _rk4_path(consts, terms, round(horizon / dt), dt, record, s0 if s_init is None else s_init)
+    *_, s0, _ = consts
+    activation = p.start_time + p.lag
+    return _rk4_path(consts, p.tau, activation, _math_exp, round(horizon / dt), dt, record,
+                     s0 if s_init is None else s_init)
 
 
 def _rk4_path(
-    consts: tuple[float, ...],
-    terms: Callable[[np.ndarray], np.ndarray],
-    n_steps: int,
-    dt: float,
-    record: MutableSequence[float] | None,
-    s: float,
+    consts: tuple[float, ...], tau: float, activation: float, exp, n_steps: int, dt: float,
+    record: MutableSequence[float] | None, s: float,
 ) -> tuple[float, float | None]:
     """:func:`integrate_labor_share`'s RK4 from state ``s`` at t = 0, over ``n_steps``
-    steps of the calibration whose :func:`_drift_constants` are ``consts``.
+    steps of the calibration whose :func:`_drift_constants` are ``consts``, with the
+    transfer ``tau`` from ``activation`` on.
 
-    ``terms(ts)`` gives the rows ``-d * disp_scale``, rho and the transfer at
-    the stage times ``ts``; they are computed for a chunk of
-    ``_STAGE_BLOCK // 3`` steps together, once per row of the chunk's
-    :func:`stage_schedule`. The four stages are then written out inline, in
-    Python floats. They stay inline: a helper called per stage measured
-    17-24% slower on 10000-step paths.
+    The rows ``-d * disp_scale`` and rho (:func:`_drive`, through ``exp``:
+    :func:`_math_exp` for :func:`simulate_path`'s bits, ``np.exp`` for the
+    lane kernel's) and the transfer are computed for a chunk of
+    ``_SCALAR_CHUNK`` steps together, once per row of the chunk's
+    :func:`stage_schedule`. They stop before the chunk's first step past the
+    reinstatement cap, so no rho exponent exceeds ``_EXP_CAP``. The four
+    stages are then written out inline, in Python floats. They stay inline:
+    a helper called per stage measured 17-24% slower on 10000-step paths.
 
     A chunk that starts at or above ``s_L0`` first runs as array arithmetic
     (:func:`_time_only_steps`): there the else branches below apply, with
@@ -365,16 +357,20 @@ def _rk4_path(
     half = dt / 2.0
     sixth = dt / 6.0
 
-    chunk = max(1, _STAGE_BLOCK // 3)
-    for lo in range(0, n_steps, chunk):
-        times, rows = stage_schedule(lo, min(lo + chunk, n_steps), dt)
+    drive = _drive_constants(consts)
+    for lo in range(0, n_steps, _SCALAR_CHUNK):
+        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
         # The chunk's terms stop before the first step with a stage past the cap: that
         # step's end, as rho_exp >= 0 and a step's start <= mid <= end.
         with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
             past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
         hi = lo + (int(past_cap[0]) if past_cap.size else rows.shape[1])
         rows = rows[:, : hi - lo]
-        at = terms(times[: rows.max(initial=-1) + 1])
+        ts = times[: rows.max(initial=-1) + 1]
+        at = np.empty((3, len(ts)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
+            _drive(ts, *drive, at[0], at[1], exp)
+        at[2] = np.where(ts >= activation, tau, 0.0)
         at_start, at_mid, at_end = (at[:, r] for r in rows)
         taken = 0  # the chunk's leading steps taken as array arithmetic
         if s >= s0:
@@ -515,26 +511,40 @@ def _drive_constants(consts) -> tuple:
     return d_bar, neg_kappa, t0, -disp_scale, rho0, rho_scale, rho_exp
 
 
+def _adoption(
+    ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, out: np.ndarray, exp,
+) -> np.ndarray:
+    """:func:`diffusion` at the times ``ts``, written to and returned in ``out``: the one
+    array form of the logistic, through ``exp`` (:func:`_math_exp` or ``np.exp``).
+
+    ``d = 0`` where ``e = -kappa * (t - t0)`` exceeds 40, an infinite ``e``
+    included, as in :func:`diffusion`; a NaN ``e`` gives NaN. Callers silence
+    the overflow of ``e``.
+    """
+    np.subtract(ts, t0, out=out)
+    np.multiply(neg_kappa, out, out=out)  # e
+    upper = out > 40.0
+    exp(out, out)
+    np.add(1.0, out, out=out)
+    np.divide(d_bar, out, out=out)  # d
+    out[upper] = 0.0
+    return out
+
+
 def _drive(
     ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, neg_disp: float, rho0: float,
-    rho_scale: float, rho_exp: float, push: np.ndarray, rho: np.ndarray,
+    rho_scale: float, rho_exp: float, push: np.ndarray, rho: np.ndarray, exp,
 ) -> None:
     """The state-free drift terms at the stage times ``ts``, written to ``push`` and
     ``rho``: ``-d * disp_scale`` (with ``neg_disp = -disp_scale``) and rho, through
-    numpy's ``exp``. The constants (:func:`_drive_constants`) are floats, or columns
-    of lanes with ``ts`` a column; the lane kernel's rows and the policy sweep's come
-    from here.
+    ``exp``. The constants (:func:`_drive_constants`) are floats with ``ts`` 1-D, or
+    columns of lanes with ``ts`` a column. Every row of time-only terms comes from
+    here: the lane kernel's and the policy sweep's through ``np.exp``, the scalar
+    integrator's through :func:`_math_exp`.
     """
-    np.subtract(ts, t0, out=push)
-    np.multiply(neg_kappa, push, out=push)  # e
-    upper = push > 40.0
-    np.exp(push, out=push)
-    np.add(1.0, push, out=push)
-    np.divide(d_bar, push, out=push)  # d
-    push[upper] = 0.0
-    np.multiply(push, neg_disp, out=push)
+    np.multiply(_adoption(ts, d_bar, neg_kappa, t0, push, exp), neg_disp, out=push)
     np.multiply(rho_exp, ts, out=rho)
-    np.exp(rho, out=rho)
+    exp(rho, rho)
     np.multiply(rho_scale, rho, out=rho)
     np.add(rho0, rho, out=rho)
 
@@ -650,7 +660,7 @@ def rk4_lanes(
         shared = done - r0  # 1 where the first start is the previous chunk's last end, else 0
         if shared:
             push_buf[0], rho_buf[0] = push_buf[last], rho_buf[last]
-        _drive(ts[shared:], *drive_consts, push_buf[shared : len(ts)], rho_buf[shared : len(ts)])
+        _drive(ts[shared:], *drive_consts, push_buf[shared : len(ts)], rho_buf[shared : len(ts)], np.exp)
         done, last = r1, len(ts) - 1
         if times[r1 - 1] >= first_transfer:  # the chunk's last end is its latest stage time
             transfer = np.where(ts >= activation, tau, 0.0)
@@ -687,12 +697,13 @@ def _map_column(fn, *columns: object) -> np.ndarray:
     return np.fromiter(map(fn, *columns), dtype=np.float64)
 
 
-def _adoption(ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float) -> np.ndarray:
-    """:func:`diffusion` at the times ``ts``, by ``math.exp`` of ``e`` capped at 41."""
-    with np.errstate(over="ignore"):  # an infinite e is a tail, as in diffusion()
-        e = neg_kappa * (ts - t0)
-    d = d_bar / (1.0 + _map_column(math.exp, memoryview(np.minimum(e, 41.0))))
-    return np.where(e > 40.0, 0.0, d)
+def _math_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry of the 1-D array ``x``, capped at ``_EXP_CAP``,
+    written to and returned in ``out``: called as ``np.exp(x, out)`` is, with the
+    scalar functions' bits. The cap acts only on a logistic tail, which
+    :func:`_adoption` masks, and keeps ``math.exp`` from raising there."""
+    out[:] = _map_column(math.exp, memoryview(np.minimum(x, _EXP_CAP)))
+    return out
 
 
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
@@ -703,10 +714,12 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     and the transfer actually flowing at each step. The columns repeat the
     scalar functions of this module and :mod:`monetary` value for value:
     the exponentials and powers go through ``math.exp`` and ``pow`` element
-    by element, and the rest are whole-array expressions in the same
-    operation order, which IEEE arithmetic makes bit-identical; branches
-    become masks. Raises :class:`IntegrationError` at the first grid time
-    whose capability index overflows, with :func:`capability`'s message.
+    by element (the adoption fraction as :func:`_adoption` through
+    :func:`_math_exp`, the integrator's rows), and the rest are whole-array
+    expressions in the same operation order, which IEEE arithmetic makes
+    bit-identical; branches become masks. Raises :class:`IntegrationError`
+    at the first grid time whose capability index overflows, with
+    :func:`capability`'s message.
     """
     problems = validate(c) + validate_scenario(s)
     if problems:
@@ -721,9 +734,9 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     past_cap = np.flatnonzero(x > _EXP_CAP)
     if past_cap.size:
         capability(float(t[past_cap[0]]), ce)  # raises
-    d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf and nan, silently
-        A_t = ce.A0 * _map_column(math.exp, memoryview(x))
+        d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion, np.empty(t.size), _math_exp)
+        A_t = ce.A0 * _math_exp(x, np.empty(x.size))
         # reinstatement_rate
         rho_t = ce.rho0 + ce.eta * _map_column(pow, memoryview(A_t), repeat(ce.alpha_rho))
     # margin_pressure, with its `shortfall <= 0` branch as a mask

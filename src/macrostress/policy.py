@@ -15,16 +15,14 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import monetary
 from .dynamics import (
-    _STAGE_BLOCK, IntegrationError, Trajectory, _drift_constants, _drive, _drive_constants,
-    _effective_calibration, _rk4_path, _time_only_prefix, column_lane_constants, rk4_lanes,
-    transfer_at,
+    _SCALAR_CHUNK, IntegrationError, Trajectory, _drift_constants, _effective_calibration,
+    _rk4_path, _time_only_prefix, column_lane_constants, rk4_lanes, transfer_at,
 )
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 
@@ -112,7 +110,7 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     of their first cell, and one path is integrated per group, from that
     cell's policy: up to ``_FLOAT_GROUPS`` groups one by one through the
     scalar integrator's float loop (:func:`dynamics._rk4_path`) on the lane
-    kernel's rows, and more as lanes of one pass of the RK4 lane kernel.
+    kernel's ``np.exp`` rows, and more as lanes of one pass of the RK4 lane kernel.
     Either way each path is the one the kernel gives its cell's own lane,
     bit for bit. No worker process is started: ``jobs`` is accepted for
     call compatibility and ignored.
@@ -169,13 +167,12 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
             if failed.any():
                 raise failure(reps[int(np.argmax(failed))])
         else:
-            drive_consts = _drive_constants(drift)
             folds = []
             for i in reps:
                 record = array("d")
-                terms = partial(_float_terms, drive_consts, transfer[i], activation[i])
                 try:
-                    _rk4_path(drift, terms, n_steps, base.dt, record, ce.s_L0)
+                    _rk4_path(drift, transfer[i], activation[i], np.exp, n_steps, base.dt, record,
+                              ce.s_L0)
                 except IntegrationError:
                     raise failure(i) from None
                 folds.append(_fold(_recorded_chunks(record, base.dt), transfer[i : i + 1],
@@ -186,25 +183,13 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     return [SweepCell(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
-def _float_terms(drive_consts: tuple[float, ...], tau: float, activation: float,
-                 ts: np.ndarray) -> np.ndarray:
-    """A sweep group's rows for :func:`dynamics._rk4_path` at the stage times ``ts``:
-    the lane kernel's ``-d * disp_scale`` and rho (:func:`dynamics._drive`), and
-    the transfer."""
-    at = np.empty((3, len(ts)))
-    _drive(ts, *drive_consts, at[0], at[1])
-    at[2] = np.where(ts >= activation, tau, 0.0)
-    return at
-
-
 def _recorded_chunks(record: array, dt: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A recorded path as the lane kernel yields one lane of it: ``(ts, path)`` chunks,
     each row 0 the previous chunk's last state, ``ts`` the grid times ``i * dt``."""
     path = np.frombuffer(record)
     n_steps = len(path) - 1
-    chunk = max(1, _STAGE_BLOCK // 3)
-    for lo in range(0, n_steps, chunk):
-        hi = min(lo + chunk, n_steps) + 1
+    for lo in range(0, n_steps, _SCALAR_CHUNK):
+        hi = min(lo + _SCALAR_CHUNK, n_steps) + 1
         yield (np.arange(lo, hi) * dt).reshape(-1, 1), path[lo:hi, None]
 
 

@@ -816,6 +816,108 @@ def test_cases_put_a_loop_stage_input_at_s_L0_with_the_transfer_on(stage):
     assert s < c.s_L0 or labor_share_derivative(0.0, s, c, p) < 0.0
 
 
+# --- the time-only rows against their previous builders --------------------------
+
+def _reference_scalar_rows(consts, ts):
+    """The scalar integrator's rows ``-d * disp_scale`` and rho as it built them before
+    ``_drive`` took the exponential, frozen: ``math.exp`` element by element, with the
+    logistic's argument capped at 41."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp = consts[:7]
+    with np.errstate(over="ignore"):
+        e = neg_kappa * (ts - t0)
+    d = d_bar / (1.0 + np.fromiter(map(math.exp, memoryview(np.minimum(e, 41.0))), np.float64))
+    d = np.where(e > 40.0, 0.0, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = rho0 + rho_scale * np.fromiter(map(math.exp, memoryview(rho_exp * ts)), np.float64)
+    return [-d * disp_scale, rho]
+
+
+def _reference_sweep_rows(consts, ts):
+    """The policy sweep's float-path rows ``-d * disp_scale`` and rho as its own builder
+    wrote them through numpy's ``exp``, frozen."""
+    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp = consts[:7]
+    push, rho = np.empty(len(ts)), np.empty(len(ts))
+    np.subtract(ts, t0, out=push)
+    np.multiply(neg_kappa, push, out=push)  # e
+    upper = push > 40.0
+    np.exp(push, out=push)
+    np.add(1.0, push, out=push)
+    np.divide(d_bar, push, out=push)  # d
+    push[upper] = 0.0
+    np.multiply(push, -disp_scale, out=push)
+    np.multiply(rho_exp, ts, out=rho)
+    np.exp(rho, out=rho)
+    np.multiply(rho_scale, rho, out=rho)
+    np.add(rho0, rho, out=rho)
+    return [push, rho]
+
+
+def _bits(x):
+    """``x`` as int64 views, every NaN as numpy's: the scalar builder's ``-d * disp_scale``
+    flips a NaN's sign bit where ``d * -disp_scale`` does not, and a NaN drift fails
+    its path whatever its sign."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64).tolist()
+
+
+def _assert_rows_equal_references(c, ts):
+    """``_drive`` through ``_math_exp`` and through ``np.exp`` has the bits of the
+    scalar integrator's and the sweep's frozen builders."""
+    consts = _drift_constants(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # as _rk4_path runs them
+        for exp, reference in ((dynamics._math_exp, _reference_scalar_rows),
+                               (np.exp, _reference_sweep_rows)):
+            rows = [np.empty(len(ts)), np.empty(len(ts))]
+            dynamics._drive(ts, *dynamics._drive_constants(consts), *rows, exp)
+            expected = reference(consts, ts)
+            for got, want in zip(rows, expected):
+                assert _bits(got) == _bits(want), exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(1e-3, 1e3), t0=st.floats(-50.0, 50.0), d_bar=st.floats(0.0, 1.0),
+    f_slope=st.floats(0.0, 5.0), g_A=st.floats(0.0, 150.0), A0=st.floats(0.1, 10.0),
+    rho0=st.floats(0.0, 0.1), eta=st.floats(0.0, 1.0), alpha_rho=st.floats(0.0, 1.0),
+    dt=st.floats(1e-4, 0.05), steps=st.integers(1, 3000),
+)
+def test_drive_rows_equal_previous_builders_on_sampled_calibrations(
+    kappa, t0, d_bar, f_slope, g_A, A0, rho0, eta, alpha_rho, dt, steps
+):
+    c = with_updates(C, kappa=kappa, t0_diffusion=t0, d_bar=d_bar, f_slope=f_slope, g_A=g_A,
+                     A0=A0, rho0=rho0, eta=eta, alpha_rho=alpha_rho)
+    ts = stage_schedule(0, steps, dt)[0]
+    # _rk4_path's rows stop before the first step past the cap, ascending stage times
+    _assert_rows_equal_references(c, ts[alpha_rho * g_A * ts <= _EXP_CAP])
+
+
+# (kappa, t0_diffusion, e): the logistic's argument e = -kappa * (t - t0) at t = 0
+_LOGISTIC_ARGUMENTS = {
+    "e_40": (1.0, 40.0, 40.0),
+    "e_41": (1.0, 41.0, 41.0),
+    "e_700": (1.0, 700.0, 700.0),
+    "e_710": (1.0, 710.0, 710.0),
+    "e_inf": (2.0, 1e308, math.inf),
+    "e_minus_inf": (2.0, -1e308, -math.inf),
+    "e_nan": (math.inf, 0.0, math.nan),  # -inf * 0.0
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOGISTIC_ARGUMENTS))
+def test_drive_rows_equal_previous_builders_at_logistic_edges(case):
+    kappa, t0, e = _LOGISTIC_ARGUMENTS[case]
+    ts = stage_schedule(0, 10, 0.01)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(-kappa * (ts[:1] - t0)) == _bits(np.array([e]))
+    _assert_rows_equal_references(with_updates(C, kappa=kappa, t0_diffusion=t0), ts)
+
+
+def test_drive_rows_equal_previous_builders_at_the_reinstatement_cap():
+    c = with_updates(C, g_A=140.0, alpha_rho=0.5)
+    ts = stage_schedule(0, 20, 0.5)[0]
+    assert (c.alpha_rho * c.g_A * ts).max() == _EXP_CAP
+    _assert_rows_equal_references(c, ts)
+
+
 # --- the lane kernel against its previous form --------------------------------
 
 def _reference_rk4_lanes(consts, horizon, dt, failed):
