@@ -253,7 +253,7 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> str:
     grid = PolicyGrid(lags=_parse_float_list(args.lags), taus=_parse_float_list(args.taus),
                       base=base)
     cells = policy_sweep(grid, run.calib)
-    run.manifest["sweep"] = grid.counters()
+    run.manifest["sweep"] = cells.counters()
     run.stage("sweep.csv", table_text("lag,tau,depth,s_L_final,consumption_decline_pct",
                                       map(dataclasses.astuple, cells)))
     if args.svg:

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator, MutableSequence
+from collections.abc import Iterable, Iterator, MutableSequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -268,26 +268,70 @@ def _time_only_steps(
     return path, ok
 
 
-def _time_only_prefix(consts: tuple[float, ...], n_steps: int, dt: float) -> int:
-    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the lane
-    kernel's rows (:func:`_drive`) of the calibration whose :func:`_drift_constants`
-    are ``consts``: the index of its first refused step, or ``n_steps``.
+# one chunk of _stage_rows: (lo, hi, stage_ts, drive, capped)
+_ChunkRows = tuple[int, int, np.ndarray, np.ndarray, bool]
 
-    Every stage input of those steps lies at or above ``s_L0``, where no transfer
-    flows, so every policy's path over this calibration is the same through them.
+
+def _stage_rows(consts: tuple[float, ...], exp, n_steps: int, dt: float) -> Iterator[_ChunkRows]:
+    """The time-only terms of a path's RK4 stages, a chunk of ``_SCALAR_CHUNK`` steps
+    at a time from step 0, on the calibration whose :func:`_drift_constants` are
+    ``consts``: yields ``(lo, hi, stage_ts, drive, capped)`` for steps ``lo`` to ``hi - 1``.
+
+    ``stage_ts`` is a ``(3, hi - lo)`` array of each step's start, mid and end
+    times, and ``drive`` a ``(2, 3, hi - lo)`` array of ``-d * disp_scale`` and rho
+    there (:func:`_drive`, through ``exp``: :func:`_math_exp` for
+    :func:`simulate_path`'s bits, ``np.exp`` for the lane kernel's), computed once
+    per row of the chunk's :func:`stage_schedule`. A chunk stops before its first
+    step with a stage past the reinstatement cap, so no rho exponent exceeds
+    ``_EXP_CAP``; it is then the last chunk, and ``capped`` is True.
+    """
+    rho_exp = consts[6]
+    drive = _drive_constants(consts)
+    for lo in range(0, n_steps, _SCALAR_CHUNK):
+        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
+        # The first step with a stage past the cap has its end past it, as rho_exp >= 0
+        # and a step's start <= mid <= end.
+        with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
+            past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
+        hi = lo + (int(past_cap[0]) if past_cap.size else rows.shape[1])
+        rows = rows[:, : hi - lo]
+        ts = times[: rows.max(initial=-1) + 1]
+        at = np.empty((2, len(ts)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
+            _drive(ts, *drive, at[0], at[1], exp)
+        yield lo, hi, ts[rows], at[:, rows], bool(past_cap.size)
+        if past_cap.size:
+            return
+
+
+def _time_only_prefix(
+    consts: tuple[float, ...], n_steps: int, dt: float,
+) -> tuple[int, np.ndarray, Iterator[_ChunkRows]]:
+    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the lane
+    kernel's rows (:func:`_stage_rows` through ``np.exp``) of the calibration whose
+    :func:`_drift_constants` are ``consts``, up to the first step it refuses or the
+    first step past the reinstatement cap: step ``r``, or ``n_steps`` if neither comes.
+
+    Returns ``r``, the states at grid points 0 to ``r``, and the rows from the
+    chunk holding step ``r`` on, each later chunk computed as it is read: what
+    :func:`_rk4_path` takes to go on from ``r``. Every stage input of the steps
+    before ``r`` lies at or above ``s_L0``, where no transfer flows, so every
+    policy's path over this calibration is the same through grid point ``r``.
     Callers run it under ``np.errstate``, because a failing state overflows.
     """
     *_, s0, _ = consts
     s = s0
-    for lo in range(0, n_steps, _SCALAR_CHUNK):
-        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
-        push, rho = np.empty(len(times)), np.empty(len(times))
-        _drive(times, *_drive_constants(consts), push, rho, np.exp)
-        path, ok = _time_only_steps(s, s0, *(push + rho)[rows], dt)
-        if not ok.all():
-            return lo + int(ok.argmin())
+    states = [np.array([s0])]
+    chunks = _stage_rows(consts, np.exp, n_steps, dt)
+    for chunk in chunks:
+        lo, hi, _, (push, rho), capped = chunk
+        path, ok = _time_only_steps(s, s0, *(push + rho), dt)
+        taken = len(ok) if ok.all() else int(ok.argmin())
+        states.append(path[1 : taken + 1])
+        if lo + taken < hi or capped:
+            return lo + taken, np.concatenate(states), chain((chunk,), chunks)
         s = path[-1]
-    return n_steps
+    return n_steps, np.concatenate(states), chunks
 
 
 def integrate_labor_share(
@@ -320,135 +364,152 @@ def integrate_labor_share(
     """
     consts = _drift_constants(c)
     *_, s0, _ = consts
-    activation = p.start_time + p.lag
-    return _rk4_path(consts, p.tau, activation, _math_exp, round(horizon / dt), dt, record,
-                     s0 if s_init is None else s_init)
+    n_steps = round(horizon / dt)
+    (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)],
+                       _stage_rows(consts, _math_exp, n_steps, dt), 0, dt,
+                       s0 if s_init is None else s_init)
+    if isinstance(end, IntegrationError):
+        raise end
+    return end
 
 
 def _rk4_path(
-    consts: tuple[float, ...], tau: float, activation: float, exp, n_steps: int, dt: float,
-    record: MutableSequence[float] | None, s: float,
-) -> tuple[float, float | None]:
-    """:func:`integrate_labor_share`'s RK4 from state ``s`` at t = 0, over ``n_steps``
-    steps of the calibration whose :func:`_drift_constants` are ``consts``, with the
-    transfer ``tau`` from ``activation`` on.
+    consts: tuple[float, ...],
+    paths: list[tuple[float, float, MutableSequence[float] | None]],
+    chunks: Iterable[_ChunkRows],
+    r: int,
+    dt: float,
+    s: float,
+) -> list[tuple[float, float | None] | IntegrationError]:
+    """:func:`integrate_labor_share`'s RK4 from state ``s`` at grid point ``r``, once
+    for each of ``paths``, over the chunks of time-only terms ``chunks``
+    (:func:`_stage_rows`, the first holding step ``r``) of the calibration whose
+    :func:`_drift_constants` are ``consts``.
 
-    The rows ``-d * disp_scale`` and rho (:func:`_drive`, through ``exp``:
-    :func:`_math_exp` for :func:`simulate_path`'s bits, ``np.exp`` for the
-    lane kernel's) and the transfer are computed for a chunk of
-    ``_SCALAR_CHUNK`` steps together, once per row of the chunk's
-    :func:`stage_schedule`. They stop before the chunk's first step past the
-    reinstatement cap, so no rho exponent exceeds ``_EXP_CAP``. The four
-    stages are then written out inline, in Python floats. They stay inline:
-    a helper called per stage measured 17-24% slower on 10000-step paths.
+    A path is ``(tau, activation, record)``: the transfer ``tau`` from
+    ``activation`` on, and a list that takes the state at ``r`` and each
+    state after it, or None. The paths run one after the other through each
+    chunk, so they share its rows ``-d * disp_scale`` and rho; only the
+    transfer row, computed per chunk, is a path's own. The four stages are
+    written out inline, in Python floats. They stay inline: a helper called per
+    stage measured 17-24% slower on 10000-step paths. After each step one range
+    test ``0 <= s <= 1`` passes every finite state inside the interval; the
+    finiteness check and the clamp run only behind it.
 
-    A chunk that starts at or above ``s_L0`` first runs as array arithmetic
-    (:func:`_time_only_steps`): there the else branches below apply, with
-    the drift ``push + rho`` of time alone and ``k3 == k2``. The chunk keeps
-    the leading steps that function verifies, and runs the rest per step
-    from the first step it refuses. ``baseline`` takes every step that way.
+    A chunk entered at its first step, from a state at or above ``s_L0``, first
+    runs as array arithmetic (:func:`_time_only_steps`): there the else
+    branches below apply, with the drift ``push + rho`` of time alone and
+    ``k3 == k2``. The chunk keeps the leading steps that function verifies,
+    and runs the rest per step from the first step it refuses. ``baseline``
+    takes every step that way. A start at ``r`` inside a chunk is where the
+    policy sweep goes on from :func:`_time_only_prefix`, which has refused that
+    step already, so it runs per step at once.
 
-    Returns, and raises, as :func:`integrate_labor_share` does.
+    Returns, for each path, ``(final state, collapse time or None)`` as
+    :func:`integrate_labor_share` does, or the :class:`IntegrationError` it
+    would raise: the path stops there, and its ``record`` holds every state up
+    to that step.
     """
     rho_exp, beta, s0, k_pi = consts[6:]
-    collapse: float | None = 0.0 if s <= S_FLOOR else None
-    if record is not None:
-        record.append(s)
     half = dt / 2.0
     sixth = dt / 6.0
+    ends: list = []  # each path's (state, collapse time) so far, or the error that ended it
+    for _, _, record in paths:
+        if record is not None:
+            record.append(s)
+        ends.append((s, r * dt if s <= S_FLOOR else None))
 
-    drive = _drive_constants(consts)
-    for lo in range(0, n_steps, _SCALAR_CHUNK):
-        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
-        # The chunk's terms stop before the first step with a stage past the cap: that
-        # step's end, as rho_exp >= 0 and a step's start <= mid <= end.
-        with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
-            past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
-        hi = lo + (int(past_cap[0]) if past_cap.size else rows.shape[1])
-        rows = rows[:, : hi - lo]
-        ts = times[: rows.max(initial=-1) + 1]
-        at = np.empty((3, len(ts)))
-        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
-            _drive(ts, *drive, at[0], at[1], exp)
-        at[2] = np.where(ts >= activation, tau, 0.0)
-        at_start, at_mid, at_end = (at[:, r] for r in rows)
-        taken = 0  # the chunk's leading steps taken as array arithmetic
-        if s >= s0:
-            with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
-                path, ok = _time_only_steps(
-                    s, s0, *(push + rho for push, rho, _ in (at_start, at_mid, at_end)), dt
-                )
-            taken = len(ok) if ok.all() else int(ok.argmin())
-            if taken:
-                s = float(path[taken])
-                if record is not None:
-                    record.extend(path[1 : taken + 1].tolist())
-        # a memoryview yields each entry as a Python float, without a list of them all
-        for i, push1, rho1, on1, push2, rho2, on2, push4, rho4, on4 in zip(
-            range(lo + taken, hi), *(memoryview(row[taken:]) for row in (*at_start, *at_mid, *at_end))
-        ):
-            gap = s0 - s
-            if gap > 0.0:
-                k1 = push1 - beta * (k_pi * gap) + rho1 + on1
+    for lo, hi, stage_ts, drive, capped in chunks:
+        first = max(lo, r)  # the chunk's first step to take
+        drift = None  # push + rho at each stage, once some path tries the time-only steps
+        for g, (tau, activation, record) in enumerate(paths):
+            if isinstance(ends[g], IntegrationError):
+                continue
+            s, collapse = ends[g]
+            on = np.where(stage_ts >= activation, tau, 0.0)
+            taken = first - lo  # the chunk's leading steps not run per step
+            if not taken and s >= s0:
+                with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
+                    if drift is None:
+                        drift = drive[0] + drive[1]
+                    path, ok = _time_only_steps(s, s0, *drift, dt)
+                taken = len(ok) if ok.all() else int(ok.argmin())
+                if taken:
+                    s = float(path[taken])
+                    if record is not None:
+                        record.extend(path[1 : taken + 1].tolist())
+            append = None if record is None else record.append
+            # each stage's push, rho and transfer rows; a memoryview yields each entry as a
+            # Python float, without a list of them all
+            rows = (memoryview(row[taken:]) for k in range(3) for row in (*drive[:, k], on[k]))
+            try:
+                for i, push1, rho1, on1, push2, rho2, on2, push4, rho4, on4 in zip(
+                    range(lo + taken, hi), *rows
+                ):
+                    gap = s0 - s
+                    if gap > 0.0:
+                        k1 = push1 - beta * (k_pi * gap) + rho1 + on1
+                    else:
+                        k1 = push1 + rho1
+                    if s <= 0.0 and k1 < 0.0:
+                        k1 = 0.0
+                    elif s >= 1.0 and k1 > 0.0:
+                        k1 = 0.0
+                    u = s + half * k1
+                    gap = s0 - u
+                    if gap > 0.0:
+                        k2 = push2 - beta * (k_pi * gap) + rho2 + on2
+                    else:
+                        k2 = push2 + rho2
+                    if u <= 0.0 and k2 < 0.0:
+                        k2 = 0.0
+                    elif u >= 1.0 and k2 > 0.0:
+                        k2 = 0.0
+                    u = s + half * k2
+                    gap = s0 - u
+                    if gap > 0.0:
+                        k3 = push2 - beta * (k_pi * gap) + rho2 + on2
+                    else:
+                        k3 = push2 + rho2
+                    if u <= 0.0 and k3 < 0.0:
+                        k3 = 0.0
+                    elif u >= 1.0 and k3 > 0.0:
+                        k3 = 0.0
+                    u = s + dt * k3
+                    gap = s0 - u
+                    if gap > 0.0:
+                        k4 = push4 - beta * (k_pi * gap) + rho4 + on4
+                    else:
+                        k4 = push4 + rho4
+                    if u <= 0.0 and k4 < 0.0:
+                        k4 = 0.0
+                    elif u >= 1.0 and k4 > 0.0:
+                        k4 = 0.0
+                    s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if not 0.0 <= s <= 1.0:  # False on NaN too
+                        if not math.isfinite(s):
+                            raise IntegrationError(
+                                f"labor share became non-finite at t={i * dt + dt:g}; "
+                                f"stage derivatives k1={k1:g} k2={k2:g} k3={k3:g} k4={k4:g}"
+                            )
+                        s = 0.0 if s < 0.0 else 1.0
+                    if collapse is None and s <= S_FLOOR:
+                        collapse = (i + 1) * dt
+                    if append is not None:
+                        append(s)
+                if capped:
+                    t = hi * dt
+                    for ts in (t, t + half, t + dt):
+                        x = rho_exp * ts
+                        if x > _EXP_CAP:
+                            raise IntegrationError(
+                                f"reinstatement term overflows at t={ts:g} (alpha_rho*g_A*t={x:g})"
+                            )
+            except IntegrationError as error:
+                ends[g] = error
             else:
-                k1 = push1 + rho1
-            if s <= 0.0 and k1 < 0.0:
-                k1 = 0.0
-            elif s >= 1.0 and k1 > 0.0:
-                k1 = 0.0
-            u = s + half * k1
-            gap = s0 - u
-            if gap > 0.0:
-                k2 = push2 - beta * (k_pi * gap) + rho2 + on2
-            else:
-                k2 = push2 + rho2
-            if u <= 0.0 and k2 < 0.0:
-                k2 = 0.0
-            elif u >= 1.0 and k2 > 0.0:
-                k2 = 0.0
-            u = s + half * k2
-            gap = s0 - u
-            if gap > 0.0:
-                k3 = push2 - beta * (k_pi * gap) + rho2 + on2
-            else:
-                k3 = push2 + rho2
-            if u <= 0.0 and k3 < 0.0:
-                k3 = 0.0
-            elif u >= 1.0 and k3 > 0.0:
-                k3 = 0.0
-            u = s + dt * k3
-            gap = s0 - u
-            if gap > 0.0:
-                k4 = push4 - beta * (k_pi * gap) + rho4 + on4
-            else:
-                k4 = push4 + rho4
-            if u <= 0.0 and k4 < 0.0:
-                k4 = 0.0
-            elif u >= 1.0 and k4 > 0.0:
-                k4 = 0.0
-            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not math.isfinite(s):
-                raise IntegrationError(
-                    f"labor share became non-finite at t={i * dt + dt:g}; "
-                    f"stage derivatives k1={k1:g} k2={k2:g} k3={k3:g} k4={k4:g}"
-                )
-            if s < 0.0:
-                s = 0.0
-            elif s > 1.0:
-                s = 1.0
-            if collapse is None and s <= S_FLOOR:
-                collapse = (i + 1) * dt
-            if record is not None:
-                record.append(s)
-        if past_cap.size:
-            t = hi * dt
-            for ts in (t, t + half, t + dt):
-                x = rho_exp * ts
-                if x > _EXP_CAP:
-                    raise IntegrationError(
-                        f"reinstatement term overflows at t={ts:g} (alpha_rho*g_A*t={x:g})"
-                    )
-    return s, collapse
+                ends[g] = (s, collapse)
+    return ends
 
 
 _LANE_BLOCK = 4096  # Monte Carlo lanes integrated together; bounds the kernel's working set
@@ -550,14 +611,19 @@ def _drive(
 
 
 def rk4_lanes(
-    consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray
+    consts: np.ndarray, horizon: float, dt: float, failed: np.ndarray, r: int = 0,
+    s_r: float | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The lane kernel: yields ``(ts, path)`` for each chunk of steps; ``horizon > dt / 2``.
+    """The lane kernel: yields ``(ts, path)`` for each chunk of the steps from grid
+    point ``r`` on, every lane starting there at ``s_r`` (by default at t = 0, each
+    lane at its ``s_L0``); ``horizon > dt / 2``.
 
     ``path`` is a fresh ``(steps + 1, lanes)`` array of labor shares, never
     written after it is yielded; row 0 repeats the previous chunk's last row
-    (the state at t = 0 in the first chunk). ``ts`` is the column of its grid times
-    ``i * dt``, the floats :func:`integrate_labor_share` forms.
+    (the state at ``r`` in the first chunk). ``ts`` is the column of its grid times
+    ``i * dt``, the floats :func:`integrate_labor_share` forms. The policy sweep
+    starts its lanes where the no-policy prefix they share ends
+    (:func:`_time_only_prefix`); the Monte Carlo starts at t = 0.
 
     ``consts`` comes from :func:`column_lane_constants`. Failed lanes are marked in
     ``failed`` in place and keep being integrated: a lane whose
@@ -620,7 +686,7 @@ def rk4_lanes(
     n_steps = round(horizon / dt)
     # a stage row's transfer is non-zero in some lane exactly from this time on
     first_transfer = float(activation[tau != 0.0].min(initial=math.inf))
-    times, rows = stage_schedule(0, n_steps, dt)
+    times, rows = stage_schedule(r, n_steps, dt)  # step i's rows are column i - r
     t_last = times.max(initial=0.0)  # the largest stage time, the last end; 0 without steps
     # alpha_rho * g_A >= 0, so a lane's exponent is largest at t_last
     failed |= rho_exp * t_last > _EXP_CAP
@@ -631,7 +697,7 @@ def rk4_lanes(
     lo_edge = reach * (d_bar * disp_scale + beta * (k_pi * s0)).max(initial=0.0)
     hi_edge = 1.0 - reach * (rho0 + rho_scale * np.exp(rho_exp * t_last) + tau).max(initial=0.0)
     # Fresh stage-time x lane temporaries cost more than the arithmetic on them.
-    push_buf = np.empty((3 * min(chunk, n_steps), s0.size))
+    push_buf = np.empty((3 * min(chunk, n_steps - r), s0.size))
     rho_buf = np.empty_like(push_buf)
     # numpy converts a Python float operand on every call, a 0-d array it takes as is
     zero, one, two, half_dt, full_dt, sixth_dt = map(np.array, (0.0, 1.0, 2.0, half, dt, sixth))
@@ -650,11 +716,11 @@ def rk4_lanes(
                 raw = np.where((s >= 1.0) & (raw > 0.0), 0.0, raw)
         return raw
 
-    s = s0
+    s = s0 if s_r is None else np.full(s0.shape, s_r)
     done = last = 0  # the schedule rows whose terms are computed, the last at buffer row `last`
-    for lo in range(0, n_steps, chunk):
+    for lo in range(r, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
-        step_rows = rows[:, lo:hi].T.tolist()  # each step's (start, mid, end) schedule rows
+        step_rows = rows[:, lo - r : hi - r].T.tolist()  # each step's (start, mid, end) schedule rows
         r0, r1 = step_rows[0][0], step_rows[-1][2] + 1
         ts = times[r0:r1, None]  # the chunk's stage times; schedule row r is buffer row r - r0
         shared = done - r0  # 1 where the first start is the previous chunk's last end, else 0
@@ -670,7 +736,7 @@ def rk4_lanes(
         taken = False  # whether the chunk runs as array arithmetic
         if chunk > 1 and (s >= s0).all():
             drift = push_buf[: len(ts)] + rho_buf[: len(ts)]
-            path, ok = _time_only_steps(s, s0, *drift[rows[:, lo:hi] - r0], dt)
+            path, ok = _time_only_steps(s, s0, *drift[rows[:, lo - r : hi - r] - r0], dt)
             taken = ok.all()
         if taken:
             s = path[-1]

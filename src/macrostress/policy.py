@@ -1,9 +1,10 @@
 """Crisis depth and the policy-response sweep over lagged fiscal transfers.
 
-The sweep integrates one path per group of (lag, tau) cells whose paths are
-identical, in one process: a few groups through the scalar integrator's
-float loop, many as lanes of the RK4 lane kernel in :mod:`macrostress.dynamics`.
-It folds each chunk of a path's steps into the group's reductions and
+The sweep runs the no-policy prefix every cell shares once, then one path per
+group of (lag, tau) cells whose paths are identical from there on, in one
+process: a few groups through the scalar integrator's float loop, many as
+lanes of the RK4 lane kernel in :mod:`macrostress.dynamics`. It folds the
+prefix once and each chunk of the groups' steps into their reductions, and
 gathers them to the cells. Like the Monte Carlo, it builds its lane
 constants by column, with no per-cell object.
 """
@@ -15,6 +16,7 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,11 +71,6 @@ class PolicyGrid:
                 if a == b:
                     raise ValueError(f"policy grid {name} must be strictly ascending: {a:g} repeats")
 
-    def counters(self) -> dict[str, int]:
-        """The work of a sweep over this grid, for the run manifest: one lane per cell."""
-        lanes = len(self.lags) * len(self.taus)
-        return {"lanes": lanes, "rk4_steps": lanes * round(self.base.horizon / self.base.dt)}
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -84,14 +81,29 @@ class SweepCell:
     consumption_decline_pct: float
 
 
+class Sweep(list):
+    """A sweep's :class:`SweepCell` list, in row-major order, with the work behind it."""
+
+    def __init__(self, cells: Iterable[SweepCell], groups: int, prefix_steps: int, n_steps: int):
+        super().__init__(cells)
+        self.groups, self.prefix_steps, self.n_steps = groups, prefix_steps, n_steps
+
+    def counters(self) -> dict[str, int]:
+        """The work behind the cells, for the run manifest: the shared prefix's steps
+        once, then each group's steps from where the prefix ends."""
+        return {"cells": len(self), "groups": self.groups, "prefix_steps": self.prefix_steps,
+                "rk4_steps": self.prefix_steps + self.groups * (self.n_steps - self.prefix_steps)}
+
+
 # The most policy groups the sweep integrates one by one in Python floats; above it, one
-# kernel pass runs a lane per group. On `rapid`'s 1000 steps a group's float path costs
-# about 1.1-1.4 ms and a kernel pass 36-48 ms at 16-96 lanes: the float paths cost more
-# from 24-40 groups on (CPU time, two sets of interleaved runs on a 2-core x86-64 host).
-_FLOAT_GROUPS = 32
+# kernel pass runs a lane per group. On `rapid`'s 1000 steps, where every group starts
+# at the prefix's end (step 351), a group's float path costs about 0.45-0.55 ms and a
+# kernel pass 17-23 ms at 16-96 lanes: the float paths cost more from 40-44 groups on
+# (CPU time, two sets of interleaved runs on a 2-core x86-64 host).
+_FLOAT_GROUPS = 40
 
 
-def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepCell]:
+def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> Sweep:
     """Integrate every (lag, tau) cell, in deterministic row-major order.
 
     A cell's problems come only from the calibration, the base scenario, its
@@ -104,25 +116,31 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
     cell follows one path through the leading steps that run on time alone
     from ``s_L0`` (:func:`dynamics._time_only_prefix`), up to step ``r``; from
     there on, a cell whose transfer is already on at ``r * dt`` follows the
-    path of every other such cell with its ``tau``. The cells are grouped by
-    ``(tau, activation)``, with every activation at or before ``r * dt`` read
-    as ``-inf`` and every ``tau == 0`` cell in one group, in row-major order
-    of their first cell, and one path is integrated per group, from that
-    cell's policy: up to ``_FLOAT_GROUPS`` groups one by one through the
-    scalar integrator's float loop (:func:`dynamics._rk4_path`) on the lane
-    kernel's ``np.exp`` rows, and more as lanes of one pass of the RK4 lane kernel.
-    Either way each path is the one the kernel gives its cell's own lane,
-    bit for bit. No worker process is started: ``jobs`` is accepted for
-    call compatibility and ignored.
+    path of every other such cell with its ``tau``. The prefix runs once. The
+    cells are grouped by ``(tau, activation)``, with every activation at or
+    before ``r * dt`` read as ``-inf`` and every ``tau == 0`` cell in one
+    group, in row-major order of their first cell, and one path per group
+    goes on from the prefix's state at ``r``, under that cell's policy: up to
+    ``_FLOAT_GROUPS`` groups through the scalar integrator's float loop
+    (:func:`dynamics._rk4_path`), side by side a chunk at a time on the
+    kernel's ``np.exp`` rows, which each chunk computes once for all of them
+    (the prefix's last chunk included), and more as lanes of one pass of the
+    RK4 lane kernel. Either way each path is the one the kernel gives its
+    cell's own lane from t = 0, bit for bit. No worker process is started:
+    ``jobs`` is accepted for call compatibility and ignored.
 
     Every cell of a group has its group's depth too: the grid times before
     ``r`` hold states at or above ``s_L0``, where every gap is at most 0 and
     leaves the depth at 0, and from ``r`` on the cells of a group share
-    their path and their transfer. :func:`_fold` reduces each group's path
-    into its depth and consumption decline under its first cell's policy,
-    and the results are gathered to the cells. A cell whose path overflows
-    or turns non-finite raises :class:`IntegrationError`, naming the first
-    such cell in row-major order.
+    their path and their transfer. :func:`_fold` reduces the prefix once and
+    each group's path from ``r`` into its depth and consumption decline
+    under its first cell's policy, and the results are gathered to the
+    cells. A cell whose path overflows or turns non-finite raises
+    :class:`IntegrationError`, naming the first such cell in row-major order.
+
+    The returned :class:`Sweep` counts the work: the cells, the groups, the
+    prefix's steps and the RK4 steps taken, ``r`` once and ``n_steps - r``
+    per group.
     """
     base = grid.base
     lags, taus = grid.lags, grid.taus
@@ -151,7 +169,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
         )
 
     with np.errstate(all="ignore"):
-        on_at = _time_only_prefix(drift, n_steps, base.dt) * base.dt
+        r, prefix, chunk_rows = _time_only_prefix(drift, n_steps, base.dt)
+        on_at = r * base.dt
         index: dict[tuple[float, float], int] = {}
         reps: list[int] = []  # each group's first cell
         group = []  # each cell's group
@@ -162,60 +181,74 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> list[SweepC
             group.append(g)
         if len(reps) > _FLOAT_GROUPS:
             failed = np.zeros(len(reps), dtype=bool)
-            paths = rk4_lanes(consts[:, reps], base.horizon, base.dt, failed)
-            folds = [_fold(paths, transfer[reps], activation[reps], ce)]
+            paths = rk4_lanes(consts[:, reps], base.horizon, base.dt, failed, r, prefix[-1])
+            folded = _fold(prefix, paths, transfer[reps], activation[reps], ce, base.dt)
             if failed.any():
                 raise failure(reps[int(np.argmax(failed))])
         else:
-            folds = []
-            for i in reps:
-                record = array("d")
-                try:
-                    _rk4_path(drift, transfer[i], activation[i], np.exp, n_steps, base.dt, record,
-                              ce.s_L0)
-                except IntegrationError:
+            records = [array("d") for _ in reps]
+            runs = [(transfer[i], activation[i], record) for i, record in zip(reps, records)]
+            ends = _rk4_path(drift, runs, chunk_rows, r, base.dt, float(prefix[-1]))
+            for i, end in zip(reps, ends):
+                if isinstance(end, IntegrationError):
                     raise failure(i) from None
-                folds.append(_fold(_recorded_chunks(record, base.dt), transfer[i : i + 1],
-                                   activation[i : i + 1], ce))
-        depth, s_final, mean_ratio = (np.concatenate(column)[group] for column in zip(*folds))
+            folded = _fold(prefix, _recorded_chunks(records, r, base.dt), transfer[reps],
+                           activation[reps], ce, base.dt)
+        depth, s_final, mean_ratio = (column[group] for column in folded)
         decline = 1.0 - mean_ratio / monetary.consumption_ratio(c.s_L0, c)
     columns = (policies.lag, policies.tau, depth, s_final, 100.0 * decline)
-    return [SweepCell(*row) for row in zip(*(column.tolist() for column in columns))]
+    cells = [SweepCell(*row) for row in zip(*(column.tolist() for column in columns))]
+    return Sweep(cells, len(reps), r, n_steps)
 
 
-def _recorded_chunks(record: array, dt: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A recorded path as the lane kernel yields one lane of it: ``(ts, path)`` chunks,
-    each row 0 the previous chunk's last state, ``ts`` the grid times ``i * dt``."""
-    path = np.frombuffer(record)
-    n_steps = len(path) - 1
+def _recorded_chunks(records: list[array], r: int, dt: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Paths recorded from grid point ``r``, one per record, as the lane kernel yields
+    them: ``(ts, path)`` chunks, one path per column, each row 0 the previous chunk's
+    last state, ``ts`` the grid times ``i * dt``."""
+    paths = np.stack([np.frombuffer(record) for record in records], axis=1)
+    n_steps = len(paths) - 1
     for lo in range(0, n_steps, _SCALAR_CHUNK):
         hi = min(lo + _SCALAR_CHUNK, n_steps) + 1
-        yield (np.arange(lo, hi) * dt).reshape(-1, 1), path[lo:hi, None]
+        yield (np.arange(r + lo, r + hi) * dt).reshape(-1, 1), paths[lo:hi]
 
 
 def _fold(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]], transfer: np.ndarray,
-    activation: np.ndarray, ce: Calibration,
+    prefix: np.ndarray, chunks: Iterable[tuple[np.ndarray, np.ndarray]], transfer: np.ndarray,
+    activation: np.ndarray, ce: Calibration, dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each path's crisis depth, final share and mean consumption ratio.
 
-    ``chunks`` yields ``(ts, path)`` as :func:`dynamics.rk4_lanes` does, one
-    path per column, whose transfer is ``transfer`` from ``activation`` on.
-    The running reductions repeat :func:`crisis_depth` and
+    The paths share ``prefix``, their states at grid points 0 to ``r``. From
+    there ``chunks`` yields ``(ts, path)`` as :func:`dynamics.rk4_lanes` does,
+    one path per column, whose transfer is ``transfer`` from ``activation``
+    on. The running reductions repeat :func:`crisis_depth` and
     :func:`monetary.cumulative_consumption_decline` on the recorded path
     operation for operation, additions in step order, so the chunk length
-    changes no bit. Row 0 of a chunk, the state folded last, changes no
-    maximum and starts the area's first step; no gap is ``-0.0`` or NaN, so
-    the order of the maxima changes no bit either.
+    changes no bit. The prefix is folded once: its states before ``r`` lie at
+    or above ``s_L0``, where no gap exceeds 0, so the depth starts from the
+    gap at ``r``, and its area, one sum in step order, starts every path's.
+    Row 0 of a chunk, the state folded last, changes no maximum and starts
+    the area's first step; no gap is ``-0.0`` or NaN, so the order of the
+    maxima changes no bit either.
     """
-    depth = np.zeros(len(transfer))
-    area = np.zeros(len(transfer))
-    for ts, path in chunks:
-        gap = (ce.s_L0 - path) - np.where(ts >= activation, transfer, 0.0)
-        np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
+
+    def add_steps(area: np.ndarray, ts: np.ndarray, path: np.ndarray) -> np.ndarray:
         cr = monetary.consumption_ratio(path, ce)
         # area + 0.5 * (cr_prev + cr) * (t - t_prev), one step after the other
         steps = 0.5 * (cr[:-1] + cr[1:]) * (ts[1:] - ts[:-1])
-        area = np.add.accumulate(np.concatenate((area[None], steps)), axis=0)[-1]
-    # the path spans [0, ts[-1]] once the loop ends
+        if len(steps) == 1:  # the accumulate's one addition, without its loop per column
+            return area + steps[0]
+        return np.add.accumulate(np.concatenate((area[None], steps)), axis=0)[-1]
+
+    ts = (np.arange(len(prefix)) * dt).reshape(-1, 1)
+    area = np.repeat(add_steps(np.zeros(1), ts, prefix[:, None]), len(transfer))
+    depth = np.zeros(len(transfer))
+    # a one-row chunk at grid point r, where the paths part: the gap there, and the final
+    # state and time when no step follows
+    ts, path = ts[-1:], np.repeat(prefix[-1:, None], len(transfer), axis=1)
+    for ts, path in chain(((ts, path),), chunks):
+        gap = (ce.s_L0 - path) - np.where(ts >= activation, transfer, 0.0)
+        np.maximum(np.maximum.reduce(gap, axis=0), depth, out=depth)
+        area = add_steps(area, ts, path)
+    # the paths span [0, ts[-1]] once the loop ends
     return depth, path[-1], area / ts[-1]

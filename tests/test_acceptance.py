@@ -354,11 +354,13 @@ def test_repro_manifest_monte_carlo_counters(repro_run):
 
 
 def test_repro_manifest_sweep_counters(repro_run):
-    # the 7 x 3 policy grid on `rapid`: one lane per sweep.csv row, 1000 steps each
+    # the 7 x 3 policy grid on `rapid`: the shared prefix's 351 steps once, then one path
+    # per tau (every lag is on by the prefix's end) over the other 649 of the 1000 steps
     _, _, out = repro_run
     counters = json.loads((out / "run_manifest.json").read_text())["sweep"]
     rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
-    assert counters == {"lanes": len(rows), "rk4_steps": len(rows) * 1000}
+    assert counters == {"cells": len(rows), "groups": 3, "prefix_steps": 351,
+                        "rk4_steps": 351 + 3 * 649}
     assert len(rows) == 21
 
 

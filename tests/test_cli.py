@@ -544,8 +544,9 @@ def test_sweep_manifest_counts_its_work(tmp_path):
     assert run_cli("sweep", "--config", str(cfg), "--scenario", "short",
                    "--lags", "0,0.5,1", "--taus", "0.05,0.1", "--out", str(out)) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    # one lane per cell, each integrated over horizon / dt = 100 steps
-    assert manifest["sweep"] == {"lanes": 6, "rk4_steps": 6 * 100}
+    # at g_A = 0.2 the no-policy path stays in its shared time-only prefix past t = 2, so
+    # all horizon / dt = 100 steps run once, and the 2 groups (one per tau) add none
+    assert manifest["sweep"] == {"cells": 6, "groups": 2, "prefix_steps": 100, "rk4_steps": 100}
     assert "monte_carlo" not in manifest
     assert len((out / "sweep.csv").read_text().strip().split("\n")) == 1 + 6
 

@@ -701,6 +701,12 @@ _SCALAR_CASES = {
     "overflow_at_first_step_of_second_chunk": (with_updates(C, g_A=102.55), NO_POLICY, 20.0, 0.01, None),
     "overflow_in_third_chunk": (with_updates(C, g_A=51.28), NO_POLICY, 30.0, 0.01, None),
     "non_finite": (with_updates(C, g_A=1.0, eta=1e308), NO_POLICY, 10.0, 0.01, None),
+    # an infinite displacement scale steps to -inf; with an infinite reinstatement scale
+    # too, the stages are -inf + inf, NaN
+    "non_finite_negative": (with_updates(C, f_slope=1e308, g_A=10.0), NO_POLICY, 10.0, 0.01, None),
+    "non_finite_nan": (
+        with_updates(C, f_slope=1e308, g_A=10.0, eta=1e308, A0=1e10), NO_POLICY, 10.0, 0.01, None
+    ),
     "s_init_0": (C, _POLICY, 10.0, 0.01, 0.0),
     "s_init_1": (C, _POLICY, 10.0, 0.01, 1.0),
     "s_init_at_floor": (_RAPID_C, NO_POLICY, 10.0, 0.01, S_FLOOR),
@@ -755,6 +761,8 @@ def test_scalar_integrator_equals_reference_on_sampled_draws():
     ("overflow_at_first_step_of_second_chunk", "overflows at t=13.655 ", _CHUNK),
     ("overflow_in_third_chunk", "overflows at t=27.305 ", 2 * _CHUNK),
     ("non_finite", "non-finite at t=0.01;", 0),
+    ("non_finite_negative", "non-finite at t=0.01; stage derivatives k1=-inf ", 0),
+    ("non_finite_nan", "non-finite at t=0.01; stage derivatives k1=nan ", 0),
 ])
 def test_scalar_cases_raise_where_named(case, message, steps):
     # the reference cases above reach the stage, step and chunk their names say

@@ -206,11 +206,12 @@ def test_lane_sweep_equals_reference_at_block_edges(steps):
 @pytest.mark.parametrize("chunk", ["one_step", "default", "whole_horizon"])
 def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
     # the fold's granularity changes no bit: one step per chunk, the shipped
-    # chunk length (151 steps for 9 lanes), and all 500 steps in one chunk. Every
-    # lag lies past the path's time-only prefix and no tau is 0, so the 9 cells are
-    # 9 groups, which the kernel runs as 9 lanes when the float paths are off.
+    # chunk length (151 steps for 9 lanes), and all 325 steps after the prefix in one
+    # chunk. Every lag lies past the path's time-only prefix and no tau is 0, so the 9
+    # cells are 9 groups, which the kernel runs as 9 lanes when the float paths are
+    # off, from the prefix's end at step 175.
     grid = PolicyGrid(lags=(4.0, 6.0, 12.0), taus=(0.01, 0.03, 0.10), base=_RAPID)
-    lanes, n_steps = 9, 500
+    lanes, n_steps, r = 9, 500, _prefix_steps(_RAPID)
     monkeypatch.setattr(policy, "_FLOAT_GROUPS", 0)
     stage_block = {
         "one_step": 3 * lanes,
@@ -228,20 +229,22 @@ def test_lane_sweep_equals_reference_at_any_chunk_length(monkeypatch, chunk):
 
     monkeypatch.setattr(policy, "rk4_lanes", count_chunks)
     assert policy_sweep(grid, C) == _reference_cells(grid, C)
-    assert sum(counted) == n_steps
-    assert max(counted) == {"one_step": 1, "default": 151, "whole_horizon": n_steps}[chunk]
+    assert sum(counted) == n_steps - r
+    assert max(counted) == {"one_step": 1, "default": 151, "whole_horizon": n_steps - r}[chunk]
 
 
 def test_lane_sweep_of_one_step_chunks_equals_multi_step_chunks(monkeypatch):
     # 37 x 37 = 1369 lanes leave _STAGE_BLOCK // (3 * lanes) == 0, so the kernel
     # yields one-step chunks unpatched, and the fold adds each chunk's one step alone.
-    # Every lag lies past the 0.2-year horizon, which the path spends at or above
-    # s_L0, and no tau is 0, so each cell is a group of its own and a lane.
-    grid = PolicyGrid(lags=tuple(0.25 + 0.005 * i for i in range(37)),
+    # The 3.7-year horizon is the 175 steps of the time-only prefix and 10 more, where
+    # the lanes start. Every lag lies past the prefix, some inside those 10 steps, and
+    # no tau is 0, so each cell is a group of its own and a lane.
+    grid = PolicyGrid(lags=tuple(3.51 + 0.005 * i for i in range(37)),
                       taus=tuple(0.005 * (i + 1) for i in range(37)),
-                      base=dataclasses.replace(_RAPID, horizon=0.2))
+                      base=dataclasses.replace(_RAPID, horizon=3.7))
     lanes = 37 * 37
     assert dynamics._STAGE_BLOCK // (3 * lanes) == 0
+    assert round(3.7 / 0.02) - _prefix_steps(grid.base) == 10
     counted = []
     rk4_lanes = dynamics.rk4_lanes
 
@@ -294,12 +297,17 @@ def _prefix_steps(base, c=C):
     with np.errstate(all="ignore"):
         return dynamics._time_only_prefix(
             dynamics._drift_constants(ce), round(base.horizon / base.dt), base.dt
-        )
+        )[0]
 
 
 _EXTREME = Scenario(name="extreme", g_A_override=0.40, horizon=10.0, dt=0.02)
 _SURGE = Scenario(name="surge", g_A_override=2.0, horizon=10.0, dt=0.02)
 _BASELINE = Scenario(name="baseline", horizon=10.0, dt=0.02)
+# adoption half done at t = 0: the first step already falls below s_L0, so r = 0
+_STEEP = Scenario(name="steep", g_A_override=0.6, horizon=2.0, dt=0.02)
+_EARLY_C = with_updates(C, t0_diffusion=0.0)
+# 5000 steps at dt = 0.001, whose time-only prefix crosses two chunk edges
+_FINE = dataclasses.replace(_RAPID, horizon=5.0, dt=0.001)
 
 
 @pytest.mark.parametrize("lags,taus,base,groups", [
@@ -315,11 +323,19 @@ _BASELINE = Scenario(name="baseline", horizon=10.0, dt=0.02)
     ((0.0, 1.0), (0.0, 0.10), _SURGE, 2),                                  # reaches s = 1
     ((0.0, 4.0), (0.03, 0.05), dataclasses.replace(_RAPID, horizon=7.55, dt=0.05), 4),  # 151 * 0.05 != 7.55
     ((0.0, 1.0), (0.0, 0.05), dataclasses.replace(_RAPID, horizon=0.02), 3),  # one step
+    ((0.0, 3.6, 4.0), (0.03, 0.10), _FINE, 6),                             # r past two chunk edges
 ], ids=["one_cell", "lags_before_r", "lags_after_r", "lags_at_r", "zero_tau", "start_time", "baseline",
-        "reaches_0", "reaches_1", "uneven_dt", "one_step"])
+        "reaches_0", "reaches_1", "uneven_dt", "one_step", "prefix_across_chunk_edges"])
 def test_grouped_sweep_equals_one_lane_per_cell(lags, taus, base, groups):
     grid = PolicyGrid(lags=lags, taus=taus, base=base)
     assert _assert_both_paths_equal_reference(grid) == groups
+
+
+def test_grouped_sweep_from_a_refused_first_step():
+    # r = 0: no step is shared, every group starts at t = 0, and only a lag of 0 is on
+    # from r, so the two lags make two groups per non-zero tau
+    grid = PolicyGrid(lags=(0.0, 0.5), taus=(0.0, 0.05, 0.10), base=_STEEP)
+    assert _assert_both_paths_equal_reference(grid, _EARLY_C) == 5
 
 
 def test_grouped_sweep_cases_reach_what_their_names_say():
@@ -328,10 +344,53 @@ def test_grouped_sweep_cases_reach_what_their_names_say():
     assert _prefix_steps(_RAPID) == 175 and 175 * _RAPID.dt == 3.5
     assert _prefix_steps(_EXTREME) < _prefix_steps(_RAPID)
     assert _prefix_steps(_BASELINE) == 500
+    assert _prefix_steps(_STEEP, _EARLY_C) == 0
+    assert 2 * dynamics._SCALAR_CHUNK < _prefix_steps(_FINE) == 3513 < 3 * dynamics._SCALAR_CHUNK
     assert dynamics.S_FLOOR < min(cell.s_L_final for cell in _sweep((0.0,), (0.0,), dt=0.02)) < C.s_L0
     for base, edge in ((_EXTREME, 0.0), (_SURGE, 1.0)):
         assert policy_sweep(PolicyGrid(lags=(0.0,), taus=(0.0,), base=base), C)[0].s_L_final == edge
     assert 151 * 0.05 != 7.55
+
+
+@pytest.mark.parametrize("float_groups", [policy.MAX_CELLS, 0], ids=["float", "kernel"])
+def test_grouped_sweep_integrates_no_step_before_the_prefix_ends(monkeypatch, float_groups):
+    # The prefix runs once, up to step r = 3513 inside the third 1365-step chunk. Every
+    # group goes on from r, and the float paths share each chunk's time-only rows:
+    # _drive runs once per chunk of the run, not once per group.
+    grid = PolicyGrid(lags=(0.0, 3.6, 4.0), taus=(0.03, 0.10), base=_FINE)
+    n_steps, r, groups = 5000, _prefix_steps(_FINE), 6
+    drives, float_runs, kernel_steps = [], [], []
+    drive, rk4_path, rk4_lanes = dynamics._drive, policy._rk4_path, policy.rk4_lanes
+
+    def counted_drive(ts, *args):
+        drives.append(len(ts))
+        return drive(ts, *args)
+
+    def recorded_paths(consts, paths, chunks, start, dt, s):
+        ends = rk4_path(consts, paths, chunks, start, dt, s)
+        float_runs.append((start, [len(record) for _, _, record in paths]))
+        return ends
+
+    def counted_lanes(consts, horizon, dt, failed, start, s):
+        assert consts.shape[1] == groups
+        for ts, path in rk4_lanes(consts, horizon, dt, failed, start, s):
+            kernel_steps.append((round(ts[0, 0] / dt), len(path) - 1))
+            yield ts, path
+
+    monkeypatch.setattr(dynamics, "_drive", counted_drive)
+    monkeypatch.setattr(policy, "_rk4_path", recorded_paths)
+    monkeypatch.setattr(policy, "rk4_lanes", counted_lanes)
+    monkeypatch.setattr(policy, "_FLOAT_GROUPS", float_groups)
+    cells = policy_sweep(grid, C)
+    assert cells.counters() == {"cells": 6, "groups": groups, "prefix_steps": r,
+                                "rk4_steps": r + groups * (n_steps - r)}
+    if float_groups:
+        assert len(drives) == -(-n_steps // dynamics._SCALAR_CHUNK) == 4
+        assert float_runs == [(r, [n_steps - r + 1] * groups)] and kernel_steps == []
+    else:
+        assert len(drives) == 3 + len(kernel_steps)  # the prefix's chunks, then the kernel's
+        assert kernel_steps[0][0] == r and sum(steps for _, steps in kernel_steps) == n_steps - r
+        assert float_runs == []
 
 
 def test_grouped_sweep_float_path_takes_the_kernel_exp():
@@ -588,7 +647,7 @@ def test_grid_cap():
     # a grid at the cap is accepted (and not integrated here)
     at_cap = PolicyGrid(lags=(0.0,), taus=tuple(1e-6 * j for j in range(policy.MAX_CELLS)),
                         base=_RAPID)
-    assert at_cap.counters()["lanes"] == policy.MAX_CELLS
+    assert len(at_cap.lags) * len(at_cap.taus) == policy.MAX_CELLS
 
 
 # --- avertance equivalence ---------------------------------------------------
