@@ -28,6 +28,7 @@ one float64 array per recorded field, with a row view built on demand.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from collections.abc import Iterable, Iterator, MutableSequence
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import NUMBER, Calibration, PolicySpec, Scenario, validate, validate_scenario
+from .params import NUMBER, Calibration, PolicySpec, Scenario, validate, validate_scenario, with_updates
 from . import monetary
 
 S_FLOOR = 0.01   # collapse sentinel: labor share below 1% is outside the model's domain
@@ -179,9 +180,7 @@ class Trajectory:
 def _effective_calibration(s: Scenario, c: Calibration) -> Calibration:
     if s.g_A_override is None:
         return c
-    import dataclasses
-
-    return dataclasses.replace(c, g_A=s.g_A_override)
+    return with_updates(c, g_A=s.g_A_override)
 
 
 def _drift_constants(c: Calibration) -> tuple[float, ...]:
@@ -268,40 +267,38 @@ def _time_only_steps(
     return path, ok
 
 
-# one chunk of _stage_rows: (lo, hi, stage_ts, drive, capped)
-_ChunkRows = tuple[int, int, np.ndarray, np.ndarray, bool]
+def _steps_within_cap(rho_exp: float, n_steps: int, dt: float) -> int:
+    """The steps of an ``n_steps`` run before the first with a stage time past the
+    reinstatement cap, ``rho_exp * t > _EXP_CAP``, or ``n_steps`` if none is. As
+    ``rho_exp >= 0``, that is the first step whose end ``i*dt + dt``, the float
+    :func:`stage_schedule` forms, is past it, and the exponent grows with ``i``."""
+    return bisect.bisect_right(range(n_steps), _EXP_CAP, key=lambda i: rho_exp * (i * dt + dt))
+
+
+# one chunk of _stage_rows: (lo, hi, stage_ts, drive)
+_ChunkRows = tuple[int, int, np.ndarray, np.ndarray]
 
 
 def _stage_rows(consts: tuple[float, ...], exp, n_steps: int, dt: float) -> Iterator[_ChunkRows]:
     """The time-only terms of a path's RK4 stages, a chunk of ``_SCALAR_CHUNK`` steps
     at a time from step 0, on the calibration whose :func:`_drift_constants` are
-    ``consts``: yields ``(lo, hi, stage_ts, drive, capped)`` for steps ``lo`` to ``hi - 1``.
+    ``consts``: yields ``(lo, hi, stage_ts, drive)`` for steps ``lo`` to ``hi - 1``.
 
     ``stage_ts`` is a ``(3, hi - lo)`` array of each step's start, mid and end
     times, and ``drive`` a ``(2, 3, hi - lo)`` array of ``-d * disp_scale`` and rho
     there (:func:`_drive`, through ``exp``: :func:`_math_exp` for
     :func:`simulate_path`'s bits, ``np.exp`` for the lane kernel's), computed once
-    per row of the chunk's :func:`stage_schedule`. A chunk stops before its first
-    step with a stage past the reinstatement cap, so no rho exponent exceeds
-    ``_EXP_CAP``; it is then the last chunk, and ``capped`` is True.
+    per row of the chunk's :func:`stage_schedule`. ``n_steps`` ends at or before the
+    reinstatement cap (:func:`_steps_within_cap`), so no rho exponent exceeds
+    ``_EXP_CAP``; callers set ``np.errstate``, as a failing calibration's rows overflow.
     """
-    rho_exp = consts[6]
     drive = _drive_constants(consts)
     for lo in range(0, n_steps, _SCALAR_CHUNK):
-        times, rows = stage_schedule(lo, min(lo + _SCALAR_CHUNK, n_steps), dt)
-        # The first step with a stage past the cap has its end past it, as rho_exp >= 0
-        # and a step's start <= mid <= end.
-        with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
-            past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
-        hi = lo + (int(past_cap[0]) if past_cap.size else rows.shape[1])
-        rows = rows[:, : hi - lo]
-        ts = times[: rows.max(initial=-1) + 1]
+        hi = min(lo + _SCALAR_CHUNK, n_steps)
+        ts, rows = stage_schedule(lo, hi, dt)
         at = np.empty((2, len(ts)))
-        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, silently
-            _drive(ts, *drive, at[0], at[1], exp)
-        yield lo, hi, ts[rows], at[:, rows], bool(past_cap.size)
-        if past_cap.size:
-            return
+        _drive(ts, *drive, at[0], at[1], exp)
+        yield lo, hi, ts[rows], at[:, rows]
 
 
 def _time_only_prefix(
@@ -309,8 +306,8 @@ def _time_only_prefix(
 ) -> tuple[int, np.ndarray, Iterator[_ChunkRows]]:
     """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the lane
     kernel's rows (:func:`_stage_rows` through ``np.exp``) of the calibration whose
-    :func:`_drift_constants` are ``consts``, up to the first step it refuses or the
-    first step past the reinstatement cap: step ``r``, or ``n_steps`` if neither comes.
+    :func:`_drift_constants` are ``consts``, up to the first step it refuses: step
+    ``r``, or ``n_steps`` (at or before the reinstatement cap) if none is refused.
 
     Returns ``r``, the states at grid points 0 to ``r``, and the rows from the
     chunk holding step ``r`` on, each later chunk computed as it is read: what
@@ -324,11 +321,11 @@ def _time_only_prefix(
     states = [np.array([s0])]
     chunks = _stage_rows(consts, np.exp, n_steps, dt)
     for chunk in chunks:
-        lo, hi, _, (push, rho), capped = chunk
+        lo, hi, _, (push, rho) = chunk
         path, ok = _time_only_steps(s, s0, *(push + rho), dt)
         taken = len(ok) if ok.all() else int(ok.argmin())
         states.append(path[1 : taken + 1])
-        if lo + taken < hi or capped:
+        if lo + taken < hi:
             return lo + taken, np.concatenate(states), chain((chunk,), chunks)
         s = path[-1]
     return n_steps, np.concatenate(states), chunks
@@ -360,16 +357,23 @@ def integrate_labor_share(
     Raises :class:`IntegrationError` in the order the per-stage form did:
     at the first step whose state turns non-finite, or at the first stage
     time whose reinstatement exponent passes the cap, whichever comes first.
-    ``record`` then holds every state up to that step.
+    ``record`` then holds every state up to that step. The run stops short of the
+    cap, which is found before it (:func:`_steps_within_cap`).
     """
     consts = _drift_constants(c)
-    *_, s0, _ = consts
+    rho_exp, _, s0, _ = consts[6:]
     n_steps = round(horizon / dt)
-    (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)],
-                       _stage_rows(consts, _math_exp, n_steps, dt), 0, dt,
-                       s0 if s_init is None else s_init)
+    within = _steps_within_cap(rho_exp, n_steps, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan, silently
+        (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)],
+                           _stage_rows(consts, _math_exp, within, dt), 0, dt,
+                           s0 if s_init is None else s_init)
     if isinstance(end, IntegrationError):
         raise end
+    if within < n_steps:  # step `within` has a stage past the cap: name the first
+        t = within * dt
+        t = next(ts for ts in (t, t + dt / 2.0, t + dt) if rho_exp * ts > _EXP_CAP)
+        raise IntegrationError(f"reinstatement term overflows at t={t:g} (alpha_rho*g_A*t={rho_exp * t:g})")
     return end
 
 
@@ -381,10 +385,10 @@ def _rk4_path(
     dt: float,
     s: float,
 ) -> list[tuple[float, float | None] | IntegrationError]:
-    """:func:`integrate_labor_share`'s RK4 from state ``s`` at grid point ``r``, once
-    for each of ``paths``, over the chunks of time-only terms ``chunks``
-    (:func:`_stage_rows`, the first holding step ``r``) of the calibration whose
-    :func:`_drift_constants` are ``consts``.
+    """:func:`integrate_labor_share`'s RK4 from state ``s`` at grid point ``r``, once for
+    each of ``paths``, over the time-only terms ``chunks`` (:func:`_stage_rows`, the
+    first holding step ``r``) of the calibration whose :func:`_drift_constants` are
+    ``consts``, under the caller's ``np.errstate``: a failing state overflows.
 
     A path is ``(tau, activation, record)``: the transfer ``tau`` from
     ``activation`` on, and a list that takes the state at ``r`` and each
@@ -410,7 +414,7 @@ def _rk4_path(
     would raise: the path stops there, and its ``record`` holds every state up
     to that step.
     """
-    rho_exp, beta, s0, k_pi = consts[6:]
+    beta, s0, k_pi = consts[7:]
     half = dt / 2.0
     sixth = dt / 6.0
     ends: list = []  # each path's (state, collapse time) so far, or the error that ended it
@@ -419,7 +423,7 @@ def _rk4_path(
             record.append(s)
         ends.append((s, r * dt if s <= S_FLOOR else None))
 
-    for lo, hi, stage_ts, drive, capped in chunks:
+    for lo, hi, stage_ts, drive in chunks:
         first = max(lo, r)  # the chunk's first step to take
         drift = None  # push + rho at each stage, once some path tries the time-only steps
         for g, (tau, activation, record) in enumerate(paths):
@@ -429,10 +433,9 @@ def _rk4_path(
             on = np.where(stage_ts >= activation, tau, 0.0)
             taken = first - lo  # the chunk's leading steps not run per step
             if not taken and s >= s0:
-                with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan
-                    if drift is None:
-                        drift = drive[0] + drive[1]
-                    path, ok = _time_only_steps(s, s0, *drift, dt)
+                if drift is None:
+                    drift = drive[0] + drive[1]
+                path, ok = _time_only_steps(s, s0, *drift, dt)
                 taken = len(ok) if ok.all() else int(ok.argmin())
                 if taken:
                     s = float(path[taken])
@@ -497,14 +500,6 @@ def _rk4_path(
                         collapse = (i + 1) * dt
                     if append is not None:
                         append(s)
-                if capped:
-                    t = hi * dt
-                    for ts in (t, t + half, t + dt):
-                        x = rho_exp * ts
-                        if x > _EXP_CAP:
-                            raise IntegrationError(
-                                f"reinstatement term overflows at t={ts:g} (alpha_rho*g_A*t={x:g})"
-                            )
             except IntegrationError as error:
                 ends[g] = error
             else:
@@ -660,7 +655,8 @@ def rk4_lanes(
       every step, and the chunk is taken whole or not at all. Its states are
       the per-step loop's: the loop's margin term is then ``+0.0``, the
       transfer ``transfer * False`` adds a zero, and no edge test or clamp
-      acts. The Monte Carlo's 2000 lanes run one step per chunk and never try it;
+      acts. The Monte Carlo's 2000 lanes run one step per chunk and never try it,
+      nor does the chunk from a given ``s_r`` at ``r``: the prefix refused step ``r``;
     - the absorbing edges, only in a chunk whose states do not all start
       clear of the edges, and there when some stage state is ``<= 0`` or
       ``>= 1``. While every stage input is inside (0, 1), each lane's drift
@@ -734,7 +730,7 @@ def rk4_lanes(
             transfer = repeat(None)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
         taken = False  # whether the chunk runs as array arithmetic
-        if chunk > 1 and (s >= s0).all():
+        if chunk > 1 and (s_r is None or lo > r) and (s >= s0).all():
             drift = push_buf[: len(ts)] + rho_buf[: len(ts)]
             path, ok = _time_only_steps(s, s0, *drift[rows[:, lo - r : hi - r] - r0], dt)
             taken = ok.all()

@@ -11,7 +11,6 @@ constants by column, with no per-cell object.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from array import array
 from collections.abc import Iterable, Iterator
@@ -24,7 +23,7 @@ import numpy as np
 from . import monetary
 from .dynamics import (
     _SCALAR_CHUNK, IntegrationError, Trajectory, _drift_constants, _effective_calibration,
-    _rk4_path, _time_only_prefix, column_lane_constants, rk4_lanes, transfer_at,
+    _rk4_path, _steps_within_cap, _time_only_prefix, column_lane_constants, rk4_lanes, transfer_at,
 )
 from .params import Calibration, PolicySpec, Scenario, validate, validate_scenario
 
@@ -137,6 +136,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> Sweep:
     under its first cell's policy, and the results are gathered to the
     cells. A cell whose path overflows or turns non-finite raises
     :class:`IntegrationError`, naming the first such cell in row-major order.
+    Every cell shares the base's reinstatement exponent, so a base past the cap
+    fails them all: that is found before the prefix runs, naming cell 0.
 
     The returned :class:`Sweep` counts the work: the cells, the groups, the
     prefix's steps and the RK4 steps taken, ``r`` once and ``n_steps - r``
@@ -146,8 +147,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> Sweep:
     lags, taus = grid.lags, grid.taus
     calibration_problems = validate(c)
     for lag, tau in [*((lags[0], tau) for tau in taus), *((lag, taus[0]) for lag in lags[1:])]:
-        cell = dataclasses.replace(base, name=f"{base.name}_l{lag}_t{tau}",
-                                   policy=dataclasses.replace(base.policy, tau=tau, lag=lag))
+        cell = Scenario(f"{base.name}_l{lag}_t{tau}", base.g_A_override, base.horizon, base.dt,
+                        PolicySpec(tau, lag, base.policy.start_time))
         problems = calibration_problems + validate_scenario(cell)
         if problems:
             raise ValueError("; ".join(problems))
@@ -168,6 +169,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> Sweep:
             f"t={base.horizon:g}"
         )
 
+    if _steps_within_cap(drift[6], n_steps, base.dt) < n_steps:  # every cell's rho passes the cap
+        raise failure(0)
     with np.errstate(all="ignore"):
         r, prefix, chunk_rows = _time_only_prefix(drift, n_steps, base.dt)
         on_at = r * base.dt

@@ -701,6 +701,8 @@ _SCALAR_CASES = {
     "overflow_at_first_step_of_second_chunk": (with_updates(C, g_A=102.55), NO_POLICY, 20.0, 0.01, None),
     "overflow_in_third_chunk": (with_updates(C, g_A=51.28), NO_POLICY, 30.0, 0.01, None),
     "non_finite": (with_updates(C, g_A=1.0, eta=1e308), NO_POLICY, 10.0, 0.01, None),
+    # non-finite at the first step, with the reinstatement exponent past the cap at t = 9.335
+    "non_finite_before_the_cap": (with_updates(C, g_A=150.0, eta=1e308), NO_POLICY, 10.0, 0.01, None),
     # an infinite displacement scale steps to -inf; with an infinite reinstatement scale
     # too, the stages are -inf + inf, NaN
     "non_finite_negative": (with_updates(C, f_slope=1e308, g_A=10.0), NO_POLICY, 10.0, 0.01, None),
@@ -761,6 +763,7 @@ def test_scalar_integrator_equals_reference_on_sampled_draws():
     ("overflow_at_first_step_of_second_chunk", "overflows at t=13.655 ", _CHUNK),
     ("overflow_in_third_chunk", "overflows at t=27.305 ", 2 * _CHUNK),
     ("non_finite", "non-finite at t=0.01;", 0),
+    ("non_finite_before_the_cap", "non-finite at t=0.01;", 0),
     ("non_finite_negative", "non-finite at t=0.01; stage derivatives k1=-inf ", 0),
     ("non_finite_nan", "non-finite at t=0.01; stage derivatives k1=nan ", 0),
 ])
@@ -794,6 +797,86 @@ def test_scalar_cases_reach_what_their_names_say():
     tiny = _SCALAR_CASES["logistic_tail_at_tiny_share"][0]
     assert -tiny.kappa * (0.0 - tiny.t0_diffusion) > 40.0
     assert round(10.0 / 0.03) * 0.03 != 10.0 and round(10.0 / 0.0007) * 0.0007 != 10.0
+
+
+# --- the reinstatement cap, found before the run ---------------------------------
+
+def _reference_steps_within_cap(rho_exp, n_steps, dt):
+    """The steps before the first step with a stage past the reinstatement cap, as the
+    scalar path found them before it counted them: each chunk's step ends scanned as
+    its rows were built, frozen."""
+    for lo in range(0, n_steps, _CHUNK):
+        times, rows = stage_schedule(lo, min(lo + _CHUNK, n_steps), dt)
+        with np.errstate(over="ignore"):  # an exponent past the float range is past the cap too
+            past_cap = np.flatnonzero(rho_exp * times[rows[2]] > _EXP_CAP)
+        if past_cap.size:
+            return lo + int(past_cap[0])
+    return n_steps
+
+
+def _assert_count_equals_scan(rho_exp, n_steps, dt):
+    count = dynamics._steps_within_cap(rho_exp, n_steps, dt)
+    assert count == _reference_steps_within_cap(rho_exp, n_steps, dt)
+    return count
+
+
+@st.composite
+def _cap_runs(draw):
+    """``(rho_exp, n_steps, dt)``: a rate whose exponent reaches the cap near a drawn
+    share of the run, or any rate."""
+    dt = draw(st.floats(1e-4, 0.1))
+    n_steps = draw(st.integers(0, 3 * _CHUNK))
+    span = draw(st.floats(0.01, 2.0)) * max(n_steps, 1) * dt
+    rho_exp = draw(st.just(_EXP_CAP / span) | st.floats(0.0, 1e7) | st.sampled_from((0.0, math.inf)))
+    return rho_exp, n_steps, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_cap_runs())
+def test_steps_within_cap_equal_the_chunk_scan(run):
+    _assert_count_equals_scan(*run)
+
+
+@pytest.mark.parametrize("dt,step", [
+    (0.01, 0), (0.01, 700), (0.001, _CHUNK - 1), (0.03, 333), (0.0007, 2 * _CHUNK + 5), (0.1, 99),
+])
+def test_steps_within_cap_at_exact_landings(dt, step):
+    # the rate whose exponent lands exactly on the cap at the step's end, and one ulp
+    # to either side: at the cap the step is within it, one ulp above it is not
+    end = step * dt + dt
+    rate = _EXP_CAP / end
+    assert rate * end == _EXP_CAP
+    n_steps = step + 10
+    assert _assert_count_equals_scan(rate, n_steps, dt) == step + 1
+    assert _assert_count_equals_scan(math.nextafter(rate, 0.0), n_steps, dt) == step + 1
+    assert _assert_count_equals_scan(math.nextafter(rate, math.inf), n_steps, dt) == step
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, _CHUNK, 3 * _CHUNK + 1])
+def test_steps_within_cap_without_reinstatement_growth(n_steps):
+    assert _assert_count_equals_scan(0.0, n_steps, 0.01) == n_steps
+
+
+@pytest.mark.parametrize("cut", [0, _CHUNK - 1, _CHUNK, 3 * _CHUNK])
+def test_steps_within_cap_at_chunk_edges(cut):
+    # a rate that passes the cap between step `cut`'s start and its end, none at n_steps
+    n_steps, dt = 3 * _CHUNK, 0.01
+    assert _assert_count_equals_scan(_EXP_CAP / (cut * dt + dt / 2.0), n_steps, dt) == cut
+
+
+def test_scalar_cap_is_found_once_per_integration(monkeypatch):
+    counts = []
+    steps_within_cap = dynamics._steps_within_cap
+
+    def counted(*args):
+        counts.append(steps_within_cap(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(dynamics, "_steps_within_cap", counted)
+    for case in ("default", "overflow_in_third_chunk", "non_finite_before_the_cap"):
+        args = _SCALAR_CASES[case]
+        assert _outcome(integrate_labor_share, *args) == _outcome(_reference_integrate_labor_share, *args)
+    assert counts == [1000, 2 * _CHUNK, 933]
 
 
 def _first_step_stage_inputs(c, p, dt, s):
@@ -1500,6 +1583,14 @@ def test_monte_carlo_lanes_never_try_the_time_only_steps(monkeypatch):
     lanes = [(with_updates(C, g_A=0.05), NO_POLICY)] * 2000
     integrate_lanes(lane_constants(lanes), 0.1, 0.01)
     assert calls == []
+
+
+def test_small_monte_carlo_tries_the_time_only_steps(monkeypatch):
+    # 100 lanes run 10-step chunks from t = 0, which no prefix has refused
+    calls = _record_time_only_steps(monkeypatch)
+    lanes = [(with_updates(C, g_A=0.05), NO_POLICY)] * 100
+    integrate_lanes(lane_constants(lanes), 0.1, 0.01)
+    assert [bool(ok.all()) for _, _, ok in calls] == [True]
 
 
 def test_time_only_steps_add_the_stages_in_rk4_order(monkeypatch):

@@ -469,6 +469,61 @@ def test_grouped_sweep_failure_names_the_reference_cell(monkeypatch, c, base, me
     assert str(shipped.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("float_groups", [policy.MAX_CELLS, 0], ids=["float", "kernel"])
+def test_sweep_past_the_cap_fails_before_any_step(monkeypatch, float_groups):
+    # Every cell shares the base calibration's reinstatement exponent, so a base past the
+    # cap fails cell 0, found once before the prefix or any group runs.
+    grid = PolicyGrid(lags=(0.0, 1.0, 5.0), taus=(0.03, 0.10),
+                      base=Scenario(name="blowup", g_A_override=150.0, horizon=10.0, dt=0.02))
+    with pytest.raises(IntegrationError) as reference:
+        reference_policy_sweep(grid, C)
+    calls = []
+
+    def counted(name):
+        called = getattr(policy, name)
+
+        def record(*args):
+            calls.append(name)
+            return called(*args)
+
+        return record
+
+    for name in ("_steps_within_cap", "_time_only_prefix", "_rk4_path", "rk4_lanes"):
+        monkeypatch.setattr(policy, name, counted(name))
+    monkeypatch.setattr(policy, "_FLOAT_GROUPS", float_groups)
+    with pytest.raises(IntegrationError) as shipped:
+        policy_sweep(grid, C)
+    assert str(shipped.value) == str(reference.value)
+    assert calls == ["_steps_within_cap"]
+
+
+def test_kernel_lanes_do_not_retry_the_step_the_prefix_refused(monkeypatch):
+    # 49 groups on rapid run as kernel lanes from r = 351, where the prefix refused the
+    # time-only steps: the kernel's chunk from r must not try them again
+    rapid = next(s for s in default_scenarios() if s.name == "rapid")
+    grid = PolicyGrid(lags=(0.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0),
+                      taus=(0.01, 0.02, 0.03, 0.05, 0.07, 0.10, 0.12), base=rapid)
+    events = []  # ("try", lanes) for each lane call of the time-only steps, ("chunk", step)
+    time_only_steps, rk4_lanes = dynamics._time_only_steps, policy.rk4_lanes
+
+    def tried(s, *args):
+        if np.ndim(s):  # the lanes', not the prefix's
+            events.append(("try", len(s)))
+        return time_only_steps(s, *args)
+
+    def chunks(consts, horizon, dt, failed, r, s_r):
+        for ts, path in rk4_lanes(consts, horizon, dt, failed, r, s_r):
+            events.append(("chunk", round(ts[0, 0] / dt)))
+            yield ts, path
+
+    monkeypatch.setattr(dynamics, "_time_only_steps", tried)
+    monkeypatch.setattr(policy, "rk4_lanes", chunks)
+    cells = policy_sweep(grid, C)
+    r = _prefix_steps(rapid)
+    assert cells.counters()["groups"] == 49 > policy._FLOAT_GROUPS and r == 351
+    assert events[0] == ("chunk", r)  # no lane tried the time-only steps before it
+
+
 def test_lane_sweep_grids_reach_the_absorbing_edges():
     # the last two grids above exercise the kernel's absorbing branches
     for g_A, edge in ((0.40, 0.0), (2.0, 1.0)):
