@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 try:  # the interpreter's own SHA-256: hashlib loads OpenSSL, 3.6-3.7 MB of resident memory
     from _sha2 import sha256  # Python 3.12+
@@ -146,6 +147,9 @@ class _Run:
             "environment": {
                 "python": f"{sys.implementation.name} {sys.version.split()[0]}",
                 "numpy": np.__version__,
+                # the SIMD targets numpy's exp may dispatch to: the data bytes do not
+                # depend on them (tested), so the manifest names them
+                "numpy_dispatch": [k for k in __cpu_dispatch__ if __cpu_features__[k]],
                 "platform": platform,
             },
         }

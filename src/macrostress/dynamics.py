@@ -43,7 +43,7 @@ from .params import NUMBER, Calibration, PolicySpec, Scenario, validate, validat
 from . import monetary
 
 S_FLOOR = 0.01   # collapse sentinel: labor share below 1% is outside the model's domain
-_EXP_CAP = 700.0  # math.exp overflow guard
+_EXP_CAP = 700.0  # cap on the reinstatement and capability exponents
 
 
 class IntegrationError(RuntimeError):
@@ -279,34 +279,33 @@ def _steps_within_cap(rho_exp: float, n_steps: int, dt: float) -> int:
 _ChunkRows = tuple[int, int, np.ndarray, np.ndarray]
 
 
-def _stage_rows(consts: tuple[float, ...], exp, n_steps: int, dt: float) -> Iterator[_ChunkRows]:
+def _stage_rows(consts: tuple[float, ...], n_steps: int, dt: float) -> Iterator[_ChunkRows]:
     """The time-only terms of a path's RK4 stages, a chunk of ``_SCALAR_CHUNK`` steps
     at a time from step 0, on the calibration whose :func:`_drift_constants` are
     ``consts``: yields ``(lo, hi, stage_ts, drive)`` for steps ``lo`` to ``hi - 1``.
 
     ``stage_ts`` is a ``(3, hi - lo)`` array of each step's start, mid and end
     times, and ``drive`` a ``(2, 3, hi - lo)`` array of ``-d * disp_scale`` and rho
-    there (:func:`_drive`, through ``exp``: :func:`_math_exp` for
-    :func:`simulate_path`'s bits, ``np.exp`` for the lane kernel's), computed once
-    per row of the chunk's :func:`stage_schedule`. ``n_steps`` ends at or before the
-    reinstatement cap (:func:`_steps_within_cap`), so no rho exponent exceeds
-    ``_EXP_CAP``; callers set ``np.errstate``, as a failing calibration's rows overflow.
+    there (:func:`_drive`), computed once per row of the chunk's :func:`stage_schedule`.
+    ``n_steps`` ends at or before the reinstatement cap (:func:`_steps_within_cap`), so
+    no rho exponent exceeds ``_EXP_CAP``; callers set ``np.errstate``, as a failing
+    calibration's rows overflow.
     """
     drive = _drive_constants(consts)
     for lo in range(0, n_steps, _SCALAR_CHUNK):
         hi = min(lo + _SCALAR_CHUNK, n_steps)
         ts, rows = stage_schedule(lo, hi, dt)
         at = np.empty((2, len(ts)))
-        _drive(ts, *drive, at[0], at[1], exp)
+        _drive(ts, *drive, at[0], at[1])
         yield lo, hi, ts[rows], at[:, rows]
 
 
 def _time_only_prefix(
     consts: tuple[float, ...], n_steps: int, dt: float,
 ) -> tuple[int, np.ndarray, Iterator[_ChunkRows]]:
-    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the lane
-    kernel's rows (:func:`_stage_rows` through ``np.exp``) of the calibration whose
-    :func:`_drift_constants` are ``consts``, up to the first step it refuses: step
+    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the rows
+    (:func:`_stage_rows`) of the calibration whose :func:`_drift_constants` are
+    ``consts``, up to the first step it refuses: step
     ``r``, or ``n_steps`` (at or before the reinstatement cap) if none is refused.
 
     Returns ``r``, the states at grid points 0 to ``r``, and the rows from the
@@ -319,7 +318,7 @@ def _time_only_prefix(
     *_, s0, _ = consts
     s = s0
     states = [np.array([s0])]
-    chunks = _stage_rows(consts, np.exp, n_steps, dt)
+    chunks = _stage_rows(consts, n_steps, dt)
     for chunk in chunks:
         lo, hi, _, (push, rho) = chunk
         path, ok = _time_only_steps(s, s0, *(push + rho), dt)
@@ -348,10 +347,11 @@ def integrate_labor_share(
     at the calibration's s_L0.
 
     The steps are :func:`_rk4_path`'s, with the drift terms that depend on
-    time alone through :func:`_math_exp` (``np.exp`` differs by ulps): they
-    go through the same operations as a per-stage loop, which must stay
-    numerically equivalent to :func:`labor_share_derivative` (the integrator
-    tests pin the agreement, and a frozen copy of the per-stage form pins
+    time alone from :func:`_stage_rows`, the lane kernel's rows: the path is a
+    one-lane :func:`rk4_lanes` run bit for bit. They go through the same
+    operations as a per-stage loop, which must stay numerically equivalent to
+    :func:`labor_share_derivative` (the integrator tests pin the agreement, and
+    a frozen copy of the per-stage form, with ``np.exp`` per stage time, pins
     every bit).
 
     Raises :class:`IntegrationError` in the order the per-stage form did:
@@ -366,7 +366,7 @@ def integrate_labor_share(
     within = _steps_within_cap(rho_exp, n_steps, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan, silently
         (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)],
-                           _stage_rows(consts, _math_exp, within, dt), 0, dt,
+                           _stage_rows(consts, within, dt), 0, dt,
                            s0 if s_init is None else s_init)
     if isinstance(end, IntegrationError):
         raise end
@@ -533,11 +533,10 @@ def integrate_lanes(consts: np.ndarray, horizon: float, dt: float) -> tuple[np.n
     fails when its reinstatement exponent passes the overflow cap at any
     stage or its state turns non-finite; the other lanes are unaffected and
     a failed lane's final share is NaN. Every lane repeats the arithmetic
-    of :func:`integrate_labor_share` operation for operation, with numpy's
-    ``exp`` in place of ``math.exp``, so a lane matches the scalar result
-    to within an ulp-level difference of the two exponentials. Lanes are
-    integrated in fixed blocks, one chunk of steps at a time; no lane x step
-    matrix of the whole run is built.
+    of :func:`integrate_labor_share` operation for operation, on the same
+    ``np.exp`` rows, so a lane's final share is the scalar result bit for
+    bit. Lanes are integrated in fixed blocks, one chunk of steps at a time;
+    no lane x step matrix of the whole run is built.
     """
     n = consts.shape[1]
     s_final = np.empty(n)
@@ -567,11 +566,9 @@ def _drive_constants(consts) -> tuple:
     return d_bar, neg_kappa, t0, -disp_scale, rho0, rho_scale, rho_exp
 
 
-def _adoption(
-    ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, out: np.ndarray, exp,
-) -> np.ndarray:
+def _adoption(ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, out: np.ndarray) -> np.ndarray:
     """:func:`diffusion` at the times ``ts``, written to and returned in ``out``: the one
-    array form of the logistic, through ``exp`` (:func:`_math_exp` or ``np.exp``).
+    array form of the logistic, through ``np.exp``.
 
     ``d = 0`` where ``e = -kappa * (t - t0)`` exceeds 40, an infinite ``e``
     included, as in :func:`diffusion`; a NaN ``e`` gives NaN. Callers silence
@@ -580,7 +577,7 @@ def _adoption(
     np.subtract(ts, t0, out=out)
     np.multiply(neg_kappa, out, out=out)  # e
     upper = out > 40.0
-    exp(out, out)
+    np.exp(out, out=out)
     np.add(1.0, out, out=out)
     np.divide(d_bar, out, out=out)  # d
     out[upper] = 0.0
@@ -589,18 +586,17 @@ def _adoption(
 
 def _drive(
     ts: np.ndarray, d_bar: float, neg_kappa: float, t0: float, neg_disp: float, rho0: float,
-    rho_scale: float, rho_exp: float, push: np.ndarray, rho: np.ndarray, exp,
+    rho_scale: float, rho_exp: float, push: np.ndarray, rho: np.ndarray,
 ) -> None:
     """The state-free drift terms at the stage times ``ts``, written to ``push`` and
     ``rho``: ``-d * disp_scale`` (with ``neg_disp = -disp_scale``) and rho, through
-    ``exp``. The constants (:func:`_drive_constants`) are floats with ``ts`` 1-D, or
+    ``np.exp``. The constants (:func:`_drive_constants`) are floats with ``ts`` 1-D, or
     columns of lanes with ``ts`` a column. Every row of time-only terms comes from
-    here: the lane kernel's and the policy sweep's through ``np.exp``, the scalar
-    integrator's through :func:`_math_exp`.
+    here: the scalar integrator's, the lane kernel's and the policy sweep's.
     """
-    np.multiply(_adoption(ts, d_bar, neg_kappa, t0, push, exp), neg_disp, out=push)
+    np.multiply(_adoption(ts, d_bar, neg_kappa, t0, push), neg_disp, out=push)
     np.multiply(rho_exp, ts, out=rho)
-    exp(rho, rho)
+    np.exp(rho, out=rho)
     np.multiply(rho_scale, rho, out=rho)
     np.add(rho0, rho, out=rho)
 
@@ -639,7 +635,7 @@ def rk4_lanes(
     straight into its row of the path.
 
     Every lane that does not fail yields the values of
-    :func:`integrate_labor_share`'s operations, up to numpy's ``exp``.
+    :func:`integrate_labor_share`'s operations, bit for bit.
     The logistic has one tail mask, ``d = 0`` for ``e > 40`` with
     ``e = -kappa * (t - t0)``: below ``e = -40`` the formula is the tail,
     as ``exp(e) < 2**-53`` makes ``d_bar / (1.0 + exp(e)) == d_bar``.
@@ -722,7 +718,7 @@ def rk4_lanes(
         shared = done - r0  # 1 where the first start is the previous chunk's last end, else 0
         if shared:
             push_buf[0], rho_buf[0] = push_buf[last], rho_buf[last]
-        _drive(ts[shared:], *drive_consts, push_buf[shared : len(ts)], rho_buf[shared : len(ts)], np.exp)
+        _drive(ts[shared:], *drive_consts, push_buf[shared : len(ts)], rho_buf[shared : len(ts)])
         done, last = r1, len(ts) - 1
         if times[r1 - 1] >= first_transfer:  # the chunk's last end is its latest stage time
             transfer = np.where(ts >= activation, tau, 0.0)
@@ -751,35 +747,20 @@ def rk4_lanes(
         yield (np.arange(lo, lo + len(path)) * dt).reshape(-1, 1), path
 
 
-def _map_column(fn, *columns: object) -> np.ndarray:
-    """``fn`` applied element by element through ``map``, as a float64 column.
-
-    Python scalars in, Python floats out: ``math.exp`` and ``pow`` give the
-    scalar functions' bits, which ``np.exp`` and ``np.power`` do not always."""
-    return np.fromiter(map(fn, *columns), dtype=np.float64)
-
-
-def _math_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each entry of the 1-D array ``x``, capped at ``_EXP_CAP``,
-    written to and returned in ``out``: called as ``np.exp(x, out)`` is, with the
-    scalar functions' bits. The cap acts only on a logistic tail, which
-    :func:`_adoption` masks, and keeps ``math.exp`` from raising there."""
-    out[:] = _map_column(math.exp, memoryview(np.minimum(x, _EXP_CAP)))
-    return out
-
-
 def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     """Integrate a scenario and record the full per-step state, one column per field.
 
     Besides (t, s_L), the columns are the adoption fraction, capability
     index, reinstatement rate, margin pressure, velocity, consumption ratio
-    and the transfer actually flowing at each step. The columns repeat the
-    scalar functions of this module and :mod:`monetary` value for value:
-    the exponentials and powers go through ``math.exp`` and ``pow`` element
-    by element (the adoption fraction as :func:`_adoption` through
-    :func:`_math_exp`, the integrator's rows), and the rest are whole-array
-    expressions in the same operation order, which IEEE arithmetic makes
-    bit-identical; branches become masks. Raises :class:`IntegrationError`
+    and the transfer actually flowing at each step. The columns are the
+    scalar functions of this module and :mod:`monetary` as whole-array
+    expressions in the same operation order; branches become masks. The
+    exponentials and the power go through ``np.exp`` and ``np.power`` (the
+    adoption fraction through :func:`_adoption`, as the integrator's rows do),
+    so ``d_t``, ``A_t`` and ``rho_t`` may differ from :func:`diffusion`,
+    :func:`capability` and :func:`reinstatement_rate` in the last bits, as
+    numpy's exponential differs from ``math.exp``; every other column is
+    bit-identical to its scalar function. Raises :class:`IntegrationError`
     at the first grid time whose capability index overflows, with
     :func:`capability`'s message.
     """
@@ -797,10 +778,9 @@ def simulate_path(s: Scenario, c: Calibration) -> Trajectory:
     if past_cap.size:
         capability(float(t[past_cap[0]]), ce)  # raises
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf and nan, silently
-        d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion, np.empty(t.size), _math_exp)
-        A_t = ce.A0 * _math_exp(x, np.empty(x.size))
-        # reinstatement_rate
-        rho_t = ce.rho0 + ce.eta * _map_column(pow, memoryview(A_t), repeat(ce.alpha_rho))
+        d_t = _adoption(t, ce.d_bar, -ce.kappa, ce.t0_diffusion, np.empty(t.size))
+        A_t = ce.A0 * np.exp(x)
+        rho_t = ce.rho0 + ce.eta * np.power(A_t, ce.alpha_rho)  # reinstatement_rate
     # margin_pressure, with its `shortfall <= 0` branch as a mask
     shortfall = (2.0 * ce.mpc_labor - 1.0) * (ce.s_L0 - s_L)
     # Transfers flow only while the labor share sits below baseline (transfer_at).

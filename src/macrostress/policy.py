@@ -122,8 +122,8 @@ def policy_sweep(grid: PolicyGrid, c: Calibration, jobs: int = 1) -> Sweep:
     goes on from the prefix's state at ``r``, under that cell's policy: up to
     ``_FLOAT_GROUPS`` groups through the scalar integrator's float loop
     (:func:`dynamics._rk4_path`), side by side a chunk at a time on the
-    kernel's ``np.exp`` rows, which each chunk computes once for all of them
-    (the prefix's last chunk included), and more as lanes of one pass of the
+    ``np.exp`` rows every integrator takes, which each chunk computes once for
+    all of them (the prefix's last chunk included), and more as lanes of one pass of the
     RK4 lane kernel. Either way each path is the one the kernel gives its
     cell's own lane from t = 0, bit for bit. No worker process is started:
     ``jobs`` is accepted for call compatibility and ignored.

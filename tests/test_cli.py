@@ -960,8 +960,11 @@ def test_manifest_environment_block(tmp_path):
     out = tmp_path / "o"
     assert run_cli("credit", "--out", str(out)) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert set(manifest["environment"]) == {"python", "numpy", "platform"}
-    assert all(isinstance(v, str) and v for v in manifest["environment"].values())
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "numpy_dispatch", "platform"}
+    dispatch = environment.pop("numpy_dispatch")
+    assert all(isinstance(v, str) and v for v in environment.values())
+    assert isinstance(dispatch, list) and all(isinstance(v, str) and v for v in dispatch)
 
 
 @pytest.mark.parametrize("line,key,what", [

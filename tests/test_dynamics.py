@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,14 +92,32 @@ def test_diffusion_monotone_and_bounded(t1, t2):
     assert d1 <= d2 <= C.d_bar
 
 
-def _two_tailed_diffusion(t, c):
-    """diffusion() as it was with a lower tail of its own, kept as the reference."""
+def _np_exp(x):
+    """numpy's exponential of one float, as a Python float: the per-element form of the
+    exponential behind simulate_path's columns and the integrators' time-only rows."""
+    return float(np.exp(x))
+
+
+@pytest.mark.parametrize("lo,hi", [(-745.0, -40.0), (-40.0, 40.0), (0.0, 700.0)])
+def test_np_exp_per_element_equals_np_exp_on_an_array(lo, hi):
+    # The frozen references below call numpy's exp one float at a time; the engine calls it
+    # on arrays of any length. Both must give the same bits, tail loops included.
+    x = np.random.default_rng(31).uniform(lo, hi, 20_000)
+    whole = np.exp(x)
+    assert [_np_exp(v).hex() for v in x.tolist()] == [v.hex() for v in whole.tolist()]
+    for i, n in zip(range(0, 6000, 1000), (1, 3, 7, 8, 9, 17)):
+        assert np.array_equal(np.exp(x[i : i + n]), whole[i : i + n])
+
+
+def _two_tailed_diffusion(t, c, exp=math.exp):
+    """diffusion() as it was with a lower tail of its own, kept as the reference; through
+    ``exp``, ``math.exp`` as diffusion() or :func:`_np_exp` as simulate_path's d_t."""
     e = -c.kappa * (t - c.t0_diffusion)
     if e > 40.0:
         return 0.0
     if e < -40.0:
         return c.d_bar
-    return c.d_bar / (1.0 + math.exp(e))
+    return c.d_bar / (1.0 + exp(e))
 
 
 # (kappa, t0) whose logistic argument e = -kappa * (t - t0) on a 10-year path falls below
@@ -125,8 +144,9 @@ def test_logistic_equals_the_two_tailed_form_bit_for_bit(kappa, t0, t):
     # below e = -40, exp(e) < 2**-53: d_bar / (1.0 + exp(e)) is d_bar without a tail of its own
     c = with_updates(C, kappa=kappa, t0_diffusion=t0)
     traj = simulate_path(Scenario(name="tails", dt=0.05), c)
-    expected = [_two_tailed_diffusion(x, c).hex() for x in traj.t.tolist()]
+    expected = [_two_tailed_diffusion(x, c, _np_exp).hex() for x in traj.t.tolist()]
     assert [d.hex() for d in traj.d_t.tolist()] == expected
+    expected = [_two_tailed_diffusion(x, c).hex() for x in traj.t.tolist()]
     assert [diffusion(x, c).hex() for x in traj.t.tolist()] == expected
     assert diffusion(t, c).hex() == _two_tailed_diffusion(t, c).hex()
 
@@ -280,17 +300,31 @@ def test_csv_export_shape():
 
 
 def _scalar_rows(traj, s, c):
-    """The per-point assembly the columnar Trajectory replaced, kept as its reference."""
+    """The per-point assembly the columnar Trajectory replaced, kept as its reference:
+    the scalar functions, with diffusion, capability and the reinstatement power through
+    numpy's exp and power one float at a time, as simulate_path's columns are."""
     ce = with_updates(c, g_A=s.g_A_override) if s.g_A_override is not None else c
     rows = []
     for t, s_L in zip(traj.t.tolist(), traj.s_L.tolist()):
         tau_eff = transfer_at(t, s.policy) if s_L < ce.s_L0 else 0.0
-        A_t = capability(t, ce)
+        A_t = ce.A0 * _np_exp(ce.g_A * t)
         rows.append((
-            t, s_L, diffusion(t, ce), A_t, reinstatement_rate(A_t, ce), margin_pressure(s_L, ce),
+            t, s_L, _two_tailed_diffusion(t, ce, _np_exp), A_t,
+            ce.rho0 + ce.eta * float(np.power(A_t, ce.alpha_rho)), margin_pressure(s_L, ce),
             velocity(s_L, tau_eff, ce), consumption_ratio(s_L, ce), tau_eff,
         ))
     return rows
+
+
+def _ulps(a, b):
+    """The distance in units in the last place between float64 columns of one sign."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+# numpy's exp and power against math.exp and pow on simulate_path's d_t, A_t and rho_t
+# columns: at most 2, 1 and 2 ulps over these cases and the shipped scenarios at dt 0.01
+# and 0.001 under AVX-512 dispatch; 0, 0 and 1 under X86_V3
+_SCALAR_FUNCTION_ULPS = 4
 
 
 # kappa = 40: the logistic argument -40 * (t - 2.8) is above 40 before t = 1.8 (d = 0)
@@ -322,6 +356,12 @@ def test_columns_equal_scalar_functions(scenario, calib):
     assert all(col.dtype == np.float64 for col in (traj.t, traj.d_t, traj.tau_effective))
     assert traj.t.tolist() == [i * scenario.dt for i in range(len(traj.t))]
     assert list(traj.points) == _scalar_rows(traj, scenario, calib)
+    ce = with_updates(calib, g_A=scenario.g_A_override) if scenario.g_A_override is not None else calib
+    t = traj.t.tolist()
+    A_t = [capability(x, ce) for x in t]
+    for column, scalar in ((traj.d_t, [diffusion(x, ce) for x in t]), (traj.A_t, A_t),
+                           (traj.rho_t, [reinstatement_rate(a, ce) for a in A_t])):
+        assert _ulps(column, scalar).max() <= _SCALAR_FUNCTION_ULPS
     assert all(type(v) is float for v in traj.points[-1])
     assert traj.points is traj.points  # built once
     with pytest.raises(ValueError):
@@ -496,13 +536,15 @@ def test_perturbation_grows_above_threshold(c, horizon):
 
 # --- lane-batched kernel -----------------------------------------------------
 
-def _sampled_calibrations(n, seed=42):
+def _sampled_calibration(i, seed=42):
+    """The calibration of the Monte Carlo's draw ``i`` (stochastics.sample_columns's entry i)."""
     from macrostress.stochastics import SplitMix64, default_ranges, sample_calibration, substream_seed
 
-    return [
-        sample_calibration(SplitMix64(substream_seed(seed, i)), default_ranges(), C)
-        for i in range(n)
-    ]
+    return sample_calibration(SplitMix64(substream_seed(seed, i)), default_ranges(), C)
+
+
+def _sampled_calibrations(n, seed=42):
+    return [_sampled_calibration(i, seed) for i in range(n)]
 
 
 def _scalar_or_nan(c, p, horizon, dt):
@@ -516,8 +558,8 @@ def test_lanes_agree_with_scalar_on_sampled_draws():
     cals = _sampled_calibrations(64)
     s_final, failed = integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 10.0, 0.01)
     assert not failed.any()
-    for c, s in zip(cals, s_final):
-        assert abs(s - integrate_labor_share(c, NO_POLICY, 10.0, 0.01)[0]) <= 1e-12
+    for c, s in zip(cals, s_final.tolist()):
+        assert s.hex() == integrate_labor_share(c, NO_POLICY, 10.0, 0.01)[0].hex()
 
 
 def test_lanes_agree_with_scalar_under_policy():
@@ -526,8 +568,8 @@ def test_lanes_agree_with_scalar_under_policy():
     p = PolicySpec(tau=0.05, lag=1.5, start_time=0.5)
     s_final, failed = integrate_lanes(lane_constants((c, p) for c in cals), 10.0, 0.01)
     assert not failed.any()
-    for c, s in zip(cals, s_final):
-        assert abs(s - integrate_labor_share(c, p, 10.0, 0.01)[0]) <= 1e-12
+    for c, s in zip(cals, s_final.tolist()):
+        assert s.hex() == integrate_labor_share(c, p, 10.0, 0.01)[0].hex()
 
 
 @pytest.fixture(scope="module")
@@ -576,12 +618,79 @@ def test_lanes_fail_exactly_where_the_scalar_raises():
     s_final, failed = integrate_lanes(lane_constants((c, NO_POLICY) for c in cals), 10.0, 0.01)
     expected = [_scalar_or_nan(c, NO_POLICY, 10.0, 0.01) for c in cals]
     assert failed.tolist() == [math.isnan(e) for e in expected] == [False, False, True, True]
-    assert abs(s_final[1] - expected[1]) <= 1e-12
+    assert float(s_final[1]).hex() == expected[1].hex()
 
 
 def test_lanes_empty_input():
     s_final, failed = integrate_lanes(lane_constants([]), 1.0, 0.01)
     assert s_final.shape == failed.shape == (0,)
+
+
+# --- the scalar integrator against a one-lane kernel --------------------------------
+
+def _assert_scalar_equals_one_lane(c, p, horizon, dt):
+    """integrate_labor_share's final share, or its failure, is a one-lane kernel's, bit for
+    bit: both take the time-only terms through numpy's exp."""
+    s_final, failed = integrate_lanes(dynamics.column_lane_constants(c, 1, p), horizon, dt)
+    expected = _scalar_or_nan(c, p, horizon, dt)
+    assert failed.tolist() == [math.isnan(expected)]
+    assert float(s_final[0]).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("name", ["baseline", "rapid", "extreme"])
+def test_scalar_integrator_equals_one_lane_kernel_on_the_shipped_scenarios(name):
+    s = next(s for s in default_scenarios() if s.name == name)
+    _assert_scalar_equals_one_lane(dynamics._effective_calibration(s, C), s.policy, s.horizon, s.dt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g_A=st.floats(min_value=0.0, max_value=0.8),
+    kappa=st.floats(min_value=0.2, max_value=40.0),
+    t0=st.floats(min_value=0.0, max_value=6.0),
+    rho0=st.floats(min_value=0.0, max_value=0.05),
+    eta=st.floats(min_value=0.0, max_value=0.05),
+    beta=st.floats(min_value=0.05, max_value=0.6),
+    mpc=st.floats(min_value=0.55, max_value=0.95),
+    tau=st.floats(min_value=0.0, max_value=0.15),
+    lag=st.floats(min_value=0.0, max_value=5.0),
+    dt=st.sampled_from([0.01, 0.02, 0.03]),
+)
+def test_scalar_integrator_equals_one_lane_kernel(g_A, kappa, t0, rho0, eta, beta, mpc, tau, lag, dt):
+    c = with_updates(C, g_A=g_A, kappa=kappa, t0_diffusion=t0, rho0=rho0, eta=eta,
+                     beta_feedback=beta, mpc_labor=mpc)
+    _assert_scalar_equals_one_lane(c, PolicySpec(tau=tau, lag=lag), 10.0, dt)
+
+
+# The seed-42 Monte Carlo draws whose 2000-lane kernel lane ended where
+# integrate_labor_share on the same calibration did not, while the scalar rows went
+# through math.exp and the kernel's through numpy's AVX-512 exp.
+_MC_DRAWS_THAT_DIFFERED = (319, 338, 433, 801, 851, 970, 1034, 1079, 1091, 1433, 1454, 1538, 1584, 1710)
+
+
+@pytest.fixture(scope="module")
+def mc_draws():
+    """50 seed-42 Monte Carlo draws: the 14 that differed and draws 0 to 35."""
+    return [_sampled_calibration(i) for i in (*_MC_DRAWS_THAT_DIFFERED, *range(36))]
+
+
+def test_scalar_integrator_equals_one_lane_kernel_on_monte_carlo_draws(mc_draws):
+    for c in mc_draws:
+        _assert_scalar_equals_one_lane(c, NO_POLICY, 10.0, 0.01)
+
+
+def test_scalar_integrator_equals_the_monte_carlo_lanes(mc_draws):
+    # the draws as the Monte Carlo runs them: one column of lanes, one step per chunk
+    from macrostress.stochastics import default_ranges, sample_columns
+
+    columns, _ = sample_columns(2000, default_ranges(), C, 42)
+    draws = SimpleNamespace(**{**vars(C), **columns})
+    s_final, failed = integrate_lanes(dynamics.column_lane_constants(draws, 2000, NO_POLICY), 10.0, 0.01)
+    assert not failed.any()
+    indices = (*_MC_DRAWS_THAT_DIFFERED, *range(36))
+    assert [float(s_final[i]).hex() for i in indices] == [
+        integrate_labor_share(c, NO_POLICY, 10.0, 0.01)[0].hex() for c in mc_draws
+    ]
 
 
 # --- the scalar integrator against its previous form ------------------------------
@@ -594,13 +703,13 @@ def _reference_integrate_labor_share(
     record: list[float] | None = None,
     s_init: float | None = None,
 ) -> tuple[float, float | None]:
-    """The scalar integrator before its time-only terms were precomputed, kept
-    verbatim as the per-step reference."""
+    """The scalar integrator before its time-only terms were precomputed, kept as the
+    per-step reference; its exponential is numpy's, per stage time, as the rows are."""
     d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = (
         _drift_constants(c)
     )
     tau, activation = p.tau, p.start_time + p.lag
-    exp = math.exp
+    exp = _np_exp
 
     def deriv(t: float, s: float) -> float:
         e = neg_kappa * (t - t0)
@@ -885,11 +994,11 @@ def _first_step_stage_inputs(c, p, dt, s):
     d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp, beta, s0, k_pi = _drift_constants(c)
 
     def deriv(t, u):
-        d = d_bar / (1.0 + math.exp(neg_kappa * (t - t0)))
+        d = d_bar / (1.0 + _np_exp(neg_kappa * (t - t0)))
         gap = s0 - u
         pi = k_pi * gap if gap > 0.0 else 0.0
         stab = p.tau if (u < s0 and t >= p.start_time + p.lag) else 0.0
-        return -d * disp_scale - beta * pi + (rho0 + rho_scale * math.exp(rho_exp * t)) + stab
+        return -d * disp_scale - beta * pi + (rho0 + rho_scale * _np_exp(rho_exp * t)) + stab
 
     half = dt / 2.0
     u2 = s + half * deriv(0.0, s)
@@ -909,23 +1018,9 @@ def test_cases_put_a_loop_stage_input_at_s_L0_with_the_transfer_on(stage):
 
 # --- the time-only rows against their previous builders --------------------------
 
-def _reference_scalar_rows(consts, ts):
-    """The scalar integrator's rows ``-d * disp_scale`` and rho as it built them before
-    ``_drive`` took the exponential, frozen: ``math.exp`` element by element, with the
-    logistic's argument capped at 41."""
-    d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp = consts[:7]
-    with np.errstate(over="ignore"):
-        e = neg_kappa * (ts - t0)
-    d = d_bar / (1.0 + np.fromiter(map(math.exp, memoryview(np.minimum(e, 41.0))), np.float64))
-    d = np.where(e > 40.0, 0.0, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = rho0 + rho_scale * np.fromiter(map(math.exp, memoryview(rho_exp * ts)), np.float64)
-    return [-d * disp_scale, rho]
-
-
-def _reference_sweep_rows(consts, ts):
+def _reference_rows(consts, ts):
     """The policy sweep's float-path rows ``-d * disp_scale`` and rho as its own builder
-    wrote them through numpy's ``exp``, frozen."""
+    wrote them through numpy's ``exp``, frozen: every integrator's rows now."""
     d_bar, neg_kappa, t0, disp_scale, rho0, rho_scale, rho_exp = consts[:7]
     push, rho = np.empty(len(ts)), np.empty(len(ts))
     np.subtract(ts, t0, out=push)
@@ -944,24 +1039,19 @@ def _reference_sweep_rows(consts, ts):
 
 
 def _bits(x):
-    """``x`` as int64 views, every NaN as numpy's: the scalar builder's ``-d * disp_scale``
-    flips a NaN's sign bit where ``d * -disp_scale`` does not, and a NaN drift fails
-    its path whatever its sign."""
+    """``x`` as int64 views, every NaN as numpy's: a NaN drift fails its path whatever
+    its sign."""
     return np.where(np.isnan(x), np.nan, x).view(np.int64).tolist()
 
 
 def _assert_rows_equal_references(c, ts):
-    """``_drive`` through ``_math_exp`` and through ``np.exp`` has the bits of the
-    scalar integrator's and the sweep's frozen builders."""
+    """``_drive`` has the bits of the sweep's frozen builder."""
     consts = _drift_constants(c)
     with np.errstate(over="ignore", invalid="ignore"):  # as _rk4_path runs them
-        for exp, reference in ((dynamics._math_exp, _reference_scalar_rows),
-                               (np.exp, _reference_sweep_rows)):
-            rows = [np.empty(len(ts)), np.empty(len(ts))]
-            dynamics._drive(ts, *dynamics._drive_constants(consts), *rows, exp)
-            expected = reference(consts, ts)
-            for got, want in zip(rows, expected):
-                assert _bits(got) == _bits(want), exp
+        rows = [np.empty(len(ts)), np.empty(len(ts))]
+        dynamics._drive(ts, *dynamics._drive_constants(consts), *rows)
+        for got, want in zip(rows, _reference_rows(consts, ts)):
+            assert _bits(got) == _bits(want)
 
 
 @settings(max_examples=200, deadline=None)
