@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import gc
 import math
 from collections.abc import Iterable, Iterator, MutableSequence
 from dataclasses import dataclass
@@ -127,8 +128,8 @@ class TrajectoryPoint(NamedTuple):
 
 # TrajectoryPoint._make without its Python frame: the call stays in C for every row
 _make_point = partial(tuple.__new__, TrajectoryPoint)
-# table_text's bytes: one % formats a block of _CSV_BLOCK rows from their row-major values
-_CSV_ROW = ",".join([NUMBER] * len(TrajectoryPoint._fields))
+# table_text's bytes: one bytes % formats a block of _CSV_BLOCK rows from their row-major values
+_CSV_ROW = ",".join([NUMBER] * len(TrajectoryPoint._fields)).encode("ascii")
 _CSV_BLOCK = 1024
 
 
@@ -161,20 +162,42 @@ class Trajectory:
 
     @cached_property
     def points(self) -> tuple[TrajectoryPoint, ...]:
-        """One :class:`TrajectoryPoint` per grid time."""
+        """One :class:`TrajectoryPoint` per grid time.
+
+        The tuple is built with the cyclic garbage collector paused, and the
+        collector is left enabled or disabled as it was found. The rows are
+        tuples of floats: they form no reference cycle, so a collection during
+        the build could free none of them, and garbage made elsewhere only
+        waits for the next collection. CPython never untracks a tuple subclass,
+        so without the pause each collection the build set off would traverse
+        every row built so far.
+        """
         # a memoryview yields each entry as a Python float, without a list of the column
         columns = (memoryview(getattr(self, name)) for name in TrajectoryPoint._fields)
-        return tuple(map(_make_point, zip(*columns)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return tuple(map(_make_point, zip(*columns)))
+        finally:
+            if enabled:
+                gc.enable()
 
     def to_csv(self) -> str:
+        """The path as CSV text: ``CSV_HEADER``, then one row of ``NUMBER`` values per grid time.
+
+        Each block of ``_CSV_BLOCK`` rows is one ``bytes %`` over the block's
+        row-major values. It writes the bytes of one ``str %`` per row (both
+        format a float with ``PyOS_double_to_string``), and the text is decoded
+        once at the end.
+        """
         columns = [getattr(self, name) for name in TrajectoryPoint._fields]
-        full = "\n".join([_CSV_ROW] * _CSV_BLOCK)
-        lines = [self.CSV_HEADER]
+        full = b"\n".join([_CSV_ROW] * _CSV_BLOCK)
+        lines = [self.CSV_HEADER.encode("ascii")]
         for lo in range(0, len(self.t), _CSV_BLOCK):  # a block at a time: no whole-table stack
             block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in columns])
-            fmt = full if len(block) == _CSV_BLOCK else "\n".join([_CSV_ROW] * len(block))
+            fmt = full if len(block) == _CSV_BLOCK else b"\n".join([_CSV_ROW] * len(block))
             lines.append(fmt % tuple(block.ravel().tolist()))
-        return "\n".join([*lines, ""])  # the final newline without a second copy of the text
+        return b"\n".join([*lines, b""]).decode("ascii")  # b"" gives the final newline
 
 
 def _effective_calibration(s: Scenario, c: Calibration) -> Calibration:

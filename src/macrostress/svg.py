@@ -36,7 +36,10 @@ def write_line_chart(
     """Write one chart: (label, xs, ys) per series, shared axes, legend at right.
 
     ``xs`` and ``ys`` are sequences or arrays of numbers; the points of a
-    series pair them up to the shorter of the two.
+    series pair them up to the shorter of the two. The polylines' numbers are
+    formatted with ``bytes %`` and each line is decoded once. The title, the
+    axis labels and the legend are user text: they are escaped, never passed
+    through ``%``, and written UTF-8 with the rest of the file.
     """
     # by id: a sequence that several series share is converted once
     distinct = {id(values): values for _, xs, ys in series for values in (xs, ys)}
@@ -102,14 +105,15 @@ def write_line_chart(
     # A polyline is "%.2f,%.2f" per (x, y) point, paired up to the shorter column. Its x
     # text is formatted once for a run of series with equal x columns, into a template
     # that holds "%.2f" in place of each y; each series then fills in its y values.
-    x_column, template = np.empty(0), ""
+    # Both are bytes %, which writes the bytes of str % on floats, decoded once per line.
+    x_column, template = np.empty(0), b""
     for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = _COLORS[i % len(_COLORS)]
         n = min(xs.size, ys.size)
         if not np.array_equal(xs[:n], x_column):
             x_column = xs[:n]
-            template = " ".join(["%.2f,%%.2f"] * n) % tuple(px(x_column).tolist())
-        pts = template % tuple(py(ys[:n]).tolist())
+            template = b" ".join([b"%.2f,%%.2f"] * n) % tuple(px(x_column).tolist())
+        pts = (template % tuple(py(ys[:n]).tolist())).decode("ascii")
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
         )

@@ -180,6 +180,19 @@ MUTANTS = [
         "        gap = ce.s_L0 - path\n",
         (_POL + "test_grouped_sweep_equals_one_lane_per_cell[lags_after_r]",),
     ),
+    # --- the row view, built with the collector paused
+    Mutant(
+        "row_view_enables_the_collector_always", "dynamics.py",
+        "            if enabled:\n                gc.enable()\n",
+        "            gc.enable()\n",
+        (_DYN + "test_row_view_builds_without_a_collection_and_restores_the_collector",),
+    ),
+    Mutant(
+        "row_view_without_the_pause", "dynamics.py",
+        "        gc.disable()\n        try:\n",
+        "        try:\n",
+        (_DYN + "test_row_view_builds_without_a_collection_and_restores_the_collector",),
+    ),
     # --- the manifest
     Mutant(
         "manifest_dispatch_lists_every_target", "cli.py",

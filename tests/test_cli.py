@@ -175,6 +175,29 @@ def test_simulate_with_config_scenario(tmp_path):
     assert (out / "trajectory_custom.csv").exists()
 
 
+# sha256 of the CSV and SVG of a config scenario whose name holds non-ASCII text and
+# the characters the SVG escapes, and a "%": the chart's title is user text, written
+# UTF-8 and never formatted with %, while its numbers are formatted as bytes
+USER_TEXT_SCENARIO = 'daß&<%>"x'
+USER_TEXT_SHA256 = ("26d18eb9479e6f537c4800c6caef02af36d7972dd82fcda89ad9a3339d210cfe",
+                    "6e2f09a4c8cdeb3b59772fba28e8ea86b354b09da885bb195172d66a8d85892d")
+
+
+def test_simulate_svg_of_a_scenario_named_in_user_text_byte_identical_to_golden(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario.{USER_TEXT_SCENARIO}]\ng_A_override = 0.1\nhorizon = 2\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfg), "--scenario", USER_TEXT_SCENARIO,
+                   "--out", str(out), "--svg") == 0
+    name = f"trajectory_{USER_TEXT_SCENARIO}"
+    digests = tuple(hashlib.sha256((out / f"{name}.{ext}").read_bytes()).hexdigest()
+                    for ext in ("csv", "svg"))
+    assert digests == USER_TEXT_SHA256
+    title = "Scenario 'daß&amp;&lt;%&gt;&quot;x'"
+    assert f'font-family="sans-serif">{title}</text>' in (out / f"{name}.svg").read_text("utf-8")
+
+
 @pytest.mark.parametrize("g_A,kind", [
     (0.1, "stable displacement"),
     (0.6, "explosive displacement"),

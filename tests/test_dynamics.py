@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import warnings
@@ -384,6 +385,48 @@ def test_csv_row_blocks_write_the_per_row_bytes(rows):
         [traj.CSV_HEADER, *(row % values for values in zip(*(c.tolist() for c in columns)))]
     ) + "\n"
     assert [p.t for p in traj.points] == columns[0].tolist()
+
+
+def _row_view_trajectory(rows=10_001):
+    return Trajectory("x", None, *np.random.default_rng(rows).standard_normal((9, rows)))
+
+
+def test_row_view_builds_without_a_collection_and_restores_the_collector(monkeypatch):
+    # the rows are tuples of floats and free no cycle, so the build pauses the collector;
+    # at 10001 rows an unpaused build sets off about 14 collections
+    starts, building = [], []
+
+    def hook(phase, info):
+        if phase == "start" and building:
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            traj = _row_view_trajectory()
+            building.append(True)
+            points = traj.points
+            building.clear()
+            assert starts == [] and [p.t for p in points] == traj.t.tolist()
+            assert gc.isenabled() is enabled
+            # an exception inside the build leaves the collector as it was, too
+            monkeypatch.setattr(dynamics, "_make_point", lambda row: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                _row_view_trajectory().points
+            monkeypatch.undo()
+            assert gc.isenabled() is enabled
+    finally:
+        building.clear()
+        gc.callbacks.remove(hook)
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 @pytest.mark.parametrize("g_A,message", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,32 @@ _OTHER_XS = [0.3, 0.9, 1.4, 2.0, 2.2, 2.9]
 def test_polyline_points_match_per_point_formatting(tmp_path, series):
     write_line_chart(tmp_path / "p.svg", "t", "x", "y", series)
     assert _polylines(tmp_path / "p.svg") == _reference_points(series)
+
+
+def _float_corpus() -> list[float]:
+    """Random float64 bit patterns over every exponent, values at the scale of a chart's
+    pixels, and the edge cases: NaN of both signs, +-inf, +-0.0, subnormals, the largest
+    finite float and exact ties of both formats (k/8 for %.2f, k + 0.5 near 1e8 for %.9g)."""
+    rng = np.random.default_rng(32)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+    subnormal = rng.integers(1, 2**52, 2_000, dtype=np.uint64)
+    edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                      2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                      0.125, 0.375, 2.5, -2.5, 0.005, 1.005, 999.995, 123456788.5, 100000000.5])
+    values = np.concatenate([
+        bits.view(np.float64), subnormal.view(np.float64), -subnormal.view(np.float64),
+        rng.uniform(-1000.0, 1000.0, 100_000), np.arange(-8000, 8000) / 8.0,
+        np.arange(99_999_000, 100_001_000) + 0.5, edges,
+    ])
+    return values.tolist()
+
+
+@pytest.mark.parametrize("fmt", ["%.9g", "%.2f"])
+def test_bytes_and_str_percent_formats_agree(fmt):
+    # to_csv and write_line_chart format their numbers with bytes %: the premise is that it
+    # writes the bytes of str %, which the per-row and per-point references use
+    values = _float_corpus()
+    assert np.isnan(values[-20]) and math.copysign(1.0, values[-19]) == -1.0
+    assert (" ".join([fmt] * len(values)) % tuple(values)).encode("ascii") == (
+        b" ".join([fmt.encode("ascii")] * len(values)) % tuple(values)
+    )
