@@ -324,12 +324,15 @@ def _stage_rows(consts: tuple[float, ...], n_steps: int, dt: float) -> Iterator[
 
 
 def _time_only_prefix(
-    consts: tuple[float, ...], n_steps: int, dt: float,
+    consts: tuple[float, ...], n_steps: int, dt: float, s: float | None = None,
 ) -> tuple[int, np.ndarray, Iterator[_ChunkRows]]:
-    """The leading steps from ``s_L0`` that :func:`_time_only_steps` takes on the rows
-    (:func:`_stage_rows`) of the calibration whose :func:`_drift_constants` are
-    ``consts``, up to the first step it refuses: step
+    """The leading steps from state ``s`` (by default ``s_L0``) at t = 0 that
+    :func:`_time_only_steps` takes on the rows (:func:`_stage_rows`) of the calibration
+    whose :func:`_drift_constants` are ``consts``, up to the first step it refuses: step
     ``r``, or ``n_steps`` (at or before the reinstatement cap) if none is refused.
+    These are the only steps the scalar path takes as array arithmetic. A start
+    below ``s_L0``, where the margin pressure acts, or at or below ``S_FLOOR``,
+    collapsed at t = 0 as only the per-step path records, gives ``r = 0`` without a call.
 
     Returns ``r``, the states at grid points 0 to ``r``, and the rows from the
     chunk holding step ``r`` on, each later chunk computed as it is read: what
@@ -339,14 +342,16 @@ def _time_only_prefix(
     Callers run it under ``np.errstate``, because a failing state overflows.
     """
     *_, s0, _ = consts
-    s = s0
-    states = [np.array([s0])]
+    s = s0 if s is None else s
+    states = [np.array([s])]
     chunks = _stage_rows(consts, n_steps, dt)
     for chunk in chunks:
         lo, hi, _, (push, rho) = chunk
-        path, ok = _time_only_steps(s, s0, *(push + rho), dt)
-        taken = len(ok) if ok.all() else int(ok.argmin())
-        states.append(path[1 : taken + 1])
+        taken = 0
+        if s >= s0 and s > S_FLOOR:
+            path, ok = _time_only_steps(s, s0, *(push + rho), dt)
+            taken = len(ok) if ok.all() else int(ok.argmin())
+            states.append(path[1 : taken + 1])
         if lo + taken < hi:
             return lo + taken, np.concatenate(states), chain((chunk,), chunks)
         s = path[-1]
@@ -369,9 +374,12 @@ def integrate_labor_share(
     ``s_init`` supports perturbation experiments; the feedback stays anchored
     at the calibration's s_L0.
 
-    The steps are :func:`_rk4_path`'s, with the drift terms that depend on
-    time alone from :func:`_stage_rows`, the lane kernel's rows: the path is a
-    one-lane :func:`rk4_lanes` run bit for bit. They go through the same
+    The leading steps whose drift depends on time alone are
+    :func:`_time_only_prefix`'s array arithmetic, and every step from the first
+    it refuses is :func:`_rk4_path`'s, per step: the sequence the policy sweep
+    runs. Both take the drift terms that depend on time alone from
+    :func:`_stage_rows`, the lane kernel's rows, so the path is a one-lane
+    :func:`rk4_lanes` run bit for bit. The steps go through the same
     operations as a per-stage loop, which must stay numerically equivalent to
     :func:`labor_share_derivative` (the integrator tests pin the agreement, and
     a frozen copy of the per-stage form, with ``np.exp`` per stage time, pins
@@ -384,13 +392,15 @@ def integrate_labor_share(
     cap, which is found before it (:func:`_steps_within_cap`).
     """
     consts = _drift_constants(c)
-    rho_exp, _, s0, _ = consts[6:]
+    rho_exp = consts[6]
     n_steps = round(horizon / dt)
     within = _steps_within_cap(rho_exp, n_steps, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, nan, silently
-        (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)],
-                           _stage_rows(consts, within, dt), 0, dt,
-                           s0 if s_init is None else s_init)
+        r, states, chunks = _time_only_prefix(consts, within, dt, s_init)
+        if record is not None:
+            record.extend(states[:-1].tolist())  # _rk4_path records the state at r
+        (end,) = _rk4_path(consts, [(p.tau, p.start_time + p.lag, record)], chunks, r, dt,
+                           float(states[-1]))
     if isinstance(end, IntegrationError):
         raise end
     if within < n_steps:  # step `within` has a stage past the cap: name the first
@@ -423,14 +433,9 @@ def _rk4_path(
     test ``0 <= s <= 1`` passes every finite state inside the interval; the
     finiteness check and the clamp run only behind it.
 
-    A chunk entered at its first step, from a state at or above ``s_L0``, first
-    runs as array arithmetic (:func:`_time_only_steps`): there the else
-    branches below apply, with the drift ``push + rho`` of time alone and
-    ``k3 == k2``. The chunk keeps the leading steps that function verifies,
-    and runs the rest per step from the first step it refuses. ``baseline``
-    takes every step that way. A start at ``r`` inside a chunk is where the
-    policy sweep goes on from :func:`_time_only_prefix`, which has refused that
-    step already, so it runs per step at once.
+    Every step runs per step: the leading steps whose drift depends on time
+    alone are :func:`_time_only_prefix`'s, which refused step ``r``. A start
+    at ``r`` inside a chunk runs from there.
 
     Returns, for each path, ``(final state, collapse time or None)`` as
     :func:`integrate_labor_share` does, or the :class:`IntegrationError` it
@@ -447,30 +452,19 @@ def _rk4_path(
         ends.append((s, r * dt if s <= S_FLOOR else None))
 
     for lo, hi, stage_ts, drive in chunks:
-        first = max(lo, r)  # the chunk's first step to take
-        drift = None  # push + rho at each stage, once some path tries the time-only steps
+        skip = max(lo, r) - lo  # the chunk's steps before r, which the caller has taken
         for g, (tau, activation, record) in enumerate(paths):
             if isinstance(ends[g], IntegrationError):
                 continue
             s, collapse = ends[g]
             on = np.where(stage_ts >= activation, tau, 0.0)
-            taken = first - lo  # the chunk's leading steps not run per step
-            if not taken and s >= s0:
-                if drift is None:
-                    drift = drive[0] + drive[1]
-                path, ok = _time_only_steps(s, s0, *drift, dt)
-                taken = len(ok) if ok.all() else int(ok.argmin())
-                if taken:
-                    s = float(path[taken])
-                    if record is not None:
-                        record.extend(path[1 : taken + 1].tolist())
             append = None if record is None else record.append
             # each stage's push, rho and transfer rows; a memoryview yields each entry as a
             # Python float, without a list of them all
-            rows = (memoryview(row[taken:]) for k in range(3) for row in (*drive[:, k], on[k]))
+            rows = (memoryview(row[skip:]) for k in range(3) for row in (*drive[:, k], on[k]))
             try:
                 for i, push1, rho1, on1, push2, rho2, on2, push4, rho4, on4 in zip(
-                    range(lo + taken, hi), *rows
+                    range(lo + skip, hi), *rows
                 ):
                     gap = s0 - s
                     if gap > 0.0:
@@ -667,15 +661,16 @@ def rk4_lanes(
     - the transfer, in a chunk whose last stage time is at or after the
       earliest activation among lanes with a non-zero ``tau``. Its rows before
       that time are zero in every lane;
-    - the per-step loop, only in a chunk of more than one step that cannot
-      run as array arithmetic. Where every lane starts at or above ``s0``,
-      the chunk's drifts are ``push + rho`` and ``k3 == k2``;
+    - the per-step loop, only from the first chunk that cannot run as array
+      arithmetic: chunks of more than one step on the leading run from t = 0
+      try it, up to the first refused. There the chunk's drifts are
+      ``push + rho`` and ``k3 == k2``;
       :func:`_time_only_steps` forms its states and checks every lane at
       every step, and the chunk is taken whole or not at all. Its states are
       the per-step loop's: the loop's margin term is then ``+0.0``, the
       transfer ``transfer * False`` adds a zero, and no edge test or clamp
       acts. The Monte Carlo's 2000 lanes run one step per chunk and never try it,
-      nor does the chunk from a given ``s_r`` at ``r``: the prefix refused step ``r``;
+      nor does a run from a given ``s_r`` at ``r``: the prefix refused step ``r``;
     - the absorbing edges, only in a chunk whose states do not all start
       clear of the edges, and there when some stage state is ``<= 0`` or
       ``>= 1``. While every stage input is inside (0, 1), each lane's drift
@@ -732,6 +727,7 @@ def rk4_lanes(
         return raw
 
     s = s0 if s_r is None else np.full(s0.shape, s_r)
+    leading = chunk > 1 and s_r is None  # whether every chunk so far ran as array arithmetic
     done = last = 0  # the schedule rows whose terms are computed, the last at buffer row `last`
     for lo in range(r, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
@@ -748,12 +744,11 @@ def rk4_lanes(
         else:
             transfer = repeat(None)
         near_edge = not _clear_of_edges(s, lo_edge, hi_edge)
-        taken = False  # whether the chunk runs as array arithmetic
-        if chunk > 1 and (s_r is None or lo > r) and (s >= s0).all():
+        if leading:
             drift = push_buf[: len(ts)] + rho_buf[: len(ts)]
             path, ok = _time_only_steps(s, s0, *drift[rows[:, lo - r : hi - r] - r0], dt)
-            taken = ok.all()
-        if taken:
+            leading = bool(ok.all())
+        if leading:
             s = path[-1]
         else:
             stages = list(zip(push_buf, rho_buf, transfer))

@@ -104,6 +104,26 @@ MUTANTS = [
         "    if False:",
         (_POL + "test_lane_sweep_overflow_names_a_cell",),
     ),
+    # --- the time-only prefix: the scalar path's one way into array arithmetic
+    Mutant(
+        "prefix_without_its_s_L0_guard", "dynamics.py",
+        "        if s >= s0 and s > S_FLOOR:\n",
+        "        if s > S_FLOOR:\n",
+        (_DYN + "test_scalar_time_only_steps_at_and_below_s_L0",),
+    ),
+    Mutant(
+        "prefix_without_its_floor_guard", "dynamics.py",
+        "        if s >= s0 and s > S_FLOOR:\n",
+        "        if s >= s0:\n",
+        (_DYN + "test_scalar_integrator_equals_reference_bit_for_bit[rises_from_a_collapsed_start]",),
+    ),
+    Mutant(
+        "scalar_path_without_the_prefix", "dynamics.py",
+        "        r, states, chunks = _time_only_prefix(consts, within, dt, s_init)\n",
+        "        r, states, chunks = (0, np.array([consts[8] if s_init is None else s_init]),\n"
+        "                             _stage_rows(consts, within, dt))\n",
+        (_DYN + "test_baseline_takes_every_step_as_array_arithmetic[0.01]",),
+    ),
     # --- the scalar RK4 loop
     Mutant(
         "stage_1_margin_at_gap_zero", "dynamics.py",
@@ -132,16 +152,22 @@ MUTANTS = [
     # --- the lane kernel
     Mutant(
         "kernel_time_only_steps_at_r", "dynamics.py",
-        "(s_r is None or lo > r)",
-        "(s_r is None or lo >= r)",
+        "leading = chunk > 1 and s_r is None",
+        "leading = chunk > 1",
         (_POL + "test_kernel_lanes_do_not_retry_the_step_the_prefix_refused",),
     ),
     Mutant(
-        "kernel_time_only_steps_from_any_r", "dynamics.py",
-        "(s_r is None or lo > r)",
-        "lo > r",
+        "kernel_time_only_steps_not_from_t0", "dynamics.py",
+        "leading = chunk > 1 and s_r is None",
+        "leading = chunk > 1 and s_r is not None",
         (_DYN + "test_small_monte_carlo_tries_the_time_only_steps",
          _DYN + "test_sweep_grids_take_their_early_chunks_as_array_arithmetic[repro]"),
+    ),
+    Mutant(
+        "kernel_time_only_steps_after_a_refusal", "dynamics.py",
+        "            leading = bool(ok.all())\n        if leading:\n",
+        "        if leading and ok.all():\n",
+        (_DYN + "test_lane_kernel_stops_trying_the_time_only_steps_at_the_first_refusal",),
     ),
     Mutant(
         "kernel_transfer_after_its_first_time", "dynamics.py",

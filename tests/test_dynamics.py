@@ -890,6 +890,15 @@ _SCALAR_CASES = {
     "stage_2_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5597264142269149),
     "stage_3_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5599758780635399),
     "stage_4_input_at_s_L0": (_RAPID_C, PolicySpec(tau=0.05, lag=0.0), 1.0, 0.01, 0.5594528161735646),
+    # falls below s_L0 at step 5731 and is back in [s_L0, 1) for the whole chunk of steps
+    # 8190 to 9554: steps that time-only arithmetic would take, run per step after the
+    # first refused one
+    "reenters_the_time_only_band": (
+        with_updates(C, g_A=0.345, eta=0.009, alpha_rho=0.62, rho0=0.0035, kappa=3.0, d_bar=0.8),
+        NO_POLICY, 10.0, 0.001, None,
+    ),
+    # s_L0 below S_FLOOR: collapsed at t = 0, and rising from the first step
+    "rises_from_a_collapsed_start": (with_updates(C, s_L0=0.005, rho0=1.0), NO_POLICY, 10.0, 0.01, None),
 }
 
 
@@ -948,6 +957,16 @@ def test_scalar_cases_reach_what_their_names_say():
     assert 41 * 0.01 + 0.01 != _UNSHARED_START
     tiny = _SCALAR_CASES["logistic_tail_at_tiny_share"][0]
     assert -tiny.kappa * (0.0 - tiny.t0_diffusion) > 40.0
+    # below s_L0 at some step, and in [s_L0, 1) for a whole later chunk
+    c, _, _, dt, _ = _SCALAR_CASES["reenters_the_time_only_band"]
+    states = np.array([float.fromhex(v) for v in final("reenters_the_time_only_band")[2]])
+    dip = int(np.argmax(states < c.s_L0))
+    inside = (states >= c.s_L0) & (states < 1.0)
+    later = range((dip // _CHUNK + 1) * _CHUNK, len(states) - _CHUNK, _CHUNK)  # whole chunks after it
+    assert dt == 0.001 and states[dip] < c.s_L0 and any(inside[lo : lo + _CHUNK + 1].all() for lo in later)
+    c = _SCALAR_CASES["rises_from_a_collapsed_start"][0]
+    _, collapse, states = final("rises_from_a_collapsed_start")
+    assert c.s_L0 < S_FLOOR < float.fromhex(states[1]) and collapse == (0.0).hex()
     assert round(10.0 / 0.03) * 0.03 != 10.0 and round(10.0 / 0.0007) * 0.0007 != 10.0
 
 
@@ -1708,6 +1727,15 @@ def test_lane_time_only_steps_next_to_failing_lanes(monkeypatch, name):
     assert failed.tolist() == [False] * 20 + [name != "tau_1e308"]
     outcomes = [bool(ok.all()) for _, _, ok in calls]
     assert outcomes[:taken] == [True] * taken and not any(outcomes[taken:])
+
+
+def test_lane_kernel_stops_trying_the_time_only_steps_at_the_first_refusal(monkeypatch):
+    # one lane of the re-entering case runs 1365-step chunks: the first four are taken,
+    # the fifth is refused, and the whole seventh, back in [s_L0, 1), runs per step
+    c, p, horizon, dt, _ = _SCALAR_CASES["reenters_the_time_only_band"]
+    calls = _record_time_only_steps(monkeypatch)
+    _assert_kernel_equals_reference([(c, p)], horizon, dt)
+    assert [bool(ok.all()) for _, _, ok in calls] == [True] * 4 + [False]
 
 
 def test_monte_carlo_lanes_never_try_the_time_only_steps(monkeypatch):

@@ -525,6 +525,28 @@ def test_kernel_lanes_do_not_retry_the_step_the_prefix_refused(monkeypatch):
     assert events[0] == ("chunk", r)  # no lane tried the time-only steps before it
 
 
+def test_float_sweep_takes_time_only_steps_on_the_prefix_only(monkeypatch):
+    # the repro grid on rapid at dt = 0.001: 3 groups, run as float paths from r = 3513,
+    # inside the third chunk. The prefix's three calls are the only ones; the groups run
+    # every step from r per step, and every cell has the one-lane-per-cell reference's bits.
+    rapid = dataclasses.replace(next(s for s in default_scenarios() if s.name == "rapid"), dt=0.001)
+    grid = PolicyGrid(lags=_REPRO_LAGS, taus=_REPRO_TAUS, base=rapid)
+    runs = []
+    time_only_steps = dynamics._time_only_steps
+
+    def tried(*args):
+        path, ok = time_only_steps(*args)
+        runs.append(len(ok) if ok.all() else int(ok.argmin()))
+        return path, ok
+
+    monkeypatch.setattr(dynamics, "_time_only_steps", tried)
+    cells = policy_sweep(grid, C)
+    assert cells.counters()["groups"] == 3 and runs == [1365, 1365, 783] == [
+        dynamics._SCALAR_CHUNK, dynamics._SCALAR_CHUNK, _prefix_steps(rapid) - 2 * dynamics._SCALAR_CHUNK
+    ]
+    assert _hex_cells(cells) == _hex_cells(reference_policy_sweep(grid, C))
+
+
 def test_lane_sweep_grids_reach_the_absorbing_edges():
     # the last two grids above exercise the kernel's absorbing branches
     for g_A, edge in ((0.40, 0.0), (2.0, 1.0)):
